@@ -14,18 +14,15 @@ import sys
 import time
 
 from .errors import FormatError, ValidationError, VerificationError
-from .fileio import (LoadedGraph, load_bundle, load_graph, parse_extent,
-                     read_train, save_bundle)
+from .fileio import (LoadedGraph, _fmt_extent, load_bundle, load_graph,
+                     parse_extent, read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
 from .graph import graph_size
-from .problem import LearningProblem, compress_problem, equivalence_report
+from .problem import (LearningProblem, _weight_table, compress_problem,
+                      equivalence_report, push_forward)
 from .reduction import choose_substitution, reduce_graph, verify_reduct
 from .refine import refine
 from .synth import bench_graph
-
-
-def _fmt_extent(x) -> str:
-    return "inf" if math.isinf(x) else str(int(x))
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -61,11 +58,8 @@ def cmd_refine(args) -> int:
 
 def _problem_from_files(args, loaded: LoadedGraph) -> LearningProblem:
     g = loaded.graph
-    id_map = None
-    if loaded.original_ids is not None:
-        id_map = {int(orig): i for i, orig in enumerate(loaded.original_ids)}
     if args.train:
-        train = read_train(args.train, g.node_count, args.loss, id_map)
+        train = read_train(args.train, g.node_count, args.loss, loaded.id_map)
         loss_kind = args.loss
     else:
         train = {}
@@ -114,25 +108,12 @@ def cmd_verify(args) -> int:
         return 4
 
     # Weighted training set must be the push-forward of the original one.
+    loss_kind = cp.loss_kind or "xent"
+    train = {}
     if args.train:
-        loss_kind = cp.loss_kind or "xent"
-        id_map = None
-        if loaded.original_ids is not None:
-            id_map = {int(o): i for i, o in enumerate(loaded.original_ids)}
-        train = read_train(args.train, g.node_count, loss_kind, id_map)
-        expected: dict[int, dict[str, int]] = {}
-        for v, target in train.items():
-            rep = int(cp.rep_of_node[v])
-            key = target if isinstance(target, str) else target.tobytes()
-            expected.setdefault(rep, {}).setdefault(key, [target, 0])[1] += 1
-        got = {
-            rep: sorted((t if isinstance(t, str) else t.tobytes(), w) for t, w in pairs)
-            for rep, pairs in cp.train_weighted.items()
-        }
-        want = {
-            rep: sorted((k, tw[1]) for k, tw in bucket.items())
-            for rep, bucket in expected.items()
-        }
+        train = read_train(args.train, g.node_count, loss_kind, loaded.id_map)
+        got = _weight_table(cp.train_weighted)
+        want = _weight_table(push_forward(train, cp.rep_of_node))
         if got != want:
             bad = sorted(set(got) ^ set(want)
                          or {rep for rep in got if got[rep] != want.get(rep)})
@@ -147,17 +128,12 @@ def cmd_verify(args) -> int:
     depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)
     depth = max(1, depth)
     width = parse_extent(args.width) if args.width else cp.grade
-    loss_kind = cp.loss_kind or "xent"
     if loss_kind == "xent":
         q = max(1, len(cp.label_vocab)) if cp.train_weighted else p_dim
     else:
         q = len(next(iter(cp.train_weighted.values()))[0][0]) if cp.train_weighted else p_dim
     config = chain_config([p_dim] * depth + [q], width=width, agg="sum")
 
-    id_map = None
-    if loaded.original_ids is not None:
-        id_map = {int(o): i for i, o in enumerate(loaded.original_ids)}
-    train = read_train(args.train, g.node_count, loss_kind, id_map) if args.train else {}
     problem = LearningProblem(g, features, train, loss_kind, config)
     report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed,
                                 tolerance=args.tol, config=config)

@@ -44,6 +44,7 @@ def parse_extent(token: str):
 class LoadedGraph:
     graph: ColoredMultigraph
     original_ids: np.ndarray | None  # dense id -> id in the input file; None if already dense
+    id_map: dict[int, int] | None     # id in the input file -> dense id; None if already dense
 
 
 def _iter_data_lines(path: Path):
@@ -77,9 +78,14 @@ def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         srcs.append(s)
         dsts.append(d)
         mults.append(m)
-    return (np.array(srcs, dtype=np.int64),
-            np.array(dsts, dtype=np.int64),
-            np.array(mults, dtype=np.int64))
+    try:
+        return (np.array(srcs, dtype=np.int64),
+                np.array(dsts, dtype=np.int64),
+                np.array(mults, dtype=np.int64))
+    except OverflowError:
+        rows = zip(_iter_data_lines(path), srcs, dsts, mults)
+        lineno = next(ln for (ln, _), *values in rows if max(values) >= 2**63)
+        raise FormatError(f"{path}:{lineno}: ids and multiplicity must be below 2**63") from None
 
 
 def read_colors(path, n: int, id_map: dict[int, int] | None) -> list:
@@ -142,7 +148,7 @@ def load_graph(edge_path, color_path=None, undirected: bool = False) -> LoadedGr
     table = ColorTable()
     colors = np.fromiter((table.intern(p) for p in payloads), dtype=np.int64, count=n)
     graph = ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, table)
-    return LoadedGraph(graph, original_ids)
+    return LoadedGraph(graph, original_ids, id_map)
 
 
 def _parse_target(token: str, loss_kind: str):

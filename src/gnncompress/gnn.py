@@ -3,12 +3,14 @@
 Every layer aggregates the feature vectors of a node's in-neighbors
 (multiplicity-weighted) and combines the result with the node's own
 feature through one affine map plus activation. A finite width c caps
-how often the aggregation counts each distinct neighbor *vector*: the
-multiset of vectors is restricted to at most c copies per value before
-aggregating, so evaluation is invariant under that restriction. This
-evaluator is the oracle behind all equivalence checks, so determinism
-matters more than speed: summation runs in ascending neighbor order and
-all arithmetic is float64.
+how often the aggregation counts each distinct neighbor *vector* (rows
+compared by their bytes): the multiset of vectors is restricted to at
+most c copies per value before aggregating, so evaluation is invariant
+under that restriction. The capped counts come from the same checked
+kernel that refinement uses. This evaluator is the oracle behind all
+equivalence checks, so determinism matters more than speed: each node
+sums its terms in order of first occurrence, which is ascending neighbor
+id, and all arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColoredMultigraph
+from .graph import ColoredMultigraph, _count_runs
 from .refine import INF
 
 AGG_KINDS = ("sum", "mean", "max")
@@ -130,30 +132,19 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndar
             nz = totals > 0
             out[nz] /= totals[nz, None]
         return out
-    # Finite width: count per distinct neighbor vector, capped at c.
-    c = int(width)
-    for v in range(n):
-        lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
-        if lo == hi:
-            continue
-        counts: dict[bytes, int] = {}
-        vecs: dict[bytes, np.ndarray] = {}
-        for w, m in zip(g.in_src[lo:hi], g.in_mult[lo:hi]):
-            key = x[w].tobytes()
-            if key in counts:
-                counts[key] += int(m)
-            else:
-                counts[key] = int(m)
-                vecs[key] = x[w]
-        acc = np.zeros(p, dtype=np.float64)
-        total = 0
-        for key, cnt in counts.items():  # first-occurrence order: ascending id
-            capped = min(cnt, c)
-            acc += capped * vecs[key]
-            total += capped
-        if kind == "mean":
-            acc /= total
-        out[v] = acc
+    # Finite width: count each distinct neighbor row (by its bytes), capped
+    # at c, then add the capped rows in order of first occurrence.
+    rows = np.ascontiguousarray(x).view(np.dtype((np.void, p * x.itemsize))).ravel()
+    uniq, row_id = np.unique(rows, return_inverse=True)
+    r = len(uniq)
+    pairs, counts, first = _count_runs(g.in_dst_flat * r + row_id[g.in_src],
+                                       g.in_mult, width)
+    order = np.argsort(first)
+    dst, counts = pairs[order] // r, counts[order]
+    np.add.at(out, dst, counts[:, None] * x[g.in_src[first[order]]])
+    if kind == "mean":
+        has_in, totals, _ = _count_runs(dst, counts)
+        out[has_in] /= totals[:, None]
     return out
 
 

@@ -21,6 +21,37 @@ from .errors import FormatError, ValidationError
 _MULT_LIMIT = 2**62
 
 
+def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf):
+    """Sum the positive int64 weights of equal int64 keys, capped at ``cap``.
+
+    Returns the distinct keys ascending, the sum of each key's weights,
+    and the input position of each key's first occurrence. A finite cap
+    saturates the sums at the cap; a sum that stays at or past
+    _MULT_LIMIT raises ValidationError instead of wrapping. This is the
+    one "sort by key, sum each run, cap at the grade" of the package:
+    edge merging, refinement signatures, reduct multiplicities and
+    finite-width aggregation all count through it.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new_run = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    w = weights[order]
+    sums = np.add.reduceat(w, starts)
+    if len(w) and int(w.max()) * len(w) >= _MULT_LIMIT:
+        # int64 sums may have wrapped. A float64 sum is off by far less
+        # than a third, so below 1.5 * 2**62 the int64 sum is exact and
+        # above it the true sum is past the limit.
+        approx = np.add.reduceat(w.astype(np.float64), starts)
+        sums[approx >= 1.5 * _MULT_LIMIT] = _MULT_LIMIT
+    if not math.isinf(cap):
+        np.minimum(sums, min(int(cap), _MULT_LIMIT), out=sums)
+    if len(sums) and sums.max() >= _MULT_LIMIT:
+        raise ValidationError("multiplicity overflow: a summed count reaches 2**62")
+    return sorted_keys[starts], sums, order[starts]
+
+
 class ColorTable:
     """Bidirectional payload <-> dense color id map (injective per run)."""
 
@@ -73,9 +104,10 @@ class ColoredMultigraph:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_edge_arrays(cls, n: int, src, dst, mult, color_ids, color_table) -> "ColoredMultigraph":
+    def from_edge_arrays(cls, n: int, src, dst, mult, color_ids, color_table,
+                         cap=math.inf) -> "ColoredMultigraph":
         """Build from parallel edge arrays; duplicate (src, dst) pairs are
-        merged by summing multiplicities."""
+        merged by summing multiplicities, saturating at ``cap`` when finite."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         mult = np.asarray(mult, dtype=np.int64)
@@ -87,28 +119,14 @@ class ColoredMultigraph:
                 raise ValidationError("edge endpoint out of range")
             if mult.min() <= 0:
                 raise FormatError("edge multiplicity must be >= 1")
-            # Merge duplicates: sort by (src, dst), sum runs.
-            order = np.lexsort((dst, src))
-            s, d, m = src[order], dst[order], mult[order]
-            new_run = np.empty(len(s), dtype=bool)
-            new_run[0] = True
-            new_run[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
-            starts = np.flatnonzero(new_run)
-            out_dst = d[starts]
-            out_src = s[starts]
-            out_mult = np.add.reduceat(m, starts)
-            if out_mult.min() <= 0 or out_mult.max() >= _MULT_LIMIT:
-                raise ValidationError("multiplicity overflow while merging edges")
-        else:
-            out_src = np.empty(0, dtype=np.int64)
-            out_dst = np.empty(0, dtype=np.int64)
-            out_mult = np.empty(0, dtype=np.int64)
+        pairs, out_mult, _ = _count_runs(src * n + dst, mult, cap)
+        out_src, out_dst = np.divmod(pairs, n)
 
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(out_src, minlength=n), out=out_indptr[1:])
 
         # in-direction: same unique pairs re-sorted by (dst, src)
-        in_order = np.lexsort((out_src, out_dst))
+        in_order = np.argsort(out_dst, kind="stable")
         in_src = out_src[in_order]
         in_mult = out_mult[in_order]
         in_indptr = np.zeros(n + 1, dtype=np.int64)

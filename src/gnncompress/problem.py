@@ -138,14 +138,31 @@ class CompressedProblem:
         if not (np.array_equal(self.node_ids, other.node_ids)
                 and np.array_equal(self.rep_of_node, other.rep_of_node)):
             return False
-        if set(self.train_weighted) != set(other.train_weighted):
+        if _weight_table(self.train_weighted) != _weight_table(other.train_weighted):
             return False
-        for v, pairs in self.train_weighted.items():
-            a = sorted(((_target_key(t), w) for t, w in pairs))
-            b = sorted(((_target_key(t), w) for t, w in other.train_weighted[v]))
-            if a != b:
-                return False
         return (self.depth, self.grade, self.policy) == (other.depth, other.grade, other.policy)
+
+
+def push_forward(train: dict, rep_of_node: np.ndarray) -> dict[int, list[tuple[object, int]]]:
+    """Map a training set through a substitution: per representative,
+    (target, count) pairs of the training nodes it stands for, with
+    representatives ascending and targets in _target_key order."""
+    grouped: dict[int, dict] = {}
+    for v, target in train.items():
+        bucket = grouped.setdefault(int(rep_of_node[v]), {})
+        key = _target_key(target)
+        if key in bucket:
+            bucket[key][1] += 1
+        else:
+            bucket[key] = [target, 1]
+    return {rep: [tuple(bucket[k]) for k in sorted(bucket)]
+            for rep, bucket in sorted(grouped.items())}
+
+
+def _weight_table(train_weighted: dict) -> dict[int, list[tuple[object, int]]]:
+    """Order-free form of a weighted training set, for comparing two."""
+    return {rep: sorted((_target_key(t), w) for t, w in pairs)
+            for rep, pairs in train_weighted.items()}
 
 
 def _check_features_consistent(problem: LearningProblem) -> None:
@@ -184,26 +201,12 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     sub = choose_substitution(g, partition, policy, depth=depth, grade=grade)
     red = reduce_graph(g, sub)
 
-    grouped: dict[int, dict] = {}
-    for v, target in problem.train.items():
-        rep = int(red.rep_index_of_node[v])
-        bucket = grouped.setdefault(rep, {})
-        key = _target_key(target)
-        if key in bucket:
-            bucket[key][1] += 1
-        else:
-            bucket[key] = [target, 1]
-    train_weighted = {
-        rep: [(t, w) for t, w in (bucket[k] for k in sorted(bucket))]
-        for rep, bucket in sorted(grouped.items())
-    }
-
     rounds = result.stable_round if result.stable_round is not None else int(depth)
     return CompressedProblem(
         graph=red.graph,
         node_ids=red.node_ids,
         rep_of_node=red.rep_index_of_node,
-        train_weighted=train_weighted,
+        train_weighted=push_forward(problem.train, red.rep_index_of_node),
         depth=depth, grade=grade, policy=policy,
         loss_kind=problem.loss_kind,
         rounds=rounds,
@@ -212,12 +215,23 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     )
 
 
-def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
-    """Total training loss of a GNN on the original problem."""
-    out = forward(problem.graph, problem.features, gnn)
+def _original_loss(problem: LearningProblem, out: np.ndarray) -> float:
     vocab = problem.label_vocab
     return sum(pointwise_loss(problem.loss_kind, problem.train[v], out[v], vocab)
                for v in sorted(problem.train))
+
+
+def _compressed_loss(cp: CompressedProblem, out: np.ndarray, vocab: list[str]) -> float:
+    total = 0.0
+    for rep in sorted(cp.train_weighted):
+        for target, weight in cp.train_weighted[rep]:
+            total += weight * pointwise_loss(cp.loss_kind, target, out[rep], vocab)
+    return total
+
+
+def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
+    """Total training loss of a GNN on the original problem."""
+    return _original_loss(problem, forward(problem.graph, problem.features, gnn))
 
 
 def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn,
@@ -228,13 +242,7 @@ def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn,
         features = cp.features
     if features is None:
         raise ValueError("compressed problem has no feature matrix")
-    out = forward(cp.graph, features, gnn)
-    vocab = cp.label_vocab
-    total = 0.0
-    for rep in sorted(cp.train_weighted):
-        for target, weight in cp.train_weighted[rep]:
-            total += weight * pointwise_loss(cp.loss_kind, target, out[rep], vocab)
-    return total
+    return _compressed_loss(cp, forward(cp.graph, features, gnn), cp.label_vocab)
 
 
 @dataclass
@@ -280,13 +288,8 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
         scale = 1.0 + np.abs(out_g).max(axis=1)
         max_out = max(max_out, float((diff.max(axis=1) / scale).max()) if len(diff) else 0.0)
 
-        vocab = problem.label_vocab
-        loss_g = sum(pointwise_loss(problem.loss_kind, problem.train[v], out_g[v], vocab)
-                     for v in sorted(problem.train))
-        loss_h = 0.0
-        for rep in sorted(cp.train_weighted):
-            for target, weight in cp.train_weighted[rep]:
-                loss_h += weight * pointwise_loss(cp.loss_kind, target, out_h[rep], vocab)
+        loss_g = _original_loss(problem, out_g)
+        loss_h = _compressed_loss(cp, out_h, problem.label_vocab)
         max_loss = max(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
     passed = max_loss <= tolerance and max_out <= tolerance

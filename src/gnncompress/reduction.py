@@ -9,7 +9,6 @@ incidence yields a reduct of minimal size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +149,7 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution, grade=None) -
 
     h = ColoredMultigraph.from_edge_arrays(
         len(node_ids), new_src, new_dst, new_mult,
-        g.colors[node_ids], g.color_table)
-    if not math.isinf(grade):
-        h.out_mult = np.minimum(h.out_mult, int(grade))
-        h.in_mult = np.minimum(h.in_mult, int(grade))
+        g.colors[node_ids], g.color_table, cap=grade)
     return Reduct(h, node_ids, rep_of_node.copy(), rep_index, substitution)
 
 

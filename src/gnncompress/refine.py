@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ColoredMultigraph
+from .graph import ColoredMultigraph, _count_runs
 
 INF = math.inf
 
@@ -94,27 +94,10 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
         return Partition(current.class_of.copy(), current.round + 1)
 
     k = current.num_classes
-    if len(g.in_src):
-        cls_src = current.class_of[g.in_src]
-        key = g.in_dst_flat * k + cls_src
-        # ties don't need stability: equal keys only ever get summed
-        order = np.argsort(key)
-        sk = key[order]
-        sm = g.in_mult[order]
-        run_start = np.empty(len(sk), dtype=bool)
-        run_start[0] = True
-        run_start[1:] = sk[1:] != sk[:-1]
-        starts = np.flatnonzero(run_start)
-        sums = np.add.reduceat(sm, starts)
-        if not math.isinf(grade):
-            sums = np.minimum(sums, int(grade))
-        ukey = sk[starts]
-        udst = ukey // k
-        ucls = ukey % k
-        pairs_per_node = np.bincount(udst, minlength=n)
-    else:
-        udst = ucls = sums = np.empty(0, dtype=np.int64)
-        pairs_per_node = np.zeros(n, dtype=np.int64)
+    pairs, sums, _ = _count_runs(g.in_dst_flat * k + current.class_of[g.in_src],
+                                 g.in_mult, grade)
+    udst, ucls = np.divmod(pairs, k)
+    pairs_per_node = np.bincount(udst, minlength=n)
 
     # Flat signature buffer: [old_class, cls_1, cnt_1, cls_2, cnt_2, ...] per node.
     sig_len = 1 + 2 * pairs_per_node
@@ -122,13 +105,12 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     np.cumsum(sig_len, out=offsets[1:])
     flat = np.empty(offsets[-1], dtype=np.int64)
     flat[offsets[:-1]] = current.class_of
-    if len(udst):
-        first_pair = np.zeros(n, dtype=np.int64)
-        np.cumsum(pairs_per_node[:-1], out=first_pair[1:])
-        rank = np.arange(len(udst), dtype=np.int64) - first_pair[udst]
-        base = offsets[udst] + 1 + 2 * rank
-        flat[base] = ucls
-        flat[base + 1] = sums
+    first_pair = np.zeros(n, dtype=np.int64)
+    np.cumsum(pairs_per_node[:-1], out=first_pair[1:])
+    rank = np.arange(len(udst), dtype=np.int64) - first_pair[udst]
+    base = offsets[udst] + 1 + 2 * rank
+    flat[base] = ucls
+    flat[base + 1] = sums
 
     return Partition(_intern_signatures(flat, offsets, n), current.round + 1)
 

@@ -136,10 +136,11 @@ def test_verify_requires_train_when_bundle_has_one(fig1_files, capsys, tmp_path)
 
 def test_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("0\tx\n")
-    code, _, err = run(capsys, "refine", "--graph", bad, "--depth", "1")
-    assert code == 2
-    assert "error" in err
+    for text in ("0\tx\n", "0 1 9223372036854775808\n"):
+        bad.write_text(text)
+        code, _, err = run(capsys, "refine", "--graph", bad, "--depth", "1")
+        assert code == 2
+        assert "error" in err and "bad.tsv:1:" in err
 
 
 def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
@@ -148,6 +149,14 @@ def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
     c.write_text("0\tred\n0\tblue\n")
     code, _, err = run(capsys, "refine", "--graph", g, "--colors", c, "--depth", "1")
     assert code == 3
+    # five parallel edges of 2**62 - 1: their int64 sum would wrap to 2**62 - 5
+    wrap = tmp_path / "wrap.txt"
+    wrap.write_text("0 1 4611686018427387903\n" * 5)
+    code, out, err = run(capsys, "compress", "--graph", wrap, "--depth", "1",
+                         "--out", tmp_path / "b")
+    assert code == 3
+    assert "overflow" in err
+    assert not (tmp_path / "b" / "graph.tsv").exists()
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

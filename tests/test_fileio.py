@@ -75,9 +75,20 @@ def test_default_color_for_absent_nodes(tmp_path):
 
 def test_parse_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "g.tsv"
-    p.write_text("0\t1\nnope\n")
-    with pytest.raises(FormatError, match=":2"):
-        load_graph(p)
+    for text in ("0\t1\nnope\n",
+                 "0\t1\n1\t2\t9223372036854775808\n",    # multiplicity 2**63
+                 "0\t1\n# ids past int64\n18446744073709551616\t0\n"):
+        p.write_text(text)
+        with pytest.raises(FormatError, match=f":{len(text.splitlines())}:"):
+            load_graph(p)
+    # the same parser reads graph.tsv inside bundles
+    cp = make_compressed()
+    save_bundle(cp, tmp_path / "b")
+    with open(tmp_path / "b" / "graph.tsv", "a") as f:
+        f.write("0\t0\t9223372036854775808\n")
+    n_lines = len((tmp_path / "b" / "graph.tsv").read_text().splitlines())
+    with pytest.raises(FormatError, match=f"graph.tsv:{n_lines}:"):
+        load_bundle(tmp_path / "b")
 
 
 def test_zero_multiplicity_rejected(tmp_path):

@@ -92,9 +92,12 @@ def test_transpose_round_trip(seed):
 
 
 def test_multiplicity_overflow_is_hard_error():
-    big = 2**61
-    with pytest.raises(ValidationError, match="overflow"):
-        build_graph([(0, 1, big), (0, 1, big)], ["a", "b"])
+    for edges in ([(0, 1, 2**61)] * 2,
+                  [(0, 1, 2**62 - 1)] * 5,     # the int64 sum wraps to 2**62 - 5
+                  [(0, 1, 2**62)],
+                  [(0, 1, 2**63 - 1)] * 3):
+        with pytest.raises(ValidationError, match="overflow"):
+            build_graph(edges, ["a", "b"])
 
 
 def test_in_out_multiplicity_totals(fig1):

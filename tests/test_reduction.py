@@ -165,6 +165,19 @@ def test_graded_reduct_caps_multiplicity():
     assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=1).ok
 
 
+def test_graded_reduct_caps_before_overflow():
+    # edges from one class whose sum passes 2**62 (the second sum also wraps
+    # int64) merge into one reduct edge of multiplicity 2 at grade 2
+    for mults in ([2**61] * 3, [2**62 - 1] * 5):
+        k = len(mults)
+        g = build_graph([(i, k, m) for i, m in enumerate(mults)], ["a"] * k + ["b"])
+        part = refine(g, depth=1, grade=2).at(1)
+        sub = choose_substitution(g, part, "min-incidence", depth=1, grade=2)
+        red = reduce_graph(g, sub)
+        assert edge_multiset(red) == {(0, k): 2}
+        assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=2).ok
+
+
 def test_report_ratios(fig1, fig1_p1):
     red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
     rep = build_report(fig1, red, rounds=1)

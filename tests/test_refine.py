@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gnncompress import build_graph, classes, naive_color, naive_partition, refine
+from gnncompress import (ValidationError, build_graph, classes, naive_color,
+                         naive_partition, refine)
 from gnncompress.refine import refine_step
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       partition_blocks, refines, same_partition)
@@ -116,6 +117,18 @@ def test_mean_of_fig1_partition_canonical_ids(fig1):
     # class ids are assigned by first occurrence in node order
     r = refine(fig1, depth=2)
     assert list(r.at(2).class_of) == [0, 1, 1, 2, 2, 3]
+
+
+def test_refine_counts_near_multiplicity_limit():
+    # node 5: one in-edge of 2**62 - 5; node 6: five in-edges of 2**62 - 1,
+    # whose int64 sum wraps to the same 2**62 - 5
+    edges = [(0, 5, 2**62 - 5)] + [(i, 6, 2**62 - 1) for i in range(5)]
+    g = build_graph(edges, ["a"] * 5 + ["b", "b"])
+    with pytest.raises(ValidationError, match="overflow"):
+        refine(g, depth=1)
+    for grade in (1, 3, 2**62 - 1):     # capped counts stay below the limit
+        assert same_partition(refine(g, depth=1, grade=grade).at(1).class_of,
+                              naive_partition(g, 1, grade).class_of), grade
 
 
 def test_empty_graph_refine():

@@ -58,6 +58,13 @@ def _iter_data_lines(path: Path):
         yield lineno, line
 
 
+def _int_field(token: str, path, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: {what} must be an integer") from None
+
+
 def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse an edge-list file into (src, dst, mult) arrays of raw file ids."""
     path = Path(path)
@@ -101,10 +108,7 @@ def read_colors(path, n: int, id_map: dict[int, int] | None) -> list:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'node<TAB>color_token'")
-        try:
-            raw = int(parts[0])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: node id must be an integer") from None
+        raw = _int_field(parts[0], path, lineno, "node id")
         v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
         if v is None:
             raise ValidationError(f"{path}:{lineno}: node {raw} not in the graph")
@@ -175,10 +179,7 @@ def read_train(path, n: int, loss_kind: str, id_map: dict[int, int] | None = Non
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'node<TAB>target'")
-        try:
-            raw = int(parts[0])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: node id must be an integer") from None
+        raw = _int_field(parts[0], path, lineno, "node id")
         v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
         if v is None:
             raise ValidationError(f"{path}:{lineno}: node {raw} not in the graph")
@@ -199,7 +200,8 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
     """Write a compressed problem as a bundle directory.
 
     original_node_ids translates the problem's dense node space back to
-    input-file ids; it is also recorded in meta.json when present.
+    input-file ids; it is also recorded in meta.json when present, as are
+    the per-round class counts of the refinement behind the bundle.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,6 +241,8 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
         "representative_original_ids": [int(x) for x in cp.node_ids],
         "original_node_ids": [int(x) for x in orig] if orig is not None else None,
     }
+    if cp.class_counts is not None:
+        meta["class_counts"] = [int(c) for c in cp.class_counts]
     if extra_meta:
         meta.update(extra_meta)
     with open(out / "meta.json", "w", encoding="utf-8") as f:
@@ -267,6 +271,11 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     depth = parse_extent(str(meta["depth"]))
     grade = parse_extent(str(meta["grade"]))
     loss_kind = meta.get("loss_kind")
+    class_counts = meta.get("class_counts")
+    if class_counts is not None and not (
+            isinstance(class_counts, list)
+            and all(type(c) is int and c >= 0 for c in class_counts)):
+        raise FormatError(f"{meta_path}: class_counts must be a list of non-negative integers")
 
     colors_path = bundle / "colors.tsv"
     tokens: dict[int, str] = {}
@@ -274,7 +283,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{colors_path}:{lineno}: expected 'node<TAB>color_token'")
-        v = int(parts[0])
+        v = _int_field(parts[0], colors_path, lineno, "node id")
         if v in tokens:
             raise ValidationError(f"{colors_path}:{lineno}: duplicate node {v}")
         tokens[v] = parts[1]
@@ -296,7 +305,8 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{map_path}:{lineno}: expected 'orig_node<TAB>representative'")
-        o, rep = int(parts[0]), int(parts[1])
+        o = _int_field(parts[0], map_path, lineno, "node id")
+        rep = _int_field(parts[1], map_path, lineno, "representative")
         if o in pairs:
             raise ValidationError(f"{map_path}:{lineno}: duplicate original node {o}")
         if not 0 <= rep < r:
@@ -321,13 +331,10 @@ def load_bundle(bundle_dir) -> CompressedProblem:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError(f"{train_path}:{lineno}: expected 'node<TAB>target<TAB>weight'")
-            v = int(parts[0])
+            v = _int_field(parts[0], train_path, lineno, "node id")
             if not 0 <= v < r:
                 raise ValidationError(f"{train_path}:{lineno}: node {v} not a representative")
-            try:
-                weight = int(parts[2])
-            except ValueError:
-                raise FormatError(f"{train_path}:{lineno}: weight must be an integer") from None
+            weight = _int_field(parts[2], train_path, lineno, "weight")
             if weight < 1:
                 raise ValidationError(f"{train_path}:{lineno}: weight must be a positive integer")
             kind = loss_kind if loss_kind else "xent"
@@ -343,4 +350,5 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         depth=depth, grade=grade, policy=meta["policy"],
         loss_kind=loss_kind,
         rounds=int(meta["rounds"]),
+        class_counts=class_counts,
     )

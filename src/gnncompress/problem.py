@@ -107,6 +107,8 @@ class CompressedProblem:
     train_weighted[rep] lists (target, weight) pairs with positive integer
     weights; the weights of one pair count the training nodes of the
     original class carrying that target, so weights sum to |T|.
+    class_counts[d] is the number of refinement classes after round d
+    (None when not recorded).
     """
 
     graph: ColoredMultigraph
@@ -118,6 +120,7 @@ class CompressedProblem:
     policy: str
     loss_kind: str | None = None
     rounds: int = 0
+    class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)
     hypothesis: GnnConfig | None = field(default=None, compare=False)
 
@@ -210,6 +213,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         depth=depth, grade=grade, policy=policy,
         loss_kind=problem.loss_kind,
         rounds=rounds,
+        class_counts=list(result.class_counts),
         features=problem.features[red.node_ids],
         hypothesis=problem.hypothesis,
     )

@@ -175,10 +175,12 @@ def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
     representative in h, at every round up to depth (up to stability for
     depth = inf).
 
-    Runs refinement on the disjoint union of g and h and compares class
-    membership round by round; refinement never mixes information across
-    union components, so union classes restrict to per-graph classes.
-    A failed check carries the earliest violating (node, round).
+    Runs refinement on the disjoint union of g and h; refinement never
+    mixes information across union components, so union classes restrict
+    to per-graph classes. Partitions are nested, so it is enough to compare
+    class membership in the last computed round. A failed check carries the
+    earliest violating (node, round), the round found by bisecting the
+    split history.
     """
     n, r = g.node_count, h.node_count
     rep_index_of_node = np.asarray(rep_index_of_node, dtype=np.int64)
@@ -203,9 +205,18 @@ def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
 
     result = refine(union, depth=depth, grade=grade)
     rep_pos = rep_index_of_node + n
-    for p in result.partitions:
-        mismatch = p.class_of[:n] != p.class_of[rep_pos]
-        if mismatch.any():
-            v = int(np.flatnonzero(mismatch)[0])
-            return VerifyResult(False, v, p.round)
-    return VerifyResult(True)
+
+    def apart(d) -> np.ndarray:
+        ids = result.labels(d)
+        return ids[:n] != ids[rep_pos]
+
+    lo, hi = 0, len(result.class_counts) - 1
+    if not apart(hi).any():
+        return VerifyResult(True)
+    while lo < hi:              # nested partitions: bisect for the first split
+        mid = (lo + hi) // 2
+        if apart(mid).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    return VerifyResult(False, int(np.flatnonzero(apart(lo))[0]), lo)

@@ -3,13 +3,23 @@
 Each round splits node classes by the multiset of in-neighbor classes,
 with per-class counts capped at the grade c (c = inf leaves counts
 untouched, c = 1 reduces the multiset to its support and coincides with
-bisimulation). Class ids are canonical: assigned in order of first
-occurrence by ascending node id, so outputs are byte-reproducible.
+bisimulation).
+
+`refine` works from a dirty frontier: after round 1, a round re-signs
+only the out-neighbors of the nodes that changed class in the round
+before, so its cost follows the in-edges of that frontier rather than
+the whole graph. It keeps no per-round partitions, only a split history
+of at most 2n entries. Canonical class ids (first occurrence by
+ascending node id) are derived for a round when its partition is asked
+for, so partitions, bundles and CLI outputs stay byte-reproducible.
+`refine_step` is the one-round reference, re-signing every node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +87,50 @@ def initial_partition(g: ColoredMultigraph) -> Partition:
     return canonical_partition(g.colors, round=0)
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over parallel starts and lengths."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade):
+    """Signatures of ``nodes`` (all nodes when None) under ``class_of``
+    with k classes, as arrays (headers, prow, pcls, counts): row i is the
+    class headers[i] plus the pairs j with prow[j] == i, ascending by
+    in-neighbor class pcls[j], with capped count counts[j]."""
+    if nodes is None:
+        row_of_edge, edges, headers = g.in_dst_flat, slice(None), class_of
+    else:
+        lo = g.in_indptr[nodes]
+        degree = g.in_indptr[nodes + 1] - lo
+        edges = _ranges(lo, degree)
+        row_of_edge = np.repeat(np.arange(len(nodes), dtype=np.int64), degree)
+        headers = class_of[nodes]
+    keys = class_of[g.in_src[edges]]
+    keys += row_of_edge * k
+    pairs, counts, _ = _count_runs(keys, g.in_mult[edges], grade)
+    prow, pcls = np.divmod(pairs, k)
+    return headers, prow, pcls, counts
+
+
+def _flatten(headers, prow, pcls, counts):
+    """Signature rows as one flat buffer of rows [class, c_1, n_1, c_2,
+    n_2, ...] and the row offsets."""
+    rows = len(headers)
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(1 + 2 * np.bincount(prow, minlength=rows), out=offsets[1:])
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    flat[offsets[:-1]] = headers
+    # Pair j lands after the j earlier pairs and the prow[j] + 1 headers.
+    pos = prow + 1 + 2 * np.arange(len(prow), dtype=np.int64)
+    flat[pos] = pcls
+    flat[pos + 1] = counts
+    return flat, offsets
+
+
 def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partition:
-    """One refinement round.
+    """One refinement round, re-signing every node: the reference round.
 
     Two nodes land in the same new class iff their current classes are
     equal and the capped multisets of their in-neighbors' current classes
@@ -92,125 +144,282 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
         raise ValueError("partition does not cover the graph")
     if n == 0:
         return Partition(current.class_of.copy(), current.round + 1)
-
-    k = current.num_classes
-    pairs, sums, _ = _count_runs(g.in_dst_flat * k + current.class_of[g.in_src],
-                                 g.in_mult, grade)
-    udst, ucls = np.divmod(pairs, k)
-    pairs_per_node = np.bincount(udst, minlength=n)
-
-    # Flat signature buffer: [old_class, cls_1, cnt_1, cls_2, cnt_2, ...] per node.
-    sig_len = 1 + 2 * pairs_per_node
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sig_len, out=offsets[1:])
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    flat[offsets[:-1]] = current.class_of
-    first_pair = np.zeros(n, dtype=np.int64)
-    np.cumsum(pairs_per_node[:-1], out=first_pair[1:])
-    rank = np.arange(len(udst), dtype=np.int64) - first_pair[udst]
-    base = offsets[udst] + 1 + 2 * rank
-    flat[base] = ucls
-    flat[base + 1] = sums
-
-    return Partition(_intern_signatures(flat, offsets, n), current.round + 1)
+    rows = _signatures(g, current.class_of, current.num_classes, None, grade)
+    return canonical_partition(_intern_exact(*_flatten(*rows)), current.round + 1)
 
 
-# Below this many nodes a plain dict beats the vectorized bucketing.
+# Below this many rows a plain dict beats the vectorized paths.
 _INTERN_LOOP_CUTOFF = 1024
 
 
-def _intern_signatures(flat, offsets, n) -> np.ndarray:
-    """Group nodes by their signature slice of ``flat``; return canonical
-    class ids (first occurrence by ascending node id)."""
-    if n < _INTERN_LOOP_CUTOFF:
-        class_of = np.empty(n, dtype=np.int64)
+def _intern_exact(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Dense labels of the rows flat[offsets[i]:offsets[i + 1]]: equal
+    labels <=> equal rows. Deterministic, but not canonical."""
+    rows = len(offsets) - 1
+    if rows < _INTERN_LOOP_CUTOFF:
+        labels = np.empty(rows, dtype=np.int64)
         table: dict[bytes, int] = {}
         buf = flat.tobytes()
-        itemsize = flat.itemsize
-        for v in range(n):
-            sig = buf[offsets[v] * itemsize:offsets[v + 1] * itemsize]
-            cid = table.get(sig)
-            if cid is None:
-                cid = len(table)
-                table[sig] = cid
-            class_of[v] = cid
-        return class_of
-    # Bucket nodes by signature length, then unique rows per bucket.
+        bounds = (offsets * flat.itemsize).tolist()
+        for i in range(rows):
+            labels[i] = table.setdefault(buf[bounds[i]:bounds[i + 1]], len(table))
+        return labels
+    # Bucket rows by length, then unique rows per bucket.
     lengths = np.diff(offsets)
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(rows, dtype=np.int64)
     base = 0
     for length in np.unique(lengths):
-        nodes = np.flatnonzero(lengths == length)
-        block = flat[offsets[nodes, None] + np.arange(length)]
+        members = np.flatnonzero(lengths == length)
+        block = flat[offsets[members, None] + np.arange(length)]
         view = np.ascontiguousarray(block).view(
             np.dtype((np.void, int(length) * flat.itemsize))).ravel()
         uniq, inverse = np.unique(view, return_inverse=True)
-        labels[nodes] = base + inverse
+        labels[members] = base + inverse
         base += len(uniq)
-    return canonical_partition(labels).class_of
+    return labels
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of int64 values, as wrapping uint64, in place."""
+    x = x.view(np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    shifted = np.empty_like(x)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= np.right_shift(x, np.uint64(shift), out=shifted)
+        x *= np.uint64(mult)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x
+
+
+def _row_hashes(headers, size, starts, pcls, counts) -> np.ndarray:
+    """A 64-bit hash per signature row, equal for equal rows: the mixed
+    header and pair count plus the sum of the mixed pairs."""
+    pairs = pcls * np.int64(0x2545F4914F6CDD1D)
+    pairs += counts
+    total = np.zeros(len(pcls) + 1, dtype=np.uint64)
+    np.cumsum(_mix(pairs), out=total[1:])
+    row = _mix(headers.copy()) + size.view(np.uint64)
+    return total[starts[1:]] - total[starts[:-1]] + _mix(row)
+
+
+def _intern_rows(headers, prow, pcls, counts) -> np.ndarray:
+    """_intern_exact of the flattened signatures, faster on many rows:
+    rows are grouped by hash, and every row is checked against a row of
+    its group; only a hash collision takes the exact path."""
+    rows = len(headers)
+    if rows >= _INTERN_LOOP_CUTOFF:
+        size = np.bincount(prow, minlength=rows)
+        starts = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(size, out=starts[1:])
+        _, labels = np.unique(_row_hashes(headers, size, starts, pcls, counts),
+                              return_inverse=True)
+        rep = np.empty(labels.max() + 1, dtype=np.int64)
+        rep[labels] = np.arange(rows, dtype=np.int64)
+        rep = rep[labels]                               # a row with the same hash
+        if np.array_equal(headers[rep], headers) and np.array_equal(size[rep], size):
+            same = _ranges(starts[rep], size)            # pair j's twin in row rep
+            if np.array_equal(pcls[same], pcls) and np.array_equal(counts[same], counts):
+                return labels
+    return _intern_exact(*_flatten(headers, prow, pcls, counts))
+
+
+class _Rounds(Sequence):
+    """Partitions of the computed rounds, each built when accessed."""
+
+    def __init__(self, result: "RefinementResult"):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.class_counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"round {i} was not computed")
+        return self._result.at(i)
 
 
 @dataclass
 class RefinementResult:
-    """Per-round partitions plus stability information.
+    """Split history of a refinement run plus stability information.
 
-    partitions[0] holds the initial colors. If the partition stabilized,
-    stable_round s is minimal with partitions[s] == partitions[s + 1]
-    (the detection round s + 1 is kept in the list).
+    cls[v] is node v's class id after the last computed round. A class
+    keeps its id while it only loses nodes; a class split off in round r
+    gets the next free id, with parent[id] the class it left and
+    birth[id] = r. Ids therefore grow with birth: the classes of round d
+    are the ids below class_counts[d], and a node's round-d class is the
+    nearest ancestor of its class, itself included, with such an id. The
+    history takes at most 2n entries besides cls.
+
+    Round 0 holds the initial colors. If the partition stabilized,
+    stable_round s is minimal with round s == round s + 1 (the detection
+    round s + 1 is counted in class_counts and partitions).
     """
 
-    partitions: list[Partition]
+    cls: np.ndarray
+    parent: np.ndarray
+    birth: np.ndarray
+    class_counts: list[int]
     stable_round: int | None
     grade: float
     depth: float
 
-    def at(self, round) -> Partition:
-        """Partition at a round; rounds past stabilization return the
-        stable partition. Rounds beyond a finite requested depth error."""
+    @property
+    def partitions(self) -> _Rounds:
+        """Canonical partitions of rounds 0..len - 1, built on access."""
+        return _Rounds(self)
+
+    def _index(self, round) -> int:
         if not math.isinf(self.depth) and round > self.depth:
             raise ValueError(f"round {round} beyond requested depth {self.depth}")
-        if round < len(self.partitions):
-            return self.partitions[int(round)]
+        if round < len(self.class_counts):
+            return int(round)
         if self.stable_round is not None:
-            return self.partitions[self.stable_round]
+            return self.stable_round
         raise ValueError(f"round {round} was not computed")
+
+    def labels(self, round) -> np.ndarray:
+        """Class id of every node at a round as kept in the history: equal
+        ids <=> same class, but the ids are not canonical."""
+        k = self.class_counts[self._index(round)]
+        if k == len(self.parent):
+            return self.cls
+        # Pointer doubling to each class's last ancestor with an id below k.
+        up = np.arange(len(self.parent), dtype=np.int64)
+        up[k:] = self.parent[k:]
+        while up[k:].max() >= k:
+            up[k:] = up[up[k:]]
+        return up[self.cls]
+
+    def at(self, round) -> Partition:
+        """Partition at a round, with canonical ids; rounds past
+        stabilization return the stable partition. Rounds beyond a finite
+        requested depth error."""
+        d = self._index(round)
+        return canonical_partition(self.labels(d), d)
 
     @property
     def final(self) -> Partition:
         """Partition at the requested depth (stable partition for inf)."""
         if math.isinf(self.depth):
-            return self.partitions[self.stable_round]
+            return self.at(self.stable_round)
         return self.at(self.depth)
 
-    @property
-    def class_counts(self) -> list[int]:
-        return [p.num_classes for p in self.partitions]
+
+class _Refiner:
+    """Class ids, class sizes and split history of one refine run."""
+
+    def __init__(self, g: ColoredMultigraph, grade):
+        n = g.node_count
+        self.g, self.grade = g, grade
+        self.cls = initial_partition(g).class_of
+        self.k = int(self.cls.max()) + 1 if n else 0
+        self.parent = np.full(n, -1, dtype=np.int64)
+        self.birth = np.zeros(n, dtype=np.int64)
+        self.size = np.zeros(n, dtype=np.int64)
+        self.size[:self.k] = np.bincount(self.cls, minlength=self.k)
+        self.mark = np.zeros(n, dtype=bool)         # work flags: all False between uses
+        self.best = np.zeros(n, dtype=np.int64)     # work array, per class
+
+    def round(self, r: int, dirty) -> np.ndarray:
+        """Run round r, re-signing the ``dirty`` nodes (None: every node).
+        Returns the nodes that moved to a new class."""
+        cls, size, best, n = self.cls, self.size, self.best, self.g.node_count
+        if dirty is not None and 2 * len(dirty) > n:
+            dirty = None    # re-signing every node costs less than gathering most
+        rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade)
+        if dirty is None:
+            dirty = np.arange(n, dtype=np.int64)
+        lab = _intern_rows(*rows)
+        groups = int(lab.max()) + 1 if len(lab) else 0
+        gcls = np.empty(groups, dtype=np.int64)
+        gcls[lab] = rows[0]                             # the class of each group
+        gsize = np.bincount(lab, minlength=groups)
+        gmin = np.full(groups, n, dtype=np.int64)
+        np.minimum.at(gmin, lab, dirty)
+
+        # One group per class keeps the class id. A class with members that
+        # were not re-signed keeps it for them: they form a group of their
+        # own, as every re-signed node has an in-neighbor in a class born
+        # last round. Otherwise the largest group keeps it, ties going to
+        # the group with the smallest node.
+        best[gcls] = 0
+        np.add.at(best, gcls, gsize)
+        rank = np.where(size[gcls] > best[gcls], -1, gsize)
+        best[gcls] = 0
+        np.maximum.at(best, gcls, rank)
+        tied = rank == best[gcls]
+        best[gcls] = n
+        np.minimum.at(best, gcls[tied], gmin[tied])
+        keeps = tied & (gmin == best[gcls])
+
+        split = np.flatnonzero(~keeps)
+        new_ids = self.k + np.arange(len(split), dtype=np.int64)
+        target = gcls.copy()
+        target[split] = new_ids
+        moving = ~keeps[lab]
+        moved = dirty[moving]
+        cls[moved] = target[lab[moving]]
+        self.parent[new_ids] = gcls[split]
+        self.birth[new_ids] = r
+        size[new_ids] = gsize[split]
+        np.subtract.at(size, gcls[split], gsize[split])
+        self.k += len(split)
+        return moved
+
+    def frontier(self, moved: np.ndarray) -> np.ndarray:
+        """Distinct out-neighbors of the moved nodes, ascending."""
+        g, mark = self.g, self.mark
+        lo = g.out_indptr[moved]
+        targets = g.out_dst[_ranges(lo, g.out_indptr[moved + 1] - lo)]
+        if 32 * len(targets) < len(mark):   # a small frontier: sorting beats a full scan
+            return np.unique(targets)
+        mark[targets] = True
+        found = np.flatnonzero(mark)
+        mark[found] = False
+        return found
 
 
 def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
-    """Iterate refine_step from the initial colors.
+    """Refine the initial colors round by round, re-signing only the
+    dirty frontier.
 
-    Stops after ``depth`` rounds, or at the first repeated partition
-    (recording the stable round); with depth = inf stability is always
-    reached within node_count rounds since every non-stable round strictly
-    increases the class count.
+    Round 1 signs every node. Round r + 1 re-signs only the out-neighbors
+    of the nodes that changed class in round r: any other node has the
+    same in-neighbor classes as in round r, so it stays with the members
+    of its class that were not re-signed either. Those keep the class id;
+    in a class whose members were all re-signed, the largest group keeps
+    it (ties: the group with the smallest node). Every other group becomes
+    a new class. The partitions equal those of iterated refine_step.
+
+    Stops after ``depth`` rounds, or at the first round that changes no
+    class (recording the stable round); with depth = inf stability is
+    always reached within node_count rounds since every non-stable round
+    strictly increases the class count.
     """
     _validate_depth(depth)
     _validate_grade(grade)
-    partitions = [initial_partition(g)]
+    state = _Refiner(g, grade)
+    counts = [state.k]
     stable = None
-    bound = depth if not math.isinf(depth) else g.node_count + 1
-    r = 0
-    while r < bound:
-        nxt = refine_step(g, partitions[-1], grade)
-        partitions.append(nxt)
-        r += 1
-        if nxt.same_blocks(partitions[-2]):
-            stable = partitions[-2].round
+    bound = g.node_count + 1 if math.isinf(depth) else int(depth)
+    dirty = None                                    # round 1: every node
+    for r in range(1, bound + 1):
+        moved = state.round(r, dirty)
+        counts.append(state.k)
+        if not len(moved):
+            stable = r - 1
             break
+        dirty = state.frontier(moved)
     if math.isinf(depth) and stable is None:
         raise AssertionError("refinement failed to stabilize within the node bound")
-    return RefinementResult(partitions, stable, grade, depth)
+    k = state.k
+    return RefinementResult(state.cls, state.parent[:k].copy(), state.birth[:k].copy(),
+                            counts, stable, grade, depth)
 
 
 def classes(result: RefinementResult, round) -> Partition:

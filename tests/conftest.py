@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from gnncompress import build_graph
-from gnncompress.refine import Partition
+from gnncompress.refine import Partition, initial_partition, refine_step
 from gnncompress.synth import random_graph
 
 # Worked example: 6 nodes a1,a2,a3 (color a) and b1,b2,b3 (color b),
@@ -107,3 +109,16 @@ def random_substitution(partition, rng) -> np.ndarray:
     for cid, members in enumerate(partition.classes):
         reps[cid] = members[int(rng.integers(0, len(members)))]
     return reps
+
+
+def iterated_partitions(g, depth=math.inf, grade=math.inf):
+    """Reference refinement: refine_step from the initial colors, stopping
+    after depth rounds or at the first repeated partition. Returns the
+    partitions of every computed round and the stable round (or None)."""
+    parts = [initial_partition(g)]
+    bound = g.node_count + 1 if math.isinf(depth) else int(depth)
+    for _ in range(bound):
+        parts.append(refine_step(g, parts[-1], grade))
+        if np.array_equal(parts[-1].class_of, parts[-2].class_of):
+            return parts, len(parts) - 2
+    return parts, None

@@ -143,6 +143,19 @@ def test_parse_error_exit_2(capsys, tmp_path):
         assert "error" in err and "bad.tsv:1:" in err
 
 
+def test_verify_bundle_parse_error_exit_2(fig1_files, capsys, tmp_path):
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+        "--train", t, "--loss", "xent", "--out", bundle)
+    colors = bundle / "colors.tsv"
+    colors.write_text("x" + colors.read_text())
+    code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                       "--colors", c, "--train", t)
+    assert code == 2
+    assert "colors.tsv:1:" in err
+
+
 def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
     g, _, _ = fig1_files
     c = tmp_path / "dup.tsv"

@@ -89,6 +89,18 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     n_lines = len((tmp_path / "b" / "graph.tsv").read_text().splitlines())
     with pytest.raises(FormatError, match=f"graph.tsv:{n_lines}:"):
         load_bundle(tmp_path / "b")
+    # and so do the integer columns of the other bundle files
+    for name, column in (("colors.tsv", 0), ("map.tsv", 0), ("map.tsv", 1),
+                         ("train.tsv", 0), ("train.tsv", 2)):
+        bundle = tmp_path / f"{name}-{column}"
+        save_bundle(cp, bundle)
+        lines = (bundle / name).read_text().splitlines()
+        parts = lines[-1].split("\t")
+        parts[column] = "x" + parts[column]
+        lines[-1] = "\t".join(parts)
+        (bundle / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{name}:{len(lines)}:"):
+            load_bundle(bundle)
 
 
 def test_zero_multiplicity_rejected(tmp_path):
@@ -196,6 +208,25 @@ def test_meta_records_extents(tmp_path):
     meta = json.loads((tmp_path / "b" / "meta.json").read_text())
     assert meta["depth"] == 3
     assert meta["grade"] == "inf"
+
+
+def test_meta_records_class_counts(tmp_path):
+    import json
+    g = build_graph(FIG1_EDGES, FIG1_COLORS)
+    p = LearningProblem(g, np.ones((6, 1)), {}, "xent", chain_config([1, 1]))
+    save_bundle(compress_problem(p, depth=math.inf), tmp_path / "b")
+    meta_path = tmp_path / "b" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["class_counts"] == [2, 3, 4, 4]
+    assert load_bundle(tmp_path / "b").class_counts == [2, 3, 4, 4]
+    # the key is optional: bundles without it load as before
+    del meta["class_counts"]
+    meta_path.write_text(json.dumps(meta))
+    assert load_bundle(tmp_path / "b").class_counts is None
+    meta["class_counts"] = [2, "3"]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="class_counts"):
+        load_bundle(tmp_path / "b")
 
 
 def test_schema_version_mismatch(tmp_path):

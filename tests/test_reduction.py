@@ -5,8 +5,11 @@ import pytest
 
 from gnncompress import (build_graph, choose_substitution, graph_size,
                          incidence, reduce_graph, refine, verify_reduct)
+from gnncompress.graph import ColoredMultigraph
 from gnncompress.reduction import Substitution, build_report
-from conftest import A1, A2, B1, B3, random_substitution, star_of_stars
+from gnncompress.synth import random_graph
+from conftest import (A1, A2, B1, B3, iterated_partitions, random_substitution,
+                      star_of_stars)
 
 
 def edge_multiset(red):
@@ -193,3 +196,72 @@ def test_random_substitution_construction(fig1, fig1_p1):
                        policy="random")
     red = reduce_graph(fig1, sub)
     assert verify_reduct(fig1, red.graph, red.rep_index_of_node, depth=1).ok
+
+
+def reference_witness(g, h, rep_index, depth, grade):
+    """(ok, node, round) of a scan over iterated refine_step partitions of
+    the disjoint union of g and h, built here from payloads."""
+    n = g.node_count
+    edges = [(int(s), int(d), int(m)) for s, d, m in
+             zip(g.out_src_flat, g.out_dst, g.out_mult)]
+    edges += [(int(s) + n, int(d) + n, int(m)) for s, d, m in
+              zip(h.out_src_flat, h.out_dst, h.out_mult)]
+    union = build_graph(edges, g.payload_per_node() + h.payload_per_node())
+    parts, _ = iterated_partitions(union, depth, grade)
+    for d, p in enumerate(parts):
+        apart = np.flatnonzero(p.class_of[:n] != p.class_of[np.asarray(rep_index) + n])
+        if len(apart):
+            return False, int(apart[0]), d
+    return True, None, None
+
+
+def tampered(h, rng, how):
+    """Copy of reduct graph h with one edge dropped or one multiplicity bumped."""
+    src, dst, mult = h.out_src_flat.copy(), h.out_dst.copy(), h.out_mult.copy()
+    i = int(rng.integers(0, len(dst)))
+    if how == "drop":
+        src, dst, mult = np.delete(src, i), np.delete(dst, i), np.delete(mult, i)
+    else:
+        mult[i] += 1
+    return ColoredMultigraph.from_edge_arrays(h.node_count, src, dst, mult,
+                                              h.colors, h.color_table)
+
+
+def test_verify_reduct_witness_matches_reference_scan():
+    rng = np.random.default_rng(11)
+    failures = 0
+    for i in range(30):
+        g = random_graph(int(rng.integers(8, 40)), int(rng.integers(10, 90)),
+                         n_colors=2, max_mult=2, seed=600 + i)
+        depth = (1, 2, 3, math.inf)[i % 4]
+        grade = (math.inf, 1, 2)[i % 3]
+        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
+                                                  depth=depth, grade=grade))
+        h, rep_index = red.graph, red.rep_index_of_node
+        cases = [("drop", tampered(h, rng, "drop"), rep_index),
+                 ("bump", tampered(h, rng, "bump"), rep_index)]
+        if h.node_count > 1:
+            wrong = rep_index.copy()
+            v = int(rng.integers(0, g.node_count))
+            wrong[v] = (wrong[v] + 1 + int(rng.integers(0, h.node_count - 1))) % h.node_count
+            cases.append(("rep", h, wrong))
+        for how, h2, reps in cases:
+            res = verify_reduct(g, h2, reps, depth=depth, grade=grade)
+            want = reference_witness(g, h2, reps, depth, grade)
+            assert (res.ok, res.witness_node, res.witness_round) == want, (i, how)
+            failures += not res.ok
+    assert failures >= 60
+    # on a path, nodes v < w first part in round v + 1, so a node pointed at
+    # a wrong representative is caught only that many rounds in
+    n = 40
+    g = build_graph([(v, v + 1, 1) for v in range(n - 1)], ["x"] * n)
+    red = reduce_graph(g, choose_substitution(g, refine(g).final, depth=math.inf))
+    rounds = set()
+    for v, w in ((3, 30), (25, 17), (38, 39), (0, 12)):
+        wrong = red.rep_index_of_node.copy()
+        wrong[v] = red.rep_index_of_node[w]
+        res = verify_reduct(g, red.graph, wrong)
+        assert (res.ok, res.witness_node, res.witness_round) == reference_witness(
+            g, red.graph, wrong, math.inf, math.inf)
+        rounds.add(res.witness_round)
+    assert rounds == {4, 18, 39, 1}

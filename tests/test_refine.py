@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 
 from gnncompress import (ValidationError, build_graph, classes, naive_color,
                          naive_partition, refine)
-from gnncompress.refine import refine_step
+from gnncompress.graph import ColorTable, ColoredMultigraph
+from gnncompress.refine import (_INTERN_LOOP_CUTOFF, _flatten, _intern_exact, _intern_rows,
+                                _signatures, refine_step)
+from gnncompress.synth import random_graph
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
-                      partition_blocks, refines, same_partition)
+                      iterated_partitions, partition_blocks, refines,
+                      same_partition)
 
 
 def test_fig1_round1(fig1):
@@ -136,3 +141,84 @@ def test_empty_graph_refine():
     r = refine(g)
     assert r.stable_round == 0
     assert r.final.num_classes == 0
+
+
+def assert_matches_reference(g, depth, grade):
+    """refine agrees with iterated refine_step at every round."""
+    r = refine(g, depth=depth, grade=grade)
+    parts, stable = iterated_partitions(g, depth, grade)
+    assert r.stable_round == stable
+    assert r.class_counts == [p.num_classes for p in parts]
+    assert len(r.partitions) == len(parts)
+    for d, p in enumerate(parts):
+        assert np.array_equal(r.at(d).class_of, p.class_of), d
+        assert r.at(d).round == d
+
+
+def random_multigraphs(count, seed):
+    """Seeded random multigraphs: sparse and dense, 1-3 colors,
+    multiplicities 1-3, with every fifth one a set of directed paths."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(count):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 3 * n + 1))
+        g = random_graph(n, m, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                         seed=seed + i)
+        if i % 5 == 0:
+            src = np.flatnonzero(rng.random(n - 1) < 0.9)
+            table = ColorTable()
+            table.intern(0)
+            g = ColoredMultigraph.from_edge_arrays(
+                n, src, src + 1, np.ones(len(src), dtype=np.int64),
+                np.zeros(n, dtype=np.int64), table)
+        graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("grade", [1, 2, 3, math.inf])
+def test_refine_matches_iterated_refine_step(grade):
+    for g in random_multigraphs(40, seed=31):
+        for depth in (0, 1, 2, 3, 4, 5, math.inf):
+            assert_matches_reference(g, depth, grade)
+
+
+@pytest.mark.parametrize("grade", [1, math.inf])
+def test_refine_matches_iterated_refine_step_above_loop_cutoff(grade):
+    # first rounds intern more rows than the dict cutoff, later ones fewer
+    for i, (n, m) in enumerate([(1100, 1300), (1500, 4000)]):
+        assert n > _INTERN_LOOP_CUTOFF
+        g = random_graph(n, m, n_colors=2, max_mult=3, seed=70 + i)
+        for depth in (2, math.inf):
+            assert_matches_reference(g, depth, grade)
+
+
+def test_long_path_refines_one_node_per_round():
+    n = 3000
+    table = ColorTable()
+    table.intern("x")
+    g = ColoredMultigraph.from_edge_arrays(
+        n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1, dtype=np.int64),
+        np.zeros(n, dtype=np.int64), table)
+    r = refine(g)
+    assert r.stable_round == n - 1
+    assert r.class_counts == list(range(1, n + 1)) + [n]
+    parts, stable = iterated_partitions(g)
+    assert stable == n - 1
+    for d in (0, 1, 2, 1234, n - 2, n - 1, n):
+        assert np.array_equal(r.at(d).class_of, parts[d].class_of), d
+
+
+def test_intern_rows_exact_under_hash_collisions(monkeypatch):
+    g = random_graph(1500, 4000, n_colors=3, max_mult=3, seed=70)
+    rows = _signatures(g, g.colors, int(g.colors.max()) + 1, None, math.inf)
+    want = _intern_exact(*_flatten(*rows))
+    assert len(rows[0]) > _INTERN_LOOP_CUTOFF
+    assert same_partition(_intern_rows(*rows), want)
+    # hashes that collide, for all rows or for rows of one class and length,
+    # must still give labels that follow row equality
+    module = importlib.import_module("gnncompress.refine")
+    for collide in (lambda headers, *_: np.zeros(len(headers), dtype=np.uint64),
+                    lambda headers, size, *_: (headers * 4096 + size).astype(np.uint64)):
+        monkeypatch.setattr(module, "_row_hashes", collide)
+        assert same_partition(_intern_rows(*rows), want)

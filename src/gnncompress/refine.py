@@ -148,7 +148,7 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     return canonical_partition(_intern_exact(*_flatten(*rows)), current.round + 1)
 
 
-# Below this many rows a plain dict beats the vectorized paths.
+# Below this many rows a plain dict beats the vectorized path.
 _INTERN_LOOP_CUTOFF = 1024
 
 
@@ -179,50 +179,6 @@ def _intern_exact(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 of int64 values, as wrapping uint64, in place."""
-    x = x.view(np.uint64)
-    x *= np.uint64(0x9E3779B97F4A7C15)
-    shifted = np.empty_like(x)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        x ^= np.right_shift(x, np.uint64(shift), out=shifted)
-        x *= np.uint64(mult)
-    x ^= np.right_shift(x, np.uint64(31), out=shifted)
-    return x
-
-
-def _row_hashes(headers, size, starts, pcls, counts) -> np.ndarray:
-    """A 64-bit hash per signature row, equal for equal rows: the mixed
-    header and pair count plus the sum of the mixed pairs."""
-    pairs = pcls * np.int64(0x2545F4914F6CDD1D)
-    pairs += counts
-    total = np.zeros(len(pcls) + 1, dtype=np.uint64)
-    np.cumsum(_mix(pairs), out=total[1:])
-    row = _mix(headers.copy()) + size.view(np.uint64)
-    return total[starts[1:]] - total[starts[:-1]] + _mix(row)
-
-
-def _intern_rows(headers, prow, pcls, counts) -> np.ndarray:
-    """_intern_exact of the flattened signatures, faster on many rows:
-    rows are grouped by hash, and every row is checked against a row of
-    its group; only a hash collision takes the exact path."""
-    rows = len(headers)
-    if rows >= _INTERN_LOOP_CUTOFF:
-        size = np.bincount(prow, minlength=rows)
-        starts = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(size, out=starts[1:])
-        _, labels = np.unique(_row_hashes(headers, size, starts, pcls, counts),
-                              return_inverse=True)
-        rep = np.empty(labels.max() + 1, dtype=np.int64)
-        rep[labels] = np.arange(rows, dtype=np.int64)
-        rep = rep[labels]                               # a row with the same hash
-        if np.array_equal(headers[rep], headers) and np.array_equal(size[rep], size):
-            same = _ranges(starts[rep], size)            # pair j's twin in row rep
-            if np.array_equal(pcls[same], pcls) and np.array_equal(counts[same], counts):
-                return labels
-    return _intern_exact(*_flatten(headers, prow, pcls, counts))
-
-
 class _Rounds(Sequence):
     """Partitions of the computed rounds, each built when accessed."""
 
@@ -249,11 +205,12 @@ class RefinementResult:
 
     cls[v] is node v's class id after the last computed round. A class
     keeps its id while it only loses nodes; a class split off in round r
-    gets the next free id, with parent[id] the class it left and
-    birth[id] = r. Ids therefore grow with birth: the classes of round d
-    are the ids below class_counts[d], and a node's round-d class is the
+    gets the next free id, with parent[id] the class it left. Ids
+    therefore grow with the round a class was born in, which is the r
+    with class_counts[r - 1] <= id < class_counts[r]: the classes of round
+    d are the ids below class_counts[d], and a node's round-d class is the
     nearest ancestor of its class, itself included, with such an id. The
-    history takes at most 2n entries besides cls.
+    history takes at most n entries besides cls.
 
     Round 0 holds the initial colors. If the partition stabilized,
     stable_round s is minimal with round s == round s + 1 (the detection
@@ -262,7 +219,6 @@ class RefinementResult:
 
     cls: np.ndarray
     parent: np.ndarray
-    birth: np.ndarray
     class_counts: list[int]
     stable_round: int | None
     grade: float
@@ -283,11 +239,12 @@ class RefinementResult:
         raise ValueError(f"round {round} was not computed")
 
     def labels(self, round) -> np.ndarray:
-        """Class id of every node at a round as kept in the history: equal
-        ids <=> same class, but the ids are not canonical."""
+        """Class id of every node at a round as kept in the history, in a
+        fresh array: equal ids <=> same class, but the ids are not
+        canonical."""
         k = self.class_counts[self._index(round)]
         if k == len(self.parent):
-            return self.cls
+            return self.cls.copy()
         # Pointer doubling to each class's last ancestor with an id below k.
         up = np.arange(len(self.parent), dtype=np.int64)
         up[k:] = self.parent[k:]
@@ -319,14 +276,13 @@ class _Refiner:
         self.cls = initial_partition(g).class_of
         self.k = int(self.cls.max()) + 1 if n else 0
         self.parent = np.full(n, -1, dtype=np.int64)
-        self.birth = np.zeros(n, dtype=np.int64)
         self.size = np.zeros(n, dtype=np.int64)
         self.size[:self.k] = np.bincount(self.cls, minlength=self.k)
         self.mark = np.zeros(n, dtype=bool)         # work flags: all False between uses
         self.best = np.zeros(n, dtype=np.int64)     # work array, per class
 
-    def round(self, r: int, dirty) -> np.ndarray:
-        """Run round r, re-signing the ``dirty`` nodes (None: every node).
+    def round(self, dirty) -> np.ndarray:
+        """Run a round, re-signing the ``dirty`` nodes (None: every node).
         Returns the nodes that moved to a new class."""
         cls, size, best, n = self.cls, self.size, self.best, self.g.node_count
         if dirty is not None and 2 * len(dirty) > n:
@@ -334,7 +290,7 @@ class _Refiner:
         rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade)
         if dirty is None:
             dirty = np.arange(n, dtype=np.int64)
-        lab = _intern_rows(*rows)
+        lab = _intern_exact(*_flatten(*rows))
         groups = int(lab.max()) + 1 if len(lab) else 0
         gcls = np.empty(groups, dtype=np.int64)
         gcls[lab] = rows[0]                             # the class of each group
@@ -365,7 +321,6 @@ class _Refiner:
         moved = dirty[moving]
         cls[moved] = target[lab[moving]]
         self.parent[new_ids] = gcls[split]
-        self.birth[new_ids] = r
         size[new_ids] = gsize[split]
         np.subtract.at(size, gcls[split], gsize[split])
         self.k += len(split)
@@ -409,7 +364,7 @@ def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
     bound = g.node_count + 1 if math.isinf(depth) else int(depth)
     dirty = None                                    # round 1: every node
     for r in range(1, bound + 1):
-        moved = state.round(r, dirty)
+        moved = state.round(dirty)
         counts.append(state.k)
         if not len(moved):
             stable = r - 1
@@ -417,9 +372,7 @@ def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
         dirty = state.frontier(moved)
     if math.isinf(depth) and stable is None:
         raise AssertionError("refinement failed to stabilize within the node bound")
-    k = state.k
-    return RefinementResult(state.cls, state.parent[:k].copy(), state.birth[:k].copy(),
-                            counts, stable, grade, depth)
+    return RefinementResult(state.cls, state.parent[:state.k].copy(), counts, stable, grade, depth)
 
 
 def classes(result: RefinementResult, round) -> Partition:

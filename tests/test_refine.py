@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ import pytest
 from gnncompress import (ValidationError, build_graph, classes, naive_color,
                          naive_partition, refine)
 from gnncompress.graph import ColorTable, ColoredMultigraph
-from gnncompress.refine import (_INTERN_LOOP_CUTOFF, _flatten, _intern_exact, _intern_rows,
-                                _signatures, refine_step)
+from gnncompress.refine import _INTERN_LOOP_CUTOFF, refine_step
 from gnncompress.synth import random_graph
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       iterated_partitions, partition_blocks, refines,
@@ -209,16 +207,9 @@ def test_long_path_refines_one_node_per_round():
         assert np.array_equal(r.at(d).class_of, parts[d].class_of), d
 
 
-def test_intern_rows_exact_under_hash_collisions(monkeypatch):
-    g = random_graph(1500, 4000, n_colors=3, max_mult=3, seed=70)
-    rows = _signatures(g, g.colors, int(g.colors.max()) + 1, None, math.inf)
-    want = _intern_exact(*_flatten(*rows))
-    assert len(rows[0]) > _INTERN_LOOP_CUTOFF
-    assert same_partition(_intern_rows(*rows), want)
-    # hashes that collide, for all rows or for rows of one class and length,
-    # must still give labels that follow row equality
-    module = importlib.import_module("gnncompress.refine")
-    for collide in (lambda headers, *_: np.zeros(len(headers), dtype=np.uint64),
-                    lambda headers, size, *_: (headers * 4096 + size).astype(np.uint64)):
-        monkeypatch.setattr(module, "_row_hashes", collide)
-        assert same_partition(_intern_rows(*rows), want)
+def test_labels_are_a_copy_at_every_round(fig1):
+    r = refine(fig1)
+    for d in range(len(r.class_counts)):
+        before = r.at(d).class_of.copy()
+        r.labels(d)[:] = 0
+        assert np.array_equal(r.at(d).class_of, before), d

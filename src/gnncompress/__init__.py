@@ -9,18 +9,16 @@ loss-equivalent to the original.
 
 from .errors import FormatError, GnnCompressError, ValidationError, VerificationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
-                  forward_layer, gnn_from_json, gnn_to_json, one_hot_features,
-                  sample_gnn)
+                  one_hot_features, sample_gnn)
 from .graph import (ColoredMultigraph, ColorTable, build_graph, graph_size,
-                    in_neighbors, restrict_multiset)
+                    in_neighbors)
 from .problem import (CompressedProblem, EquivalenceReport, LearningProblem,
                       compress_problem, equivalence_report,
                       evaluate_compressed_loss, evaluate_loss)
-from .reduction import (Reduct, ReductReport, Substitution, VerifyResult,
-                        build_report, choose_substitution, incidence,
-                        reduce_graph, verify_reduct)
-from .refine import (INF, Partition, RefinementResult, classes, naive_color,
-                     naive_partition, refine, refine_step)
+from .reduction import (Reduct, Substitution, VerifyResult, choose_substitution,
+                        incidence, reduce_graph, verify_reduct)
+from .refine import (INF, Partition, RefinementResult, naive_partition, refine,
+                     refine_step)
 
 __version__ = "0.1.0"
 
@@ -38,35 +36,27 @@ __all__ = [
     "LearningProblem",
     "Partition",
     "Reduct",
-    "ReductReport",
     "RefinementResult",
     "Substitution",
     "ValidationError",
     "VerificationError",
     "VerifyResult",
     "build_graph",
-    "build_report",
     "chain_config",
     "choose_substitution",
-    "classes",
     "compress_problem",
     "equivalence_report",
     "evaluate_compressed_loss",
     "evaluate_loss",
     "forward",
-    "forward_layer",
-    "gnn_from_json",
-    "gnn_to_json",
     "graph_size",
     "in_neighbors",
     "incidence",
-    "naive_color",
     "naive_partition",
     "one_hot_features",
     "reduce_graph",
     "refine",
     "refine_step",
-    "restrict_multiset",
     "sample_gnn",
     "verify_reduct",
 ]

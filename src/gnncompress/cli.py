@@ -40,9 +40,9 @@ def _refinement_summary(result) -> str:
 
 
 def cmd_refine(args) -> int:
-    loaded = load_graph(args.graph, args.colors, args.undirected)
     depth = parse_extent(args.depth)
-    grade = parse_extent(args.grade)
+    grade = parse_extent(args.grade, minimum=1)
+    loaded = load_graph(args.graph, args.colors, args.undirected)
     result = refine(loaded.graph, depth=depth, grade=grade)
     print(_refinement_summary(result))
     if args.out:
@@ -64,14 +64,15 @@ def _problem_from_files(args, loaded: LoadedGraph) -> LearningProblem:
     else:
         train = {}
         loss_kind = args.loss or "xent"
-    features, _ = one_hot_features(g)
-    return LearningProblem(g, features, train, loss_kind)
+    # Color ids as the one feature: constant on every color class, which
+    # is all compression needs. Bundles store no features.
+    return LearningProblem(g, g.colors[:, None], train, loss_kind)
 
 
 def cmd_compress(args) -> int:
-    loaded = load_graph(args.graph, args.colors, args.undirected)
     depth = parse_extent(args.depth)
-    grade = parse_extent(args.grade)
+    grade = parse_extent(args.grade, minimum=1)
+    loaded = load_graph(args.graph, args.colors, args.undirected)
     if args.train and not args.loss:
         raise ValidationError("--train requires --loss")
     problem = _problem_from_files(args, loaded)
@@ -90,6 +91,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    width = parse_extent(args.width, minimum=1) if args.width else None
     loaded = load_graph(args.original, args.colors, args.undirected)
     g = loaded.graph
     cp = load_bundle(args.bundle)
@@ -127,7 +129,8 @@ def cmd_verify(args) -> int:
     p_dim = len(vocab)
     depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)
     depth = max(1, depth)
-    width = parse_extent(args.width) if args.width else cp.grade
+    if width is None:
+        width = cp.grade
     if loss_kind == "xent":
         q = max(1, len(cp.label_vocab)) if cp.train_weighted else p_dim
     else:
@@ -136,7 +139,7 @@ def cmd_verify(args) -> int:
 
     problem = LearningProblem(g, features, train, loss_kind, config)
     report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed,
-                                tolerance=args.tol, config=config)
+                                tolerance=args.tol)
     status = "pass" if report.passed else "FAIL"
     print(f"{status} equivalence: {report.n_gnns} GNNs, "
           f"max loss discrepancy {report.max_loss_discrepancy:.3e}, "
@@ -151,10 +154,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    grade = parse_extent(args.grade, minimum=1)
+    depths = [parse_extent(tok) for tok in args.depths.split(",")]
     loaded = load_graph(args.graph, args.colors, args.undirected)
     g = loaded.graph
-    grade = parse_extent(args.grade)
-    depths = [parse_extent(tok) for tok in args.depths.split(",")]
     n0, m0 = graph_size(g)
     finite = [int(d) for d in depths if not math.isinf(d)]
     max_depth = math.inf if any(math.isinf(d) for d in depths) else max(finite, default=0)

@@ -30,14 +30,17 @@ def _fmt_extent(x) -> object:
     return "inf" if math.isinf(x) else int(x)
 
 
-def parse_extent(token: str):
-    """Parse a depth/grade CLI token: a non-negative integer or 'inf'."""
+def parse_extent(token: str, minimum: int = 0):
+    """Parse a depth/grade/width token: an integer >= minimum or 'inf'."""
     if token in ("inf", "infinity", "∞"):
         return INF
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        raise FormatError(f"expected an integer or 'inf', got {token!r}") from None
+        value = None
+    if value is None or value < minimum:
+        raise FormatError(f"expected an integer >= {minimum} or 'inf', got {token!r}")
+    return value
 
 
 @dataclass
@@ -56,6 +59,29 @@ def _iter_data_lines(path: Path):
         if not line or line.startswith("#"):
             continue
         yield lineno, line
+
+
+def _is_int(x, minimum=0) -> bool:
+    return type(x) is int and minimum <= x < 2**63
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+# meta.json keys read back, with a test of the value and what it must be.
+_META_FIELDS = {
+    "depth": (lambda x: x == "inf" or _is_int(x), "a non-negative integer or 'inf'"),
+    "grade": (lambda x: x == "inf" or _is_int(x, 1), "a positive integer or 'inf'"),
+    "policy": (lambda x: isinstance(x, str), "a string"),
+    "loss_kind": (lambda x: x in (None, "xent", "sq"), "null, 'xent' or 'sq'"),
+    "rounds": (_is_int, "a non-negative integer"),
+    "class_counts": (lambda x: x is None or _is_int_list(x),
+                     "a list of non-negative integers"),
+    "representative_original_ids": (_is_int_list, "a list of non-negative integers"),
+    "original_node_ids": (lambda x: x is None or _is_int_list(x),
+                          "null or a list of non-negative integers"),
+}
 
 
 def _int_field(token: str, path, lineno: int, what: str) -> int:
@@ -265,17 +291,17 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         raise FormatError(f"{meta_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: expected a JSON object")
     version = meta.get("schema_version")
     if version != SCHEMA_VERSION:
         raise FormatError(f"{meta_path}: schema version {version!r}, expected {SCHEMA_VERSION}")
+    for key, (valid, expected) in _META_FIELDS.items():
+        if not valid(meta.get(key)):
+            raise FormatError(f"{meta_path}: {key} must be {expected}")
     depth = parse_extent(str(meta["depth"]))
     grade = parse_extent(str(meta["grade"]))
     loss_kind = meta.get("loss_kind")
-    class_counts = meta.get("class_counts")
-    if class_counts is not None and not (
-            isinstance(class_counts, list)
-            and all(type(c) is int and c >= 0 for c in class_counts)):
-        raise FormatError(f"{meta_path}: class_counts must be a list of non-negative integers")
 
     colors_path = bundle / "colors.tsv"
     tokens: dict[int, str] = {}
@@ -312,17 +338,16 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         if not 0 <= rep < r:
             raise ValidationError(f"{map_path}:{lineno}: representative {rep} not in graph.tsv")
         pairs[o] = rep
-    original_node_ids = meta.get("original_node_ids")
-    if original_node_ids is not None:
-        order = [int(x) for x in original_node_ids]
-        if set(pairs) != set(order):
-            raise ValidationError(f"{map_path}: does not cover every original node")
-        rep_of_node = np.array([pairs[o] for o in order], dtype=np.int64)
-    else:
-        n = len(pairs)
-        if set(pairs) != set(range(n)):
-            raise ValidationError(f"{map_path}: does not cover every original node")
-        rep_of_node = np.array([pairs[v] for v in range(n)], dtype=np.int64)
+    order = meta.get("original_node_ids")
+    if order is None:
+        order = range(len(pairs))
+    if set(pairs) != set(order):
+        raise ValidationError(f"{map_path}: does not cover every original node")
+    rep_of_node = np.array([pairs[o] for o in order], dtype=np.int64)
+    unreached = np.flatnonzero(np.bincount(rep_of_node, minlength=r) == 0)
+    if len(unreached):
+        raise ValidationError(f"{map_path}: no original node maps to reduct node "
+                              f"{unreached[0]}")
 
     train_path = bundle / "train.tsv"
     train_weighted: dict[int, list[tuple[object, int]]] = {}
@@ -341,7 +366,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
             target = _parse_target(parts[1], kind)
             train_weighted.setdefault(v, []).append((target, weight))
 
-    node_ids = np.array([int(x) for x in meta["representative_original_ids"]], dtype=np.int64)
+    node_ids = np.array(meta["representative_original_ids"], dtype=np.int64)
     return CompressedProblem(
         graph=graph,
         node_ids=node_ids,
@@ -349,6 +374,6 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         train_weighted=train_weighted,
         depth=depth, grade=grade, policy=meta["policy"],
         loss_kind=loss_kind,
-        rounds=int(meta["rounds"]),
-        class_counts=class_counts,
+        rounds=meta["rounds"],
+        class_counts=meta.get("class_counts"),
     )

@@ -15,7 +15,6 @@ id, and all arithmetic is float64.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -199,37 +198,8 @@ def one_hot_features(g: ColoredMultigraph, vocab: list | None = None) -> tuple[n
     if vocab is None:
         vocab = sorted(g.color_table.payloads, key=repr)
     index = {payload: i for i, payload in enumerate(vocab)}
+    used, inverse = np.unique(g.colors, return_inverse=True)
+    column = np.array([index[g.color_table.payload(int(c))] for c in used], dtype=np.int64)
     x = np.zeros((g.node_count, len(vocab)), dtype=np.float64)
-    for v in range(g.node_count):
-        x[v, index[g.color_payload(v)]] = 1.0
+    x[np.arange(g.node_count), column[inverse]] = 1.0
     return x, vocab
-
-
-def gnn_to_json(gnn: Gnn) -> str:
-    doc = {
-        "width": "inf" if math.isinf(gnn.config.width) else int(gnn.config.width),
-        "layers": [
-            {"in_dim": l.in_dim, "out_dim": l.out_dim,
-             "agg": l.agg, "activation": l.activation}
-            for l in gnn.config.layers
-        ],
-        "parameters": [
-            {"w_self": ws.tolist(), "w_agg": wa.tolist(), "bias": b.tolist()}
-            for ws, wa, b in zip(gnn.w_self, gnn.w_agg, gnn.bias)
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def gnn_from_json(text: str) -> Gnn:
-    doc = json.loads(text)
-    width = INF if doc["width"] == "inf" else int(doc["width"])
-    layers = tuple(LayerConfig(l["in_dim"], l["out_dim"], l["agg"], l["activation"])
-                   for l in doc["layers"])
-    config = GnnConfig(layers, width)
-    if len(doc["parameters"]) != len(layers):
-        raise ValueError("parameter count does not match layer count")
-    w_self = [np.asarray(pp["w_self"], dtype=np.float64) for pp in doc["parameters"]]
-    w_agg = [np.asarray(pp["w_agg"], dtype=np.float64) for pp in doc["parameters"]]
-    bias = [np.asarray(pp["bias"], dtype=np.float64) for pp in doc["parameters"]]
-    return Gnn(config, w_self, w_agg, bias)  # shape-checked in __post_init__

@@ -231,15 +231,6 @@ def in_neighbors(g: ColoredMultigraph, v: int) -> list[tuple[int, int]]:
     return [(int(u), int(m)) for u, m in zip(g.in_src[lo:hi], g.in_mult[lo:hi])]
 
 
-def restrict_multiset(m: Mapping, c) -> dict:
-    """Cap every multiplicity at c (c = inf is the identity; c = 1 yields
-    the support set). Entries capped to 0 are dropped."""
-    if math.isinf(c):
-        return {k: v for k, v in m.items() if v > 0}
-    c = int(c)
-    return {k: min(v, c) for k, v in m.items() if min(v, c) > 0}
-
-
 def graph_size(g: ColoredMultigraph) -> tuple[int, int]:
     """(number of nodes, number of simple edges): multiplicities ignored."""
     return g.node_count, g.simple_edge_count

@@ -172,13 +172,13 @@ def _check_features_consistent(problem: LearningProblem) -> None:
     """Every initial color class must carry one single feature row, or
     refinement classes could merge feature-distinct nodes."""
     g, x = problem.graph, problem.features
-    for cid in range(len(g.color_table)):
-        members = np.flatnonzero(g.colors == cid)
-        if len(members) > 1:
-            if not (x[members] == x[members[0]]).all():
-                raise ValidationError(
-                    f"initial color {g.color_table.payload(cid)!r} mixes distinct "
-                    "feature vectors; colors must separate differing features")
+    _, first, inverse = np.unique(g.colors, return_index=True, return_inverse=True)
+    mixed = (x != x[first[inverse]]).any(axis=1)
+    if mixed.any():
+        cid = int(g.colors[mixed].min())
+        raise ValidationError(
+            f"initial color {g.color_table.payload(cid)!r} mixes distinct "
+            "feature vectors; colors must separate differing features")
 
 
 def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
@@ -238,15 +238,12 @@ def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
     return _original_loss(problem, forward(problem.graph, problem.features, gnn))
 
 
-def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn,
-                             features: np.ndarray | None = None) -> float:
+def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
     """Total training loss on the compressed problem: weighted sum of the
     per-target losses at each representative."""
-    if features is None:
-        features = cp.features
-    if features is None:
+    if cp.features is None:
         raise ValueError("compressed problem has no feature matrix")
-    return _compressed_loss(cp, forward(cp.graph, features, gnn), cp.label_vocab)
+    return _compressed_loss(cp, forward(cp.graph, cp.features, gnn), cp.label_vocab)
 
 
 @dataclass

@@ -35,25 +35,6 @@ class Substitution:
     policy: str
 
 
-@dataclass
-class ReductReport:
-    original_nodes: int
-    original_simple_edges: int
-    reduced_nodes: int
-    reduced_simple_edges: int
-    rounds: int
-
-    @property
-    def node_ratio(self) -> float:
-        return self.reduced_nodes / self.original_nodes
-
-    @property
-    def edge_ratio(self) -> float:
-        if self.original_simple_edges == 0:
-            return 1.0
-        return self.reduced_simple_edges / self.original_simple_edges
-
-
 def incidence(g: ColoredMultigraph, partition: Partition, w: int) -> int:
     """Number of distinct partition classes containing an in-neighbor of w."""
     if len(partition.class_of) != g.node_count:
@@ -123,15 +104,14 @@ class Reduct:
     substitution: Substitution
 
 
-def reduce_graph(g: ColoredMultigraph, substitution: Substitution, grade=None) -> Reduct:
+def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
     """Build the reduct of g under a substitution.
 
     Edge rule: for representatives v, w the multiplicity of v -> w is the
-    sum of g(v' -> w) over all v' in v's class, capped at the grade when
-    finite. Only edges into representatives survive; colors are preserved.
+    sum of g(v' -> w) over all v' in v's class, capped at the
+    substitution's grade when finite. Only edges into representatives
+    survive; colors are preserved.
     """
-    if grade is None:
-        grade = substitution.grade
     rep_of_node = substitution.rep_of_node
     node_ids = np.unique(substitution.rep_of_class)
     rep_index = np.searchsorted(node_ids, rep_of_node)
@@ -149,14 +129,8 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution, grade=None) -
 
     h = ColoredMultigraph.from_edge_arrays(
         len(node_ids), new_src, new_dst, new_mult,
-        g.colors[node_ids], g.color_table, cap=grade)
+        g.colors[node_ids], g.color_table, cap=substitution.grade)
     return Reduct(h, node_ids, rep_of_node.copy(), rep_index, substitution)
-
-
-def build_report(g: ColoredMultigraph, reduct: Reduct, rounds: int) -> ReductReport:
-    return ReductReport(g.node_count, g.simple_edge_count,
-                        reduct.graph.node_count, reduct.graph.simple_edge_count,
-                        rounds)
 
 
 @dataclass

@@ -64,12 +64,6 @@ class Partition:
             self._classes = np.split(order, np.cumsum(counts)[:-1])
         return self._classes
 
-    def class_sets(self) -> set[frozenset]:
-        return {frozenset(int(v) for v in members) for members in self.classes}
-
-    def same_blocks(self, other: "Partition") -> bool:
-        return np.array_equal(self.class_of, other.class_of)
-
 
 def canonical_partition(labels, round: int = 0) -> Partition:
     """Relabel arbitrary dense labels into canonical class ids."""
@@ -375,58 +369,15 @@ def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
     return RefinementResult(state.cls, state.parent[:state.k].copy(), counts, stable, grade, depth)
 
 
-def classes(result: RefinementResult, round) -> Partition:
-    """Refinement classes at the given round (see RefinementResult.at)."""
-    return result.at(round)
-
-
-_ORACLE_DEPTH_LIMIT = 8
-
-
-def naive_color(g: ColoredMultigraph, v: int, depth: int, grade=INF):
-    """Expanded refinement color term of one node, built recursively.
-
-    The depth-0 term is the node's color payload; the depth-d term is
-    (depth-(d-1) term, pairs) where pairs lists each distinct in-neighbor
-    term with its capped count, sorted canonically. Term equality is
-    equivalent to membership in the same refinement class at that depth.
-    Exponential-size representation: intended for small graphs and depths.
-    """
-    _validate_grade(grade)
-    if math.isinf(depth) or depth > _ORACLE_DEPTH_LIMIT:
-        raise ValueError(f"oracle depth {depth} exceeds budget ({_ORACLE_DEPTH_LIMIT})")
-    if not 0 <= v < g.node_count:
-        raise IndexError(f"node {v} out of range")
-
-    memo: dict[tuple[int, int], object] = {}
-
-    def term(u: int, d: int):
-        key = (u, d)
-        if key in memo:
-            return memo[key]
-        if d == 0:
-            t = g.color_payload(u)
-        else:
-            lo, hi = g.in_indptr[u], g.in_indptr[u + 1]
-            counts: dict = {}
-            for w, m in zip(g.in_src[lo:hi], g.in_mult[lo:hi]):
-                sub = term(int(w), d - 1)
-                counts[sub] = counts.get(sub, 0) + int(m)
-            cap = (lambda x: x) if math.isinf(grade) else (lambda x: min(x, int(grade)))
-            pairs = tuple(sorted(((s, cap(c)) for s, c in counts.items()),
-                                 key=lambda p: repr(p[0])))
-            t = (term(u, d - 1), pairs)
-        memo[key] = t
-        return t
-
-    return term(v, depth)
-
-
 def naive_partition(g: ColoredMultigraph, depth: int, grade=INF) -> Partition:
-    """Partition of all nodes by naive_color term equality at a depth.
+    """Partition of all nodes by equality of their expanded color terms
+    at a depth: the independent oracle for refinement.
 
-    Uses canonical string encodings of the terms so suite-scale corpora
-    stay tractable; independent of the refine_step signature pipeline.
+    The depth-0 term of a node is its color payload; the depth-d term
+    joins its depth-(d-1) term with each distinct in-neighbor term and
+    its summed multiplicity, capped at the grade, sorted canonically.
+    Terms are kept as canonical strings, built in plain Python without
+    the refine_step signature pipeline.
     """
     _validate_grade(grade)
     if math.isinf(depth):

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,13 +136,26 @@ def test_verify_requires_train_when_bundle_has_one(fig1_files, capsys, tmp_path)
     assert "pass --train" in err
 
 
-def test_parse_error_exit_2(capsys, tmp_path):
+def test_parse_error_exit_2(fig1_files, capsys, tmp_path):
     bad = tmp_path / "bad.tsv"
     for text in ("0\tx\n", "0 1 9223372036854775808\n"):
         bad.write_text(text)
         code, _, err = run(capsys, "refine", "--graph", bad, "--depth", "1")
         assert code == 2
         assert "error" in err and "bad.tsv:1:" in err
+    # out-of-range extents are rejected where the token is parsed
+    g, c, t = fig1_files
+    for flag, token in (("--depth", "-1"), ("--grade", "0")):
+        code, _, err = run(capsys, "refine", "--graph", g, "--depth", "1", flag, token)
+        assert code == 2
+        assert f"got '{token}'" in err
+    bundle = tmp_path / "bundle"
+    run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+        "--train", t, "--loss", "xent", "--out", bundle)
+    code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                       "--colors", c, "--train", t, "--width", "0")
+    assert code == 2
+    assert "got '0'" in err
 
 
 def test_verify_bundle_parse_error_exit_2(fig1_files, capsys, tmp_path):
@@ -170,6 +185,58 @@ def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
     assert code == 3
     assert "overflow" in err
     assert not (tmp_path / "b" / "graph.tsv").exists()
+    # a reduct node that no original node maps to, with a new or a known color
+    one = tmp_path / "one.txt"
+    one.write_text("0 0\n")
+    for token in ("zzz", ""):
+        bundle = tmp_path / f"one-{token}"
+        assert run(capsys, "compress", "--graph", one, "--depth", "1",
+                   "--out", bundle)[0] == 0
+        with open(bundle / "colors.tsv", "a") as f:
+            f.write(f"1\t{token}\n")
+        code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", one)
+        assert code == 3
+        assert "map.tsv" in err and "reduct node 1" in err
+
+
+def test_compress_builds_no_feature_matrix(fig1_files, capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compress must not build a one-hot feature matrix")
+
+    monkeypatch.setattr("gnncompress.cli.one_hot_features", refuse)
+    g, c, t = fig1_files
+    code, out, _ = run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+                       "--train", t, "--loss", "xent", "--out", tmp_path / "bundle")
+    assert code == 0
+    assert "nodes 50.00% (3/6)" in out
+
+
+def test_bench_tracer_runs_compress_and_verify(fig1_files, capsys, tmp_path, monkeypatch):
+    # bench/tracer.py wraps package functions by name and reads their
+    # parameters; every name it looks up must still exist.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    tracer = Tracer()
+    tracer.begin_cycle()
+    tracer.install()
+    try:
+        compress = ["compress", "--graph", g, "--colors", c, "--depth", "1",
+                    "--train", t, "--loss", "xent", "--out", bundle]
+        verify = ["verify", "--bundle", bundle, "--original", g, "--colors", c,
+                  "--train", t]
+        codes = [tracer.run_op("compress", main, [str(a) for a in compress]),
+                 tracer.run_op("verify", main, [str(a) for a in verify])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert "verification passed" in capsys.readouterr().out
+    names = {name for name, *_ in tracer.spans}
+    assert {"cli.cmd_compress", "cli.cmd_verify", "refine.refine",
+            "reduction.reduce_graph", "gnn.forward"} <= names
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

@@ -229,6 +229,29 @@ def test_meta_records_class_counts(tmp_path):
         load_bundle(tmp_path / "b")
 
 
+def test_malformed_meta_names_the_key(tmp_path):
+    import json
+    cp = make_compressed()
+    save_bundle(cp, tmp_path / "b")
+    meta_path = tmp_path / "b" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text("[]")
+    with pytest.raises(FormatError, match="JSON object"):
+        load_bundle(tmp_path / "b")
+    # ... marks a missing key
+    for key, value in (("policy", ...), ("rounds", "x"), ("rounds", True),
+                       ("depth", -1), ("grade", 0), ("loss_kind", 3),
+                       ("representative_original_ids", [0, "1"]),
+                       ("representative_original_ids", ...),
+                       ("original_node_ids", [0, 1.5])):
+        broken = {k: v for k, v in meta.items() if k != key}
+        if value is not ...:
+            broken[key] = value
+        meta_path.write_text(json.dumps(broken))
+        with pytest.raises(FormatError, match=f"meta.json: {key} must be"):
+            load_bundle(tmp_path / "b")
+
+
 def test_schema_version_mismatch(tmp_path):
     cp = make_compressed()
     save_bundle(cp, tmp_path / "b")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gnncompress import (Gnn, GnnConfig, LayerConfig, build_graph, chain_config,
-                         forward, gnn_from_json, gnn_to_json,
-                         naive_color, one_hot_features, reduce_graph, refine,
-                         sample_gnn, choose_substitution)
+                         choose_substitution, forward, naive_partition,
+                         one_hot_features, reduce_graph, refine, sample_gnn)
+from gnncompress.graph import ColoredMultigraph, ColorTable
 from gnncompress.synth import random_graph
 
 
@@ -112,6 +112,22 @@ def test_sample_gnn_deterministic():
     assert [w.shape for w in a.w_self] == [(16, 4), (16, 16), (3, 16)]
 
 
+def test_one_hot_matches_per_node_loop():
+    g = random_graph(30, 60, n_colors=5, max_mult=2, seed=4)
+    # the same graph over a color table that also holds a color no node has
+    table = ColorTable()
+    table.intern("unused")
+    ids = [table.intern(p) for p in g.payload_per_node()]
+    h = ColoredMultigraph.from_edge_arrays(g.node_count, g.out_src_flat, g.out_dst,
+                                           g.out_mult, ids, table)
+    for graph in (g, h):
+        x, vocab = one_hot_features(graph)
+        want = np.zeros((graph.node_count, len(vocab)))
+        for v in range(graph.node_count):
+            want[v, vocab.index(graph.color_payload(v))] = 1.0
+        assert np.array_equal(x, want)
+
+
 def test_outputs_match_on_equal_naive_colors():
     # depth-d GNN output agrees across nodes with equal depth-d terms
     rng = np.random.default_rng(8)
@@ -121,12 +137,8 @@ def test_outputs_match_on_equal_naive_colors():
         d = int(rng.integers(1, 4))
         gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1)), seed=trial)
         out = forward(g, x, gnn)
-        terms = {}
-        for v in range(g.node_count):
-            terms.setdefault(naive_color(g, v, d), []).append(v)
-        for group in terms.values():
-            for v in group[1:]:
-                assert np.allclose(out[v], out[group[0]], atol=1e-9)
+        for group in naive_partition(g, d).classes:
+            assert np.allclose(out[group], out[group[0]], atol=1e-9)
 
 
 def test_graded_outputs_match_on_equal_graded_colors():
@@ -138,12 +150,8 @@ def test_graded_outputs_match_on_equal_graded_colors():
         c = int(rng.integers(1, 3))
         gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1), width=c), seed=trial)
         out = forward(g, x, gnn)
-        terms = {}
-        for v in range(g.node_count):
-            terms.setdefault(naive_color(g, v, d, grade=c), []).append(v)
-        for group in terms.values():
-            for v in group[1:]:
-                assert np.allclose(out[v], out[group[0]], atol=1e-9)
+        for group in naive_partition(g, d, grade=c).classes:
+            assert np.allclose(out[group], out[group[0]], atol=1e-9)
 
 
 def test_reduct_outputs_match_per_node():
@@ -160,23 +168,6 @@ def test_reduct_outputs_match_per_node():
         diff = np.abs(out_g - out_h[red.rep_index_of_node]).max(axis=1)
         scale = 1.0 + np.abs(out_g).max(axis=1)
         assert (diff <= 1e-6 * scale).all()
-
-
-def test_json_round_trip():
-    gnn = sample_gnn(chain_config([3, 5, 2], width=2, agg="mean"), seed=4)
-    text = gnn_to_json(gnn)
-    back = gnn_from_json(text)
-    assert back.config == gnn.config
-    for a, b in zip(gnn.w_self + gnn.w_agg + gnn.bias,
-                    back.w_self + back.w_agg + back.bias):
-        assert np.array_equal(a, b)
-
-
-def test_json_shape_check():
-    gnn = sample_gnn(chain_config([3, 2]), seed=0)
-    doc = gnn_to_json(gnn).replace('"out_dim": 2', '"out_dim": 4')
-    with pytest.raises(ValueError):
-        gnn_from_json(doc)
 
 
 def reference_aggregate(g, x, kind, width):

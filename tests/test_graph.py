@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnncompress import (FormatError, ValidationError, build_graph, graph_size,
-                         in_neighbors, restrict_multiset)
+                         in_neighbors)
 from conftest import A1, A2, A3, B2, star_of_stars
 
 
@@ -61,22 +59,6 @@ def test_fig3_multigraph_neighbors():
     h = build_graph([(2, 1, 3), (1, 0, 4)], ["c11", "b1", "v"])
     assert in_neighbors(h, 0) == [(1, 4)]
     assert graph_size(g) == (16, 15)
-
-
-def test_restrict_multiset_examples():
-    assert restrict_multiset({"a": 5, "b": 1}, 2) == {"a": 2, "b": 1}
-    assert restrict_multiset({"a": 5}, math.inf) == {"a": 5}
-    assert restrict_multiset({"a": 3, "b": 2}, 1) == {"a": 1, "b": 1}
-
-
-@given(st.dictionaries(st.integers(), st.integers(min_value=1, max_value=50), max_size=8),
-       st.one_of(st.integers(min_value=1, max_value=60), st.just(math.inf)))
-def test_restrict_multiset_idempotent_and_monotone(m, c):
-    once = restrict_multiset(m, c)
-    assert restrict_multiset(once, c) == once
-    if not math.isinf(c):
-        wider = restrict_multiset(m, c + 1)
-        assert all(once[k] <= wider[k] for k in once)
 
 
 @settings(max_examples=60)

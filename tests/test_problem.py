@@ -47,6 +47,12 @@ def test_mixed_features_within_color_rejected():
     p = LearningProblem(g, feats, {}, "xent", chain_config([1, 2]))
     with pytest.raises(ValidationError):
         compress_problem(p)
+    # the error names the lowest color id that mixes features
+    g = build_graph([(0, 1, 1)], ["b", "a", "b", "a", "c"])
+    for feats, name in (([0, 0, 1, 1, 0], "'b'"), ([0, 0, 0, 1, 0], "'a'")):
+        p = LearningProblem(g, np.array(feats, dtype=float)[:, None], {}, "xent")
+        with pytest.raises(ValidationError, match=f"initial color {name} mixes"):
+            compress_problem(p, depth=1)
 
 
 def test_train_node_out_of_range_rejected():

@@ -6,7 +6,7 @@ import pytest
 from gnncompress import (build_graph, choose_substitution, graph_size,
                          incidence, reduce_graph, refine, verify_reduct)
 from gnncompress.graph import ColoredMultigraph
-from gnncompress.reduction import Substitution, build_report
+from gnncompress.reduction import Substitution
 from gnncompress.synth import random_graph
 from conftest import (A1, A2, B1, B3, iterated_partitions, random_substitution,
                       star_of_stars)
@@ -179,14 +179,6 @@ def test_graded_reduct_caps_before_overflow():
         red = reduce_graph(g, sub)
         assert edge_multiset(red) == {(0, k): 2}
         assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=2).ok
-
-
-def test_report_ratios(fig1, fig1_p1):
-    red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
-    rep = build_report(fig1, red, rounds=1)
-    assert rep.reduced_nodes == 3 and rep.original_nodes == 6
-    assert rep.node_ratio == 0.5
-    assert math.isclose(rep.edge_ratio, 4 / 11)
 
 
 def test_random_substitution_construction(fig1, fig1_p1):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnncompress import (ValidationError, build_graph, classes, naive_color,
-                         naive_partition, refine)
+from gnncompress import ValidationError, build_graph, naive_partition, refine
 from gnncompress.graph import ColorTable, ColoredMultigraph
 from gnncompress.refine import _INTERN_LOOP_CUTOFF, refine_step
 from gnncompress.synth import random_graph
@@ -30,7 +29,7 @@ def test_fig1_stable_round(fig1):
     assert r.stable_round == 2
     assert r.class_counts == [2, 3, 4, 4]
     # rounds past stabilization return the stable partition
-    assert np.array_equal(classes(r, 5).class_of, classes(r, 2).class_of)
+    assert np.array_equal(r.at(5).class_of, r.at(2).class_of)
 
 
 def test_fig1_graded_round1(fig1):
@@ -82,24 +81,32 @@ def test_idempotent_at_fixpoint(fig1):
 
 
 def test_naive_color_fig1_b3(fig1):
-    assert naive_color(fig1, B3, 1) == ("b", (("a", 2),))
+    # every b has two a in-neighbors; b3's differ from the others' in round 1
+    assert partition_blocks(naive_partition(fig1, 1).class_of) == {
+        frozenset({A1}), frozenset({A2, A3}), frozenset({B1, B2, B3})}
+    assert frozenset({B3}) in partition_blocks(naive_partition(fig1, 2).class_of)
 
 
 def test_naive_color_no_in_edges():
-    g = build_graph([(0, 1, 1)], ["x", "y"])
-    assert naive_color(g, 0, 1) == ("x", ())
-    assert naive_color(g, 0, 2) == (("x", ()), ())
+    # nodes without in-edges keep their color term at every depth
+    g = build_graph([(0, 1, 1)], ["x", "x", "x"])
+    assert partition_blocks(naive_partition(g, 0).class_of) == {frozenset({0, 1, 2})}
+    for d in (1, 2):
+        assert partition_blocks(naive_partition(g, d).class_of) == {
+            frozenset({0, 2}), frozenset({1})}
 
 
 def test_naive_color_depth_budget(fig1):
     with pytest.raises(ValueError):
-        naive_color(fig1, 0, 50)
+        naive_partition(fig1, math.inf)
 
 
 def test_naive_color_graded_cap():
-    g = build_graph([(0, 1, 5)], ["a", "b"])
-    assert naive_color(g, 1, 1, grade=1) == ("b", (("a", 1),))
-    assert naive_color(g, 1, 1, grade=3) == ("b", (("a", 3),))
+    # node 1 sees a five times, node 2 three times: apart only above grade 3
+    g = build_graph([(0, 1, 5), (0, 2, 3)], ["a", "b", "b"])
+    for grade, together in ((1, True), (3, True), (4, False), (math.inf, False)):
+        class_of = naive_partition(g, 1, grade).class_of
+        assert (class_of[1] == class_of[2]) == together, grade
 
 
 def test_naive_partition_matches_refine_on_fig1(fig1):

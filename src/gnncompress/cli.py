@@ -14,8 +14,8 @@ import sys
 import time
 
 from .errors import FormatError, ValidationError, VerificationError
-from .fileio import (LoadedGraph, _fmt_extent, load_bundle, load_graph,
-                     parse_extent, read_train, save_bundle)
+from .fileio import (LoadedGraph, _fmt_extent, _write_table, load_bundle,
+                     load_graph, parse_extent, read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
 from .graph import graph_size
 from .problem import (LearningProblem, _weight_table, compress_problem,
@@ -46,12 +46,10 @@ def cmd_refine(args) -> int:
     result = refine(loaded.graph, depth=depth, grade=grade)
     print(_refinement_summary(result))
     if args.out:
-        final = result.final
+        class_of = result.final.class_of
         ids = loaded.original_ids
-        with open(args.out, "w", encoding="utf-8") as f:
-            for v, cid in enumerate(final.class_of):
-                label = ids[v] if ids is not None else v
-                f.write(f"{label}\t{cid}\n")
+        labels = ids.tolist() if ids is not None else range(len(class_of))
+        _write_table(args.out, "%d\t%d\n", labels, class_of.tolist())
         print(f"wrote {args.out}")
     return 0
 

@@ -67,6 +67,13 @@ class ColorTable:
             self._payloads.append(payload)
         return cid
 
+    def intern_all(self, payloads: list) -> np.ndarray:
+        """Intern each payload in turn; returns their color ids (int64)."""
+        for p in dict.fromkeys(payloads):
+            self.intern(p)
+        return np.fromiter(map(self._id_of.__getitem__, payloads), dtype=np.int64,
+                           count=len(payloads))
+
     def payload(self, cid: int):
         return self._payloads[cid]
 
@@ -211,7 +218,7 @@ def build_graph(edges: Iterable[tuple], colors) -> ColoredMultigraph:
         n = len(payloads)
 
     table = ColorTable()
-    color_ids = np.fromiter((table.intern(p) for p in payloads), dtype=np.int64, count=n)
+    color_ids = table.intern_all(payloads)
 
     edges = list(edges)
     if edges:

@@ -70,7 +70,9 @@ class LearningProblem:
                 raise ValidationError(f"training node {v} out of range")
             if self.loss_kind == "sq":
                 if not isinstance(target, np.ndarray):
-                    self.train[v] = np.asarray(target, dtype=np.float64)
+                    self.train[v] = target = np.asarray(target, dtype=np.float64)
+                if not np.isfinite(target).all():
+                    raise ValidationError(f"regression target of node {v} is not finite")
             elif not isinstance(target, str):
                 raise ValidationError("classification targets must be label tokens")
         if self.loss_kind == "sq" and self.train:
@@ -257,6 +259,12 @@ class EquivalenceReport:
     note: str = ""
 
 
+def _worse(worst: float, discrepancy: float) -> float:
+    """The larger of two discrepancies; a NaN or infinite one is infinite,
+    so that it fails every tolerance."""
+    return max(worst, discrepancy) if math.isfinite(discrepancy) else math.inf
+
+
 def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
                        n_gnns: int = 5, seed: int = 0, tolerance: float = 1e-6,
                        config: GnnConfig | None = None) -> EquivalenceReport:
@@ -287,11 +295,11 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
         out_h = forward(cp.graph, cp.features, gnn)
         diff = np.abs(out_g - out_h[cp.rep_of_node])
         scale = 1.0 + np.abs(out_g).max(axis=1)
-        max_out = max(max_out, float((diff.max(axis=1) / scale).max()) if len(diff) else 0.0)
+        max_out = _worse(max_out, float((diff.max(axis=1) / scale).max()) if len(diff) else 0.0)
 
         loss_g = _original_loss(problem, out_g)
         loss_h = _compressed_loss(cp, out_h, problem.label_vocab)
-        max_loss = max(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
+        max_loss = _worse(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
     passed = max_loss <= tolerance and max_out <= tolerance
     return EquivalenceReport(n_gnns, tolerance, max_loss, max_out,

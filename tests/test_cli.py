@@ -199,6 +199,59 @@ def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
         assert "map.tsv" in err and "reduct node 1" in err
 
 
+def test_nonfinite_targets_exit_2(capsys, tmp_path):
+    # NaN and inf targets make losses NaN, and max(0.0, nan) is 0.0, so a
+    # NaN discrepancy would read as zero and verify would pass.
+    g = tmp_path / "g.tsv"
+    g.write_text("0\t1\n1\t2\n2\t0\n")
+    bad = tmp_path / "bad.tsv"
+    for text, lineno, what in (("0\tnan,1\n1\t1e400,2\n", 1, "not finite"),
+                               ("0\t1,1\n1\t1e400,2\n", 2, "not finite"),
+                               ("0\t1,1\n1\tx,2\n", 2, "bad regression target")):
+        bad.write_text(text)
+        code, _, err = run(capsys, "compress", "--graph", g, "--depth", "2", "--train", bad,
+                           "--loss", "sq", "--out", tmp_path / "b")
+        assert code == 2
+        assert f"bad.tsv:{lineno}: " in err and what in err
+        code, _, err = run(capsys, "verify", "--bundle", tmp_path / "b", "--original", g,
+                           "--train", bad)
+        assert code == 2
+    good = tmp_path / "good.tsv"
+    good.write_text("0\t0.5,1\n1\t1.5,2\n")
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--depth", "2", "--train", good,
+               "--loss", "sq", "--out", bundle)[0] == 0
+    bad.write_text("0\tnan,1\n1\t1e400,2\n")
+    code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", g, "--train", bad)
+    assert code == 2
+    assert "bad.tsv:1: regression target 'nan,1' is not finite" in err
+    train = bundle / "train.tsv"
+    lines = train.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if "\t0.5," in line)
+    train.write_text(train.read_text().replace("\t0.5,", "\tnan,"))
+    code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", g, "--train", good)
+    assert code == 2
+    assert f"train.tsv:{lineno}: regression target" in err
+    assert "passed" not in out
+
+
+def test_representative_ids_must_map_to_themselves(fig1_files, capsys, tmp_path):
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+        "--train", t, "--loss", "xent", "--out", bundle)
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    reps = meta["representative_original_ids"]
+    assert len(reps) == 3
+    for broken in (reps[:1], reps[::-1], reps + reps[:1]):
+        meta_path.write_text(json.dumps({**meta, "representative_original_ids": broken}))
+        code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                           "--colors", c, "--train", t)
+        assert code == 3
+        assert "meta.json: representative_original_ids" in err
+
+
 def test_compress_builds_no_feature_matrix(fig1_files, capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("compress must not build a one-hot feature matrix")
@@ -237,6 +290,12 @@ def test_bench_tracer_runs_compress_and_verify(fig1_files, capsys, tmp_path, mon
     names = {name for name, *_ in tracer.spans}
     assert {"cli.cmd_compress", "cli.cmd_verify", "refine.refine",
             "reduction.reduce_graph", "gnn.forward"} <= names
+    # the per-layer file I/O figures: every fileio span, and the byte counts
+    # the tracer takes from the parameters it reads by name
+    assert {f"fileio.{name}" for name in ("read_edges", "read_colors", "read_train",
+                                          "load_graph", "save_bundle", "load_bundle")} <= names
+    for count in ("fileio.bytes_read", "fileio.bytes_written"):
+        assert sum(v for (_, name), v in tracer.counts.items() if name == count) > 0
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

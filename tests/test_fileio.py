@@ -277,3 +277,138 @@ def test_parse_extent():
     assert math.isinf(parse_extent("inf"))
     with pytest.raises(FormatError):
         parse_extent("x")
+
+
+# Inputs on which the whole-file fast paths and the per-line parsers must
+# agree: equal arrays, or the same error. Most of them must fall back.
+EDGE_CORPUS = [
+    "0 1\n1 2\n", "0\t1\t3\n1 2 1\n", "007 1\n", " 0 1\n", "0 1\t\n", "0 1",
+    "# comment\n0 1\n", "0 1\n\n1 2\n", "0 1\n  \n1 2\n", "\t\n0 1\n", "0 1\r\n1 2\r\n",
+    "+5 1\n", "1_0 1\n", "١ 1\n", "0\x0c1\n", "0\x1c1\n", "0 1\u20282 3\n",
+    "0 1\x852 3\n", "0 1\n1 2 3\n", "0 1 2 3\n", "0\n", "0 1 9223372036854775808\n",
+    "9223372036854775807 1\n", "0 -1\n", "0 1 0\n", "", "\n\n", "0 x\n",
+]
+COLOR_CORPUS = [
+    "0\ta\n1\tb\n", "2\tred car\n0\t\n", " 1\ta\n", "0\ta", "0\ta\n1\tb\t\n",
+    "# comment\n0\ta\n", "0\ta\n\n1\tb\n", "0\ta\n \n", "0\ta\r\n", "+1\ta\n",
+    "1_0\ta\n", "١\ta\n", "0\ta\x0cb\n", "0\ta\x1cb\n", "0\ta\u2028b\n", "0\ta\u2029b\n",
+    "0\ta\x85b\n", "0\té\n", "0\ta\tb\n\n", "0\t1\t2\n\n", "0\ta\n1", "0\n",
+    "0\ta\n0\tb\n", "99\ta\n",
+    "-1\ta\n", "9223372036854775808\ta\n", "", "x\ta\n",
+]
+
+
+def outcome(fn, *args):
+    """fn's result as plain values, or the type and message of its error."""
+    try:
+        result = fn(*args)
+    except (FormatError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        return [a.tolist() for a in result]
+    return result
+
+
+def per_line_only(monkeypatch):
+    import gnncompress.fileio as fileio
+    monkeypatch.setattr(fileio, "_read_int_table", lambda *a, **k: None)
+    monkeypatch.setattr(fileio, "_read_id_tokens", lambda *a, **k: None)
+
+
+def test_fast_paths_match_per_line_parser(tmp_path, monkeypatch):
+    from gnncompress.fileio import read_colors, read_edges
+    p = tmp_path / "f.tsv"
+    cases = []
+    for text in EDGE_CORPUS:
+        cases.append((text, read_edges, (p,)))
+    for text in COLOR_CORPUS:
+        cases.append((text, read_colors, (p, 11, None)))
+        cases.append((text.replace("1", "10"), read_colors, (p, 3, np.array([0, 2, 10]))))
+    fast = []
+    for text, fn, args in cases:
+        p.write_bytes(text.encode("utf-8"))
+        fast.append(outcome(fn, *args))
+    per_line_only(monkeypatch)
+    for (text, fn, args), got in zip(cases, fast):
+        p.write_bytes(text.encode("utf-8"))
+        assert got == outcome(fn, *args), (fn.__name__, text)
+    assert ("FormatError", f"{p}:1: ids and multiplicity must be below 2**63") in fast
+
+
+def bundle_variants(lines):
+    """Edited copies of a bundle file's lines (without newlines)."""
+    first = lines[0].split("\t")
+    big = "\t".join([first[0], "9223372036854775808"][:len(first)])
+    return [
+        lines, lines[::-1], lines[1:], lines + lines[:1], ["# comment"] + lines,
+        lines[:1] + [""] + lines[1:], lines[:1] + ["\t"] + lines[1:],
+        [line + "\r" for line in lines], [lines[0].replace("\t", " ")] + lines[1:],
+        [lines[0] + "\t"] + lines[1:], ["+" + lines[0]] + lines[1:],
+        [lines[0].replace("\t", "\x1c")] + lines[1:], [big] + lines[1:],
+        lines[:-1] + [lines[-1].split("\t")[0] + "\t999"], lines + ["4000\t0"],
+        [lines[0] + "\x0c"] + lines[1:],
+    ]
+
+
+@pytest.mark.parametrize("name", ["map.tsv", "colors.tsv"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_bundle_fast_paths_match_per_line_parser(tmp_path, monkeypatch, name, sparse):
+    cp = make_compressed()
+    n = len(cp.rep_of_node)
+    ids = np.arange(n) * 3 + 1 if sparse else None
+    save_bundle(cp, tmp_path / "b", original_node_ids=ids)
+    path = tmp_path / "b" / name
+    variants = bundle_variants(path.read_text().splitlines())
+
+    def load(lines):
+        path.write_text("".join(line + "\n" for line in lines))
+        try:
+            back = load_bundle(tmp_path / "b")
+        except (FormatError, ValidationError) as exc:
+            return type(exc).__name__, str(exc)
+        return (back.graph, back.rep_of_node.tolist(),
+                back.graph.color_table.payloads, back.node_ids.tolist())
+
+    fast = [load(lines) for lines in variants]
+    assert fast[0][1] == cp.rep_of_node.tolist()
+    per_line_only(monkeypatch)
+    for lines, got in zip(variants, fast):
+        assert got == load(lines), lines[:3]
+
+
+def test_clean_files_take_the_fast_paths(tmp_path, monkeypatch):
+    # a silent return to the per-line parsers would lose the whole-file speed
+    import gnncompress.fileio as fileio
+    cp = make_compressed()
+    save_bundle(cp, tmp_path / "b", original_node_ids=np.arange(len(cp.rep_of_node)) + 5)
+    gp, cp_ = tmp_path / "g.tsv", tmp_path / "c.tsv"
+    sparse_gp, sparse_cp = tmp_path / "sg.tsv", tmp_path / "sc.tsv"
+    gp.write_text("".join(f"{s} {d}\n" for s, d, _ in FIG1_EDGES))
+    cp_.write_text("".join(f"{v}\t{c}\n" for v, c in enumerate(FIG1_COLORS)))
+    sparse_gp.write_text("".join(f"{10 * s}\t{10 * d}\t1\n" for s, d, _ in FIG1_EDGES))
+    sparse_cp.write_text("".join(f"{10 * v}\t{c}\n" for v, c in enumerate(FIG1_COLORS)))
+    per_line = fileio._iter_data_lines
+
+    def refuse(path):
+        if path.name != "train.tsv":
+            raise AssertionError(f"{path.name} was parsed line by line")
+        return per_line(path)
+
+    monkeypatch.setattr(fileio, "_iter_data_lines", refuse)
+    assert load_graph(gp, cp_).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
+    assert load_graph(sparse_gp, sparse_cp).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
+    assert load_bundle(tmp_path / "b").equivalent_to(cp)
+
+
+def test_meta_text_matches_json_dumps(tmp_path):
+    import json
+    from gnncompress.fileio import _meta_text
+    cp = make_compressed()
+    save_bundle(cp, tmp_path / "b", original_node_ids=np.arange(len(cp.rep_of_node)) + 5,
+                extra_meta={"original_simple_edges": 50})
+    text = (tmp_path / "b" / "meta.json").read_text()
+    metas = [json.loads(text), {"a": []}, {"a": [True, 1]}, {"a": [1.5, 2], "b": None},
+             {"é\n": ["x", "ü"]}, {"n": {"k": [1, 2], "m": {"z": []}}, "l": [[1], [2, 3]]}]
+    for meta in metas:
+        assert _meta_text(meta) == json.dumps(meta, indent=1) + "\n"
+    assert _meta_text(metas[0]) == text

@@ -123,6 +123,25 @@ def test_equivalence_report_exact_passes():
     assert report.passed and not report.approximate
 
 
+def test_nonfinite_regression_targets_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="not finite"):
+            fig1_problem({B1: np.array([0.3, bad])}, loss_kind="sq")
+
+
+def test_equivalence_report_fails_on_nan_discrepancy():
+    # max(0.0, nan) is 0.0: a NaN loss must not read as a zero discrepancy
+    p = fig1_problem({B1: np.array([0.3, -1.0]), B2: np.array([0.3, -1.0])},
+                     loss_kind="sq")
+    cp = compress_problem(p)
+    assert equivalence_report(p, cp, n_gnns=2, seed=0).passed
+    (rep,) = cp.train_weighted
+    cp.train_weighted[rep] = [(np.array([math.nan, -1.0]), 2)]
+    report = equivalence_report(p, cp, n_gnns=2, seed=0)
+    assert not report.passed
+    assert math.isinf(report.max_loss_discrepancy)
+
+
 def test_equivalence_report_flags_wider_hypothesis():
     p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 3, 2), width=1)
     cp = compress_problem(p, grade=1)

@@ -340,9 +340,7 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
 
     _write_table(out / "graph.tsv", "%d\t%d\t%d\n",
                  h.out_src_flat.tolist(), h.out_dst.tolist(), h.out_mult.tolist())
-    payloads = h.color_table.payloads
-    _write_table(out / "colors.tsv", "%d\t%s\n", range(h.node_count),
-                 [payloads[c] for c in h.colors.tolist()])
+    _write_table(out / "colors.tsv", "%d\t%s\n", range(h.node_count), h.payload_per_node())
 
     orig = (np.asarray(original_node_ids, dtype=np.int64)
             if original_node_ids is not None else None)

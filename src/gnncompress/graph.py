@@ -168,7 +168,8 @@ class ColoredMultigraph:
         return self.color_table.payload(int(self.colors[v]))
 
     def payload_per_node(self) -> list:
-        return [self.color_table.payload(int(c)) for c in self.colors]
+        payloads = self.color_table.payloads
+        return [payloads[c] for c in self.colors.tolist()]
 
     def transpose(self) -> "ColoredMultigraph":
         """Graph with every edge reversed. transpose(transpose(G)) == G."""

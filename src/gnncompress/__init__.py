@@ -10,15 +10,13 @@ loss-equivalent to the original.
 from .errors import FormatError, GnnCompressError, ValidationError, VerificationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
                   one_hot_features, sample_gnn)
-from .graph import (ColoredMultigraph, ColorTable, build_graph, graph_size,
-                    in_neighbors)
+from .graph import ColoredMultigraph, ColorTable, build_graph, graph_size
 from .problem import (CompressedProblem, EquivalenceReport, LearningProblem,
                       compress_problem, equivalence_report,
                       evaluate_compressed_loss, evaluate_loss)
 from .reduction import (Reduct, Substitution, VerifyResult, choose_substitution,
-                        incidence, reduce_graph, verify_reduct)
-from .refine import (INF, Partition, RefinementResult, naive_partition, refine,
-                     refine_step)
+                        reduce_graph, verify_reduct)
+from .refine import INF, Partition, RefinementResult, naive_partition, refine
 
 __version__ = "0.1.0"
 
@@ -50,13 +48,10 @@ __all__ = [
     "evaluate_loss",
     "forward",
     "graph_size",
-    "in_neighbors",
-    "incidence",
     "naive_partition",
     "one_hot_features",
     "reduce_graph",
     "refine",
-    "refine_step",
     "sample_gnn",
     "verify_reduct",
 ]

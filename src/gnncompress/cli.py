@@ -1,4 +1,4 @@
-"""Command-line surface: refine, compress, verify, stats, bench.
+"""Command-line surface: refine, compress, verify, stats.
 
 Exit codes: 0 success, 2 parse/format error, 3 invariant violation,
 4 verification failure. Every command is deterministic given its flags
@@ -9,20 +9,17 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
-import time
 
 from .errors import FormatError, ValidationError, VerificationError
 from .fileio import (LoadedGraph, _fmt_extent, _write_table, load_bundle,
                      load_graph, parse_extent, read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
 from .graph import graph_size
-from .problem import (LearningProblem, _weight_table, compress_problem,
+from .problem import (LOSS_KINDS, LearningProblem, _weight_table, compress_problem,
                       equivalence_report, push_forward)
-from .reduction import choose_substitution, reduce_graph, verify_reduct
+from .reduction import POLICIES, choose_substitution, reduce_graph, verify_reduct
 from .refine import refine
-from .synth import bench_graph
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -90,6 +87,12 @@ def cmd_compress(args) -> int:
 
 def cmd_verify(args) -> int:
     width = parse_extent(args.width, minimum=1) if args.width else None
+    if args.gnns < 1:
+        raise FormatError(f"--gnns must be at least 1, got {args.gnns}")
+    if args.seed < 0:
+        raise FormatError(f"--seed must be non-negative, got {args.seed}")
+    if not 0 <= args.tol < math.inf:
+        raise FormatError(f"--tol must be finite and non-negative, got {args.tol}")
     loaded = load_graph(args.original, args.colors, args.undirected)
     g = loaded.graph
     cp = load_bundle(args.bundle)
@@ -163,31 +166,11 @@ def cmd_stats(args) -> int:
     print("depth\tnodes\tnodes_pct\tedges\tedges_pct")
     for d in depths:
         partition = result.at(d) if not math.isinf(d) else result.final
-        sub = choose_substitution(g, partition, "min-incidence", depth=d, grade=grade)
+        sub = choose_substitution(g, partition, "min-incidence", grade=grade)
         red = reduce_graph(g, sub)
         n1, m1 = graph_size(red.graph)
         edge_pct = 100.0 * m1 / m0 if m0 else 100.0
         print(f"{_fmt_extent(d)}\t{n1}\t{100.0 * n1 / n0:.2f}\t{m1}\t{edge_pct:.2f}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(float(tok)) for tok in args.sizes.split(",")]
-    print("size\tn\tm\trounds\tmedian_s\tratio")
-    prev = None
-    for i, size in enumerate(sizes):
-        g = bench_graph(size, args.density, seed=args.seed + i)
-        times = []
-        rounds = 0
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            result = refine(g, depth=math.inf)
-            times.append(time.perf_counter() - t0)
-            rounds = len(result.partitions) - 1
-        med = statistics.median(times)
-        ratio = f"{med / prev:.2f}" if prev else "-"
-        print(f"{size}\t{g.node_count}\t{g.simple_edge_count}\t{rounds}\t{med:.4f}\t{ratio}")
-        prev = med
     return 0
 
 
@@ -209,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", required=True)
     p.add_argument("--grade", default="inf")
     p.add_argument("--train", default=None, help="training file (node<TAB>target)")
-    p.add_argument("--loss", choices=("xent", "sq"), default=None)
-    p.add_argument("--policy", choices=("min-incidence", "first-node"),
-                   default="min-incidence")
+    p.add_argument("--loss", choices=LOSS_KINDS, default=None)
+    p.add_argument("--policy", choices=POLICIES, default="min-incidence")
     p.add_argument("--out", required=True, help="bundle output directory")
     p.set_defaults(func=cmd_compress)
 
@@ -234,12 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grade", default="inf")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("bench", help="refinement scaling on random graphs")
-    p.add_argument("--sizes", required=True, help="comma-separated n+m targets")
-    p.add_argument("--density", type=float, default=2.0, help="edges per node")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

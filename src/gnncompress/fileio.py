@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .graph import ColorTable, ColoredMultigraph, graph_size
-from .problem import CompressedProblem
+from .problem import LOSS_KINDS, CompressedProblem
 from .refine import INF
 
 SCHEMA_VERSION = 1
@@ -82,7 +82,7 @@ _META_FIELDS = {
     "depth": (lambda x: x == "inf" or _is_int(x), "a non-negative integer or 'inf'"),
     "grade": (lambda x: x == "inf" or _is_int(x, 1), "a positive integer or 'inf'"),
     "policy": (lambda x: isinstance(x, str), "a string"),
-    "loss_kind": (lambda x: x in (None, "xent", "sq"), "null, 'xent' or 'sq'"),
+    "loss_kind": (lambda x: x in (None, *LOSS_KINDS), "null, 'xent' or 'sq'"),
     "rounds": (_is_int, "a non-negative integer"),
     "class_counts": (lambda x: x is None or _is_int_list(x),
                      "a list of non-negative integers"),

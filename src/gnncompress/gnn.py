@@ -147,31 +147,23 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndar
     return out
 
 
-def forward_layer(g: ColoredMultigraph, x: np.ndarray, layer: LayerConfig,
-                  w_self: np.ndarray, w_agg: np.ndarray, bias: np.ndarray,
-                  width=INF) -> np.ndarray:
-    """One layer: activation(W_self·x[v] + W_agg·agg(in-neighbors) + bias).
-
-    Empty in-neighborhoods aggregate to the zero vector for all three
-    aggregation kinds.
-    """
-    if x.shape != (g.node_count, layer.in_dim):
-        raise ValueError(f"feature shape {x.shape} != {(g.node_count, layer.in_dim)}")
-    agg = _aggregate(g, x, layer.agg, width)
-    z = x @ w_self.T + agg @ w_agg.T + bias
-    if layer.activation == "relu":
-        np.maximum(z, 0.0, out=z)
-    return z
-
-
 def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn) -> np.ndarray:
-    """Compose all layers over the graph; returns the final feature matrix."""
+    """Compose all layers over the graph; returns the final feature matrix.
+
+    Each layer computes activation(W_self·x[v] + W_agg·agg(in-neighbors)
+    + bias). Empty in-neighborhoods aggregate to the zero vector for all
+    three aggregation kinds.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
-    for i, layer in enumerate(gnn.config.layers):
-        x = forward_layer(g, x, layer, gnn.w_self[i], gnn.w_agg[i],
-                          gnn.bias[i], gnn.config.width)
+    if x.shape != (g.node_count, gnn.config.input_dim):
+        raise ValueError(f"feature shape {x.shape} != {(g.node_count, gnn.config.input_dim)}")
+    for layer, w_self, w_agg, bias in zip(gnn.config.layers, gnn.w_self, gnn.w_agg, gnn.bias):
+        agg = _aggregate(g, x, layer.agg, gnn.config.width)
+        x = x @ w_self.T + agg @ w_agg.T + bias
+        if layer.activation == "relu":
+            np.maximum(x, 0.0, out=x)
     return x
 
 

@@ -171,22 +171,6 @@ class ColoredMultigraph:
         payloads = self.color_table.payloads
         return [payloads[c] for c in self.colors.tolist()]
 
-    def transpose(self) -> "ColoredMultigraph":
-        """Graph with every edge reversed. transpose(transpose(G)) == G."""
-        n = self.node_count
-        return ColoredMultigraph.from_edge_arrays(
-            n, self.out_dst, self.out_src_flat, self.out_mult,
-            self.colors.copy(), self.color_table)
-
-    def validate(self) -> None:
-        """Check transposition consistency of the two adjacency directions."""
-        t = self.transpose()
-        same = (np.array_equal(t.out_dst, self.in_src)
-                and np.array_equal(t.out_mult, self.in_mult)
-                and np.array_equal(t.out_indptr, self.in_indptr))
-        if not same:
-            raise ValidationError("in/out adjacency encode different edge multisets")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColoredMultigraph):
             return NotImplemented
@@ -229,14 +213,6 @@ def build_graph(edges: Iterable[tuple], colors) -> ColoredMultigraph:
     else:
         src = dst = mult = np.empty(0, dtype=np.int64)
     return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, color_ids, table)
-
-
-def in_neighbors(g: ColoredMultigraph, v: int) -> list[tuple[int, int]]:
-    """In-neighbors of v as (node, multiplicity) pairs, ascending by node."""
-    if not 0 <= v < g.node_count:
-        raise IndexError(f"node {v} out of range [0, {g.node_count})")
-    lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
-    return [(int(u), int(m)) for u, m in zip(g.in_src[lo:hi], g.in_mult[lo:hi])]
 
 
 def graph_size(g: ColoredMultigraph) -> tuple[int, int]:

@@ -124,7 +124,6 @@ class CompressedProblem:
     rounds: int = 0
     class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)
-    hypothesis: GnnConfig | None = field(default=None, compare=False)
 
     @property
     def total_weight(self) -> int:
@@ -135,17 +134,6 @@ class CompressedProblem:
         if self.loss_kind != "xent":
             return []
         return sorted({t for pairs in self.train_weighted.values() for t, _ in pairs})
-
-    def equivalent_to(self, other: "CompressedProblem") -> bool:
-        """Structural equality of graph, map, and weighted training set."""
-        if self.graph != other.graph:
-            return False
-        if not (np.array_equal(self.node_ids, other.node_ids)
-                and np.array_equal(self.rep_of_node, other.rep_of_node)):
-            return False
-        if _weight_table(self.train_weighted) != _weight_table(other.train_weighted):
-            return False
-        return (self.depth, self.grade, self.policy) == (other.depth, other.grade, other.policy)
 
 
 def push_forward(train: dict, rep_of_node: np.ndarray) -> dict[int, list[tuple[object, int]]]:
@@ -203,7 +191,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     g = problem.graph
     result = refine(g, depth=depth, grade=grade)
     partition = result.final
-    sub = choose_substitution(g, partition, policy, depth=depth, grade=grade)
+    sub = choose_substitution(g, partition, policy, grade=grade)
     red = reduce_graph(g, sub)
 
     rounds = result.stable_round if result.stable_round is not None else int(depth)
@@ -217,7 +205,6 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         rounds=rounds,
         class_counts=list(result.class_counts),
         features=problem.features[red.node_ids],
-        hypothesis=problem.hypothesis,
     )
 
 
@@ -266,8 +253,8 @@ def _worse(worst: float, discrepancy: float) -> float:
 
 
 def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
-                       n_gnns: int = 5, seed: int = 0, tolerance: float = 1e-6,
-                       config: GnnConfig | None = None) -> EquivalenceReport:
+                       n_gnns: int = 5, seed: int = 0,
+                       tolerance: float = 1e-6) -> EquivalenceReport:
     """Sample GNNs from the hypothesis space and compare both problems.
 
     Reports the worst relative loss discrepancy and the worst relative
@@ -276,8 +263,7 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
     compression, equality is not guaranteed and the report is flagged
     approximate.
     """
-    if config is None:
-        config = problem.hypothesis
+    config = problem.hypothesis
     if config is None:
         raise ValueError("no hypothesis config available")
     approximate = config.depth > cp.depth or config.width > cp.grade

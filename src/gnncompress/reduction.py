@@ -30,21 +30,12 @@ class Substitution:
 
     rep_of_class: np.ndarray
     rep_of_node: np.ndarray
-    depth: float
     grade: float
-    policy: str
-
-
-def incidence(g: ColoredMultigraph, partition: Partition, w: int) -> int:
-    """Number of distinct partition classes containing an in-neighbor of w."""
-    if len(partition.class_of) != g.node_count:
-        raise ValueError("partition does not cover the graph")
-    lo, hi = g.in_indptr[w], g.in_indptr[w + 1]
-    return len(np.unique(partition.class_of[g.in_src[lo:hi]]))
 
 
 def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
-    """incidence() for every node at once."""
+    """Per node, the number of distinct partition classes containing one
+    of its in-neighbors."""
     n = g.node_count
     if not len(g.in_src):
         return np.zeros(n, dtype=np.int64)
@@ -55,8 +46,7 @@ def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
 
 
 def choose_substitution(g: ColoredMultigraph, partition: Partition,
-                        policy: str = "min-incidence",
-                        depth=None, grade=INF) -> Substitution:
+                        policy: str = "min-incidence", grade=INF) -> Substitution:
     """Pick one representative per class.
 
     min-incidence: member with the fewest distinct in-neighbor classes
@@ -80,11 +70,7 @@ def choose_substitution(g: ColoredMultigraph, partition: Partition,
             firsts[0] = True
             firsts[1:] = ordered_cls[1:] != ordered_cls[:-1]
             rep_of_class[ordered_cls[firsts]] = order[firsts]
-    rep_of_node = rep_of_class[partition.class_of]
-    if depth is None:
-        depth = partition.round
-    return Substitution(rep_of_class, rep_of_node,
-                        depth=depth, grade=grade, policy=policy)
+    return Substitution(rep_of_class, rep_of_class[partition.class_of], grade)
 
 
 @dataclass
@@ -93,15 +79,13 @@ class Reduct:
 
     The reduct graph uses dense ids 0..R-1; node_ids[i] is the original
     node id of reduct node i (representatives keep their identity through
-    this map). rep_of_node maps every original node to its representative's
-    original id, rep_index_of_node to the representative's dense id.
+    this map). rep_index_of_node maps every original node to its
+    representative's dense id.
     """
 
     graph: ColoredMultigraph
     node_ids: np.ndarray
-    rep_of_node: np.ndarray
     rep_index_of_node: np.ndarray
-    substitution: Substitution
 
 
 def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
@@ -130,7 +114,7 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
     h = ColoredMultigraph.from_edge_arrays(
         len(node_ids), new_src, new_dst, new_mult,
         g.colors[node_ids], g.color_table, cap=substitution.grade)
-    return Reduct(h, node_ids, rep_of_node.copy(), rep_index, substitution)
+    return Reduct(h, node_ids, rep_index)
 
 
 @dataclass
@@ -138,9 +122,6 @@ class VerifyResult:
     ok: bool
     witness_node: int | None = None
     witness_round: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,

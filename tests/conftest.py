@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gnncompress import build_graph
+from gnncompress.graph import ColorTable, ColoredMultigraph
 from gnncompress.refine import Partition, initial_partition, refine_step
-from gnncompress.synth import random_graph
 
 # Worked example: 6 nodes a1,a2,a3 (color a) and b1,b2,b3 (color b),
 # 11 unit edges. Node ids: a1=0, a2=1, a3=2, b1=3, b2=4, b3=5.
@@ -20,6 +20,34 @@ A1, A2, A3, B1, B2, B3 = range(6)
 @pytest.fixture
 def fig1():
     return build_graph(FIG1_EDGES, FIG1_COLORS)
+
+
+def random_graph(n: int, m: int, n_colors: int = 1, max_mult: int = 1,
+                 seed: int = 0) -> ColoredMultigraph:
+    """Random directed multigraph: m edge slots drawn uniformly over
+    ordered node pairs (duplicates merge), colors and multiplicities
+    uniform. Identical seeds give identical graphs."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    mult = rng.integers(1, max_mult + 1, m)
+    payloads = rng.integers(0, n_colors, n)
+    table = ColorTable()
+    colors = np.fromiter((table.intern(int(p)) for p in payloads), dtype=np.int64, count=n)
+    return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, table)
+
+
+def bench_graph(total_size: int, density: float, seed: int = 0) -> ColoredMultigraph:
+    """Single-color random graph with n + m ~= total_size at m/n = density."""
+    n = max(2, round(total_size / (1.0 + density)))
+    m = max(1, total_size - n)
+    return random_graph(n, m, n_colors=1, max_mult=1, seed=seed)
+
+
+def transpose(g):
+    """g with every edge reversed."""
+    return ColoredMultigraph.from_edge_arrays(g.node_count, g.out_dst, g.out_src_flat,
+                                              g.out_mult, g.colors, g.color_table)
 
 
 def star_of_stars(m: int, n: int):

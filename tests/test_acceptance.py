@@ -21,11 +21,10 @@ from gnncompress import (LearningProblem, build_graph, chain_config,
                          evaluate_compressed_loss, evaluate_loss)
 from gnncompress.fileio import load_graph
 from gnncompress.reduction import Substitution
-from gnncompress.synth import bench_graph, random_graph
 from conftest import (A1, A2, A3, B1, B2, B3, FIG1_COLORS, FIG1_EDGES,
-                      bisimulation_partition, make_corpus, partition_blocks,
-                      random_substitution, refines, same_partition,
-                      star_of_stars)
+                      bench_graph, bisimulation_partition, make_corpus,
+                      partition_blocks, random_graph, random_substitution,
+                      refines, same_partition, star_of_stars)
 
 DEPTHS = (1, 2, 3, math.inf)
 GRADES = (1, 2, 3, math.inf)
@@ -72,8 +71,8 @@ def test_criterion_1_worked_example_goldens():
         assert r.stable_round == 2
 
         p1 = r.at(1)
-        red_first = reduce_graph(g, choose_substitution(g, p1, "first-node", depth=1))
-        red_min = reduce_graph(g, choose_substitution(g, p1, "min-incidence", depth=1))
+        red_first = reduce_graph(g, choose_substitution(g, p1, "first-node"))
+        red_min = reduce_graph(g, choose_substitution(g, p1, "min-incidence"))
         assert set(red_first.node_ids) == {A1, A2, B1}
         assert set(red_min.node_ids) == {A1, A2, B3}
         # Exact multiplicities per the reduction edge rule. The drawn
@@ -93,7 +92,7 @@ def test_criterion_1_worked_example_goldens():
             sg = star_of_stars(m, n)
             for d in (2, 3):
                 part = refine(sg, depth=d).at(d)
-                red = reduce_graph(sg, choose_substitution(sg, part, "min-incidence", depth=d))
+                red = reduce_graph(sg, choose_substitution(sg, part, "min-incidence"))
                 assert graph_size(red.graph) == (3, 2), (m, n, d)
                 assert sorted(int(x) for x in red.graph.out_mult) == sorted([m, n])
 
@@ -115,7 +114,7 @@ def test_criterion_3_reduct_color_invariance(corpus):
                 for c in GRADES:
                     part = partition_at(refine(g, depth=d, grade=c), d)
                     for policy in ("min-incidence", "first-node"):
-                        sub = choose_substitution(g, part, policy, depth=d, grade=c)
+                        sub = choose_substitution(g, part, policy, grade=c)
                         red = reduce_graph(g, sub)
                         res = verify_reduct(g, red.graph, red.rep_index_of_node, d, c)
                         assert res.ok, (d, c, policy, res)
@@ -183,16 +182,14 @@ def test_criterion_5_min_incidence_minimality():
             d = DEPTHS[int(rng.integers(0, 4))]
             c = GRADES[int(rng.integers(0, 4))]
             part = partition_at(refine(g, depth=d, grade=c), d)
-            best = reduce_graph(g, choose_substitution(g, part, "min-incidence",
-                                                       depth=d, grade=c))
+            best = reduce_graph(g, choose_substitution(g, part, "min-incidence", grade=c))
             best_edges = graph_size(best.graph)[1]
-            other = reduce_graph(g, choose_substitution(g, part, "first-node",
-                                                        depth=d, grade=c))
+            other = reduce_graph(g, choose_substitution(g, part, "first-node", grade=c))
             assert graph_size(other.graph)[0] == graph_size(best.graph)[0]
             assert best_edges <= graph_size(other.graph)[1]
             for _ in range(20):
                 reps = random_substitution(part, rng)
-                sub = Substitution(reps, reps[part.class_of], d, c, "random")
+                sub = Substitution(reps, reps[part.class_of], c)
                 red = reduce_graph(g, sub)
                 assert graph_size(red.graph)[0] == graph_size(best.graph)[0]
                 assert best_edges <= graph_size(red.graph)[1], (i, d, c)
@@ -254,7 +251,7 @@ def test_criterion_8_extended_datasets():
             g = load_graph(road, undirected=True).graph
             n0, m0 = graph_size(g)
             part = refine(g, depth=3).at(3)
-            red = reduce_graph(g, choose_substitution(g, part, "min-incidence", depth=3))
+            red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
             n1, m1 = graph_size(red.graph)
             assert abs(100 * n1 / n0 - 4) <= 2, f"nodes {100 * n1 / n0:.2f}%"
             assert abs(100 * m1 / m0 - 5) <= 2, f"edges {100 * m1 / m0:.2f}%"
@@ -264,7 +261,7 @@ def test_criterion_8_extended_datasets():
             n0, m0 = graph_size(g)
             r3 = refine(g, depth=4)
             part3 = r3.at(3)
-            red3 = reduce_graph(g, choose_substitution(g, part3, "min-incidence", depth=3))
+            red3 = reduce_graph(g, choose_substitution(g, part3, "min-incidence"))
             m_pct = 100 * graph_size(red3.graph)[1] / m0
             assert abs(m_pct - 56) <= 2, f"edges {m_pct:.2f}%"
             stable = refine(g).stable_round

@@ -7,7 +7,7 @@ from gnncompress import (Gnn, GnnConfig, LayerConfig, build_graph, chain_config,
                          choose_substitution, forward, naive_partition,
                          one_hot_features, reduce_graph, refine, sample_gnn)
 from gnncompress.graph import ColoredMultigraph, ColorTable
-from gnncompress.synth import random_graph
+from conftest import random_graph
 
 
 def identity_gnn(p):
@@ -159,7 +159,7 @@ def test_reduct_outputs_match_per_node():
         g = random_graph(24, 80, n_colors=2, max_mult=2, seed=500 + trial)
         d = 1 + trial % 3
         part = refine(g, depth=d).at(d)
-        red = reduce_graph(g, choose_substitution(g, part, "min-incidence", depth=d))
+        red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
         x, vocab = one_hot_features(g)
         xr, _ = one_hot_features(red.graph, vocab)
         gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1)), seed=trial)

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnncompress import (FormatError, ValidationError, build_graph, graph_size,
-                         in_neighbors)
-from conftest import A1, A2, A3, B2, star_of_stars
+from gnncompress import FormatError, ValidationError, build_graph, graph_size
+from conftest import A1, A2, A3, B2, random_graph, star_of_stars, transpose
+
+
+def in_neighbors(g, v):
+    lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
+    return list(zip(g.in_src[lo:hi].tolist(), g.in_mult[lo:hi].tolist()))
 
 
 def test_duplicate_edges_merge():
@@ -44,8 +48,6 @@ def test_multiplicity_zero_rejected():
 def test_node_out_of_range_rejected():
     with pytest.raises(ValidationError):
         build_graph([(0, 5, 1)], ["a", "b"])
-    with pytest.raises(IndexError):
-        in_neighbors(build_graph([(0, 1, 1)], ["a", "b"]), 7)
 
 
 def test_color_mapping_must_be_dense():
@@ -64,13 +66,15 @@ def test_fig3_multigraph_neighbors():
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_transpose_round_trip(seed):
-    from gnncompress.synth import random_graph
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     m = int(rng.integers(1, 3 * n + 1))
     g = random_graph(n, m, n_colors=3, max_mult=4, seed=seed)
-    assert g.transpose().transpose() == g
-    g.validate()
+    t = transpose(g)
+    assert transpose(t) == g
+    # the in-CSR of g is the out-CSR of its transpose
+    for a, b in ((t.out_indptr, g.in_indptr), (t.out_dst, g.in_src), (t.out_mult, g.in_mult)):
+        assert np.array_equal(a, b)
 
 
 def test_multiplicity_overflow_is_hard_error():

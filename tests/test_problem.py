@@ -143,10 +143,9 @@ def test_equivalence_report_fails_on_nan_discrepancy():
 
 
 def test_equivalence_report_flags_wider_hypothesis():
-    p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 3, 2), width=1)
+    p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 3, 2), width=math.inf)
     cp = compress_problem(p, grade=1)
-    wide = chain_config([2, 3, 2], width=math.inf)
-    report = equivalence_report(p, cp, n_gnns=5, seed=0, config=wide)
+    report = equivalence_report(p, cp, n_gnns=5, seed=0)
     assert report.approximate
     assert "width exceeds" in report.note
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gnncompress import (build_graph, choose_substitution, graph_size,
-                         incidence, reduce_graph, refine, verify_reduct)
+                         reduce_graph, refine, verify_reduct)
 from gnncompress.graph import ColoredMultigraph
-from gnncompress.reduction import Substitution
-from gnncompress.synth import random_graph
-from conftest import (A1, A2, B1, B3, iterated_partitions, random_substitution,
-                      star_of_stars)
+from gnncompress.reduction import Substitution, incidence_all
+from conftest import (A1, A2, B1, B3, iterated_partitions, random_graph,
+                      random_substitution, star_of_stars)
 
 
 def edge_multiset(red):
@@ -24,14 +23,15 @@ def fig1_p1(fig1):
 
 
 def test_incidence_fig1(fig1, fig1_p1):
-    assert incidence(fig1, fig1_p1, B1) == 2
-    assert incidence(fig1, fig1_p1, B3) == 1
+    inc = incidence_all(fig1, fig1_p1)
+    assert (inc[B1], inc[B3]) == (2, 1)
 
 
 def test_incidence_no_in_edges():
     g = build_graph([(0, 1, 1)], ["a", "a", "a"])
-    p = refine(g, depth=1).at(1)
-    assert incidence(g, p, 2) == 0
+    assert incidence_all(g, refine(g, depth=1).at(1)).tolist() == [0, 1, 0]
+    g = build_graph([], ["a"])
+    assert incidence_all(g, refine(g).final).tolist() == [0]
 
 
 def test_min_incidence_picks_b3(fig1, fig1_p1):
@@ -59,7 +59,7 @@ def test_substitution_fixes_representatives(fig1, fig1_p1):
 
 
 def test_reduce_rho1(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "first-node", depth=1)
+    sub = choose_substitution(fig1, fig1_p1, "first-node")
     red = reduce_graph(fig1, sub)
     assert set(red.node_ids) == {A1, A2, B1}
     # Figure-consistent reduct per the formal edge rule: inc(a1) = {a2}
@@ -70,7 +70,7 @@ def test_reduce_rho1(fig1, fig1_p1):
 
 
 def test_reduce_rho2(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "min-incidence", depth=1)
+    sub = choose_substitution(fig1, fig1_p1, "min-incidence")
     red = reduce_graph(fig1, sub)
     assert set(red.node_ids) == {A1, A2, B3}
     assert edge_multiset(red) == {
@@ -94,7 +94,7 @@ def test_colors_preserved(fig1, fig1_p1):
 def test_star_of_stars_reduct(m, n):
     g = star_of_stars(m, n)
     part = refine(g, depth=2).at(2)
-    sub = choose_substitution(g, part, "min-incidence", depth=2)
+    sub = choose_substitution(g, part, "min-incidence")
     red = reduce_graph(g, sub)
     assert graph_size(red.graph) == (3, 2)
     mults = sorted(int(x) for x in red.graph.out_mult)
@@ -103,13 +103,13 @@ def test_star_of_stars_reduct(m, n):
 
 def test_verify_reduct_fig1(fig1, fig1_p1):
     for policy in ("min-incidence", "first-node"):
-        sub = choose_substitution(fig1, fig1_p1, policy, depth=1)
+        sub = choose_substitution(fig1, fig1_p1, policy)
         red = reduce_graph(fig1, sub)
         assert verify_reduct(fig1, red.graph, red.rep_index_of_node, depth=1).ok
 
 
 def test_verify_reduct_detects_corruption(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "min-incidence", depth=1)
+    sub = choose_substitution(fig1, fig1_p1, "min-incidence")
     red = reduce_graph(fig1, sub)
     h = red.graph
     h.out_mult = h.out_mult.copy()
@@ -123,13 +123,12 @@ def test_verify_reduct_detects_corruption(fig1, fig1_p1):
 
 def test_stable_reduct_verifies_at_inf(fig1):
     part = refine(fig1).final
-    sub = choose_substitution(fig1, part, "min-incidence", depth=math.inf)
+    sub = choose_substitution(fig1, part, "min-incidence")
     red = reduce_graph(fig1, sub)
     assert verify_reduct(fig1, red.graph, red.rep_index_of_node).ok
 
 
 def test_policies_agree_in_size_at_stability(fig1):
-    from gnncompress.synth import random_graph
     graphs = [fig1] + [random_graph(20, 55, n_colors=2, max_mult=2, seed=s)
                        for s in range(5)]
     for g in graphs:
@@ -162,7 +161,7 @@ def test_graded_reduct_caps_multiplicity():
     g = build_graph([(0, 2, 1), (1, 2, 1)], ["a", "a", "b"])
     part = refine(g, depth=1, grade=1).at(1)
     assert part.num_classes == 2  # {0,1}, {2}
-    sub = choose_substitution(g, part, "min-incidence", depth=1, grade=1)
+    sub = choose_substitution(g, part, "min-incidence", grade=1)
     red = reduce_graph(g, sub)
     assert list(red.graph.out_mult) == [1]  # 1+1 capped at grade 1
     assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=1).ok
@@ -175,7 +174,7 @@ def test_graded_reduct_caps_before_overflow():
         k = len(mults)
         g = build_graph([(i, k, m) for i, m in enumerate(mults)], ["a"] * k + ["b"])
         part = refine(g, depth=1, grade=2).at(1)
-        sub = choose_substitution(g, part, "min-incidence", depth=1, grade=2)
+        sub = choose_substitution(g, part, "min-incidence", grade=2)
         red = reduce_graph(g, sub)
         assert edge_multiset(red) == {(0, k): 2}
         assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=2).ok
@@ -184,8 +183,7 @@ def test_graded_reduct_caps_before_overflow():
 def test_random_substitution_construction(fig1, fig1_p1):
     rng = np.random.default_rng(3)
     reps = random_substitution(fig1_p1, rng)
-    sub = Substitution(reps, reps[fig1_p1.class_of], depth=1, grade=math.inf,
-                       policy="random")
+    sub = Substitution(reps, reps[fig1_p1.class_of], grade=math.inf)
     red = reduce_graph(fig1, sub)
     assert verify_reduct(fig1, red.graph, red.rep_index_of_node, depth=1).ok
 
@@ -228,7 +226,7 @@ def test_verify_reduct_witness_matches_reference_scan():
         depth = (1, 2, 3, math.inf)[i % 4]
         grade = (math.inf, 1, 2)[i % 3]
         red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
-                                                  depth=depth, grade=grade))
+                                                  grade=grade))
         h, rep_index = red.graph, red.rep_index_of_node
         cases = [("drop", tampered(h, rng, "drop"), rep_index),
                  ("bump", tampered(h, rng, "bump"), rep_index)]
@@ -247,7 +245,7 @@ def test_verify_reduct_witness_matches_reference_scan():
     # a wrong representative is caught only that many rounds in
     n = 40
     g = build_graph([(v, v + 1, 1) for v in range(n - 1)], ["x"] * n)
-    red = reduce_graph(g, choose_substitution(g, refine(g).final, depth=math.inf))
+    red = reduce_graph(g, choose_substitution(g, refine(g).final))
     rounds = set()
     for v, w in ((3, 30), (25, 17), (38, 39), (0, 12)):
         wrong = red.rep_index_of_node.copy()

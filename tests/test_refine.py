@@ -6,10 +6,9 @@ import pytest
 from gnncompress import ValidationError, build_graph, naive_partition, refine
 from gnncompress.graph import ColorTable, ColoredMultigraph
 from gnncompress.refine import _INTERN_LOOP_CUTOFF, refine_step
-from gnncompress.synth import random_graph
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
-                      iterated_partitions, partition_blocks, refines,
-                      same_partition)
+                      iterated_partitions, partition_blocks, random_graph,
+                      refines, same_partition)
 
 
 def test_fig1_round1(fig1):

@@ -7,7 +7,7 @@ and verify with a reference GNN evaluator that the compressed problem is
 loss-equivalent to the original.
 """
 
-from .errors import FormatError, GnnCompressError, ValidationError, VerificationError
+from .errors import FormatError, GnnCompressError, ValidationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
                   one_hot_features, sample_gnn)
 from .graph import ColoredMultigraph, ColorTable, build_graph, graph_size
@@ -37,7 +37,6 @@ __all__ = [
     "RefinementResult",
     "Substitution",
     "ValidationError",
-    "VerificationError",
     "VerifyResult",
     "build_graph",
     "chain_config",

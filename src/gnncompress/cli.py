@@ -1,8 +1,8 @@
 """Command-line surface: refine, compress, verify, stats.
 
 Exit codes: 0 success, 2 parse/format error, 3 invariant violation,
-4 verification failure. Every command is deterministic given its flags
-and seed.
+4 a failed check, which `cmd_verify` returns. Every command is
+deterministic given its flags and seed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .errors import FormatError, ValidationError, VerificationError
+from .errors import FormatError, ValidationError
 from .fileio import (LoadedGraph, _fmt_extent, _write_table, load_bundle,
                      load_graph, parse_extent, read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
@@ -230,9 +230,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: FormatError -> 2,
-ValidationError -> 3, VerificationError -> 4.
+ValidationError -> 3. Exit code 4 is a failed check, which
+`cli.cmd_verify` returns itself; no exception carries it.
 """
 
 
@@ -16,7 +17,3 @@ class FormatError(GnnCompressError):
 class ValidationError(GnnCompressError):
     """Structurally parseable input that violates an invariant
     (out-of-range node ids, duplicate entries, non-positive weights, ...)."""
-
-
-class VerificationError(GnnCompressError):
-    """A compressed problem failed verification against its original."""

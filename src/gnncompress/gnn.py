@@ -112,38 +112,35 @@ class Gnn:
 
 def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndarray:
     n, p = x.shape
-    out = np.zeros((n, p), dtype=np.float64)
     if not len(g.in_src):
-        return out
+        return np.zeros((n, p), dtype=np.float64)
     if kind == "max":
         # max ranges over the support set, so the width cap never matters
         acc = np.full((n, p), -np.inf)
         np.maximum.at(acc, g.in_dst_flat, x[g.in_src])
         has_in = np.diff(g.in_indptr) > 0
+        out = np.zeros((n, p), dtype=np.float64)
         out[has_in] = acc[has_in]
         return out
-    if math.isinf(width):
-        weighted = x[g.in_src] * g.in_mult[:, None].astype(np.float64)
-        np.add.at(out, g.in_dst_flat, weighted)
-        if kind == "mean":
-            totals = np.zeros(n, dtype=np.float64)
-            np.add.at(totals, g.in_dst_flat, g.in_mult.astype(np.float64))
-            nz = totals > 0
-            out[nz] /= totals[nz, None]
-        return out
-    # Finite width: count each distinct neighbor row (by its bytes), capped
-    # at c, then add the capped rows in order of first occurrence.
-    rows = np.ascontiguousarray(x).view(np.dtype((np.void, p * x.itemsize))).ravel()
-    uniq, row_id = np.unique(rows, return_inverse=True)
-    r = len(uniq)
-    pairs, counts, first = _count_runs(g.in_dst_flat * r + row_id[g.in_src],
-                                       g.in_mult, width)
-    order = np.argsort(first)
-    dst, counts = pairs[order] // r, counts[order]
-    np.add.at(out, dst, counts[:, None] * x[g.in_src[first[order]]])
+    dst, src, counts = g.in_dst_flat, g.in_src, g.in_mult
+    if not math.isinf(width):
+        # Finite width: count each distinct neighbor row (by its bytes), capped
+        # at c, and keep the first in-edge of each row as the one that adds it.
+        rows = np.ascontiguousarray(x).view(np.dtype((np.void, p * x.itemsize))).ravel()
+        uniq, row_id = np.unique(rows, return_inverse=True)
+        r = len(uniq)
+        pairs, counts, first = _count_runs(dst * r + row_id[src], counts, width)
+        order = np.argsort(first)
+        dst, src, counts = pairs[order] // r, src[first[order]], counts[order]
+    # bincount adds out[i] += w[i] in input order, from 0.0, so each node sums
+    # its in-edges in ascending order; a column at a time keeps temporaries
+    # at one float per edge
+    out = np.empty((n, p), dtype=np.float64)
+    for j, column in enumerate(x.T):
+        out[:, j] = np.bincount(dst, column[src] * counts, minlength=n)
     if kind == "mean":
-        has_in, totals, _ = _count_runs(dst, counts)
-        out[has_in] /= totals[:, None]
+        # a node without in-edges holds 0.0, which a total of 1 leaves as it is
+        out /= np.maximum(np.bincount(dst, counts, minlength=n), 1.0)[:, None]
     return out
 
 

@@ -31,21 +31,6 @@ def _target_key(target):
     return str(target)
 
 
-def pointwise_loss(loss_kind: str, target, prediction: np.ndarray, vocab: list[str]) -> float:
-    """Loss of one prediction against one stored target.
-
-    xent: softmax cross-entropy of the logits against the target label's
-    index in the (sorted) label vocabulary. sq: squared euclidean error.
-    """
-    if loss_kind == "xent":
-        z = prediction
-        m = z.max()
-        logsumexp = m + math.log(np.exp(z - m).sum())
-        return float(logsumexp - z[vocab.index(target)])
-    diff = prediction - target
-    return float(diff @ diff)
-
-
 @dataclass
 class LearningProblem:
     """Original (uncompressed) node-labelling problem."""
@@ -208,18 +193,42 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     )
 
 
+def _weighted_loss(loss_kind: str, out: np.ndarray, entries: list, vocab: list[str]) -> float:
+    """Sum of weight * loss over (row, target, weight) entries, added left
+    to right from 0.0 in entry order.
+
+    xent: softmax cross-entropy of the logits against the target label's
+    index in the (sorted) label vocabulary. sq: squared euclidean error.
+    Each term equals the loss of its row computed on its own, bit for bit.
+    """
+    if not entries:
+        return 0.0
+    rows, targets, weights = zip(*entries)
+    z = out[list(rows)]
+    if loss_kind == "xent":
+        index = {label: i for i, label in enumerate(vocab)}
+        m = z.max(axis=1)
+        sums = np.exp(z - m[:, None]).sum(axis=1)
+        logs = np.array([math.log(s) for s in sums.tolist()])
+        terms = m + logs - z[np.arange(len(z)), [index[t] for t in targets]]
+    else:
+        d = z - np.array(targets)
+        # a stacked matmul is the row dot product d @ d; (d * d).sum(axis=1)
+        # and einsum add in other orders
+        terms = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    # cumsum adds one term at a time, left to right; np.sum adds pairwise
+    return float(np.cumsum(np.array(weights, dtype=np.float64) * terms)[-1])
+
+
 def _original_loss(problem: LearningProblem, out: np.ndarray) -> float:
-    vocab = problem.label_vocab
-    return sum(pointwise_loss(problem.loss_kind, problem.train[v], out[v], vocab)
-               for v in sorted(problem.train))
+    entries = [(v, problem.train[v], 1) for v in sorted(problem.train)]
+    return _weighted_loss(problem.loss_kind, out, entries, problem.label_vocab)
 
 
 def _compressed_loss(cp: CompressedProblem, out: np.ndarray, vocab: list[str]) -> float:
-    total = 0.0
-    for rep in sorted(cp.train_weighted):
-        for target, weight in cp.train_weighted[rep]:
-            total += weight * pointwise_loss(cp.loss_kind, target, out[rep], vocab)
-    return total
+    entries = [(rep, target, weight) for rep in sorted(cp.train_weighted)
+               for target, weight in cp.train_weighted[rep]]
+    return _weighted_loss(cp.loss_kind, out, entries, vocab)
 
 
 def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:

@@ -150,3 +150,19 @@ def iterated_partitions(g, depth=math.inf, grade=math.inf):
         if np.array_equal(parts[-1].class_of, parts[-2].class_of):
             return parts, len(parts) - 2
     return parts, None
+
+
+def pointwise_loss(loss_kind: str, target, prediction: np.ndarray, vocab: list[str]) -> float:
+    """Loss of one prediction against one stored target, the per-term
+    reference for the package's row-wise losses.
+
+    xent: softmax cross-entropy of the logits against the target label's
+    index in the (sorted) label vocabulary. sq: squared euclidean error.
+    """
+    if loss_kind == "xent":
+        z = prediction
+        m = z.max()
+        logsumexp = m + math.log(np.exp(z - m).sum())
+        return float(logsumexp - z[vocab.index(target)])
+    diff = prediction - target
+    return float(diff @ diff)

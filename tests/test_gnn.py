@@ -208,9 +208,36 @@ def reference_aggregate(g, x, kind, width):
     return out
 
 
+def per_edge_aggregate(g, x, kind):
+    """Width-inf aggregation straight from the definition: each node adds
+    mult * x[w] over its in-edges in ascending order, from 0.0, one edge
+    at a time; mean divides by the total multiplicity."""
+    if kind == "max":
+        return reference_aggregate(g, x, "max", math.inf)
+    n, p = x.shape
+    out = np.zeros((n, p), dtype=np.float64)
+    for v in range(n):
+        lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
+        if lo == hi:
+            continue
+        acc = np.zeros(p, dtype=np.float64)
+        total = 0
+        for w, m in zip(g.in_src[lo:hi], g.in_mult[lo:hi]):
+            acc += m * x[w]
+            total += int(m)
+        if kind == "mean":
+            acc /= total
+        out[v] = acc
+    return out
+
+
 def reference_forward(g, x, gnn):
+    width = gnn.config.width
     for i, layer in enumerate(gnn.config.layers):
-        agg = reference_aggregate(g, x, layer.agg, gnn.config.width)
+        if math.isinf(width):
+            agg = per_edge_aggregate(g, x, layer.agg)
+        else:
+            agg = reference_aggregate(g, x, layer.agg, width)
         x = x @ gnn.w_self[i].T + agg @ gnn.w_agg[i].T + gnn.bias[i]
         if layer.activation == "relu":
             x = np.maximum(x, 0.0)
@@ -232,6 +259,21 @@ def test_finite_width_forward_matches_reference_bitwise(agg, width):
         gnn = sample_gnn(chain_config([4, 5, 3], width=width, agg=agg), seed=trial)
         assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
     assert sources_seen > 0  # the corpus has nodes with no in-edges
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+def test_forward_width_inf_matches_per_edge_reference_bitwise(agg):
+    multi = 0
+    for trial in range(12):
+        rng = np.random.default_rng(900 + trial)
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(1, 4 * n))
+        g = random_graph(n, m, n_colors=3, max_mult=5, seed=900 + trial)
+        multi += int((g.in_mult > 1).sum())
+        x = rng.normal(size=(n, 4))
+        gnn = sample_gnn(chain_config([4, 5, 3], agg=agg), seed=trial)
+        assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
+    assert multi > 0  # the corpus has edges of multiplicity above 1
 
 
 def test_feature_shape_mismatch_rejected():

@@ -5,9 +5,10 @@ import pytest
 
 from gnncompress import (LearningProblem, ValidationError, build_graph,
                          chain_config, compress_problem, equivalence_report,
-                         evaluate_compressed_loss, evaluate_loss, graph_size,
-                         sample_gnn)
-from conftest import A1, B1, B2, B3, FIG1_COLORS, FIG1_EDGES
+                         evaluate_compressed_loss, evaluate_loss, forward,
+                         graph_size, one_hot_features, sample_gnn)
+from conftest import (A1, B1, B2, B3, FIG1_COLORS, FIG1_EDGES, pointwise_loss,
+                      random_graph)
 
 
 def fig1_problem(train, loss_kind="xent", dims=(2, 2), width=math.inf, agg="sum"):
@@ -63,7 +64,8 @@ def test_train_node_out_of_range_rejected():
 
 def test_evaluate_loss_empty_train_zero():
     p = fig1_problem({})
-    assert evaluate_loss(p, sample_gnn(p.hypothesis, 0)) == 0.0
+    loss = evaluate_loss(p, sample_gnn(p.hypothesis, 0))
+    assert type(loss) is float and loss == 0.0
 
 
 def test_squared_loss_zero_on_exact_prediction():
@@ -140,6 +142,8 @@ def test_equivalence_report_fails_on_nan_discrepancy():
     report = equivalence_report(p, cp, n_gnns=2, seed=0)
     assert not report.passed
     assert math.isinf(report.max_loss_discrepancy)
+    assert math.isnan(evaluate_compressed_loss(cp, sample_gnn(p.hypothesis, 0)))
+    assert_losses_match_per_term_fold(p, cp, seed=0)
 
 
 def test_equivalence_report_flags_wider_hypothesis():
@@ -179,3 +183,69 @@ def test_depth_inf_compression():
     cp = compress_problem(p, depth=math.inf)
     assert cp.rounds == 2  # stable coloring number of the worked example
     assert graph_size(cp.graph) == (4, 6)
+
+
+def reference_losses(problem, cp, gnn):
+    """Both training losses as per-term folds from 0.0: training nodes
+    ascending, then representatives ascending with their pairs in order."""
+    vocab = problem.label_vocab
+    out_g = forward(problem.graph, problem.features, gnn)
+    out_h = forward(cp.graph, cp.features, gnn)
+    loss_g = 0.0
+    for v in sorted(problem.train):
+        loss_g += pointwise_loss(problem.loss_kind, problem.train[v], out_g[v], vocab)
+    loss_h = 0.0
+    for rep in sorted(cp.train_weighted):
+        for target, weight in cp.train_weighted[rep]:
+            loss_h += weight * pointwise_loss(cp.loss_kind, target, out_h[rep], vocab)
+    return loss_g, loss_h, out_g, out_h
+
+
+def assert_losses_match_per_term_fold(problem, cp, seed):
+    gnns = [sample_gnn(problem.hypothesis, seed + i) for i in range(2)]
+    max_loss = max_out = 0.0
+    for gnn in gnns:
+        loss_g, loss_h, out_g, out_h = reference_losses(problem, cp, gnn)
+        a, b = evaluate_loss(problem, gnn), evaluate_compressed_loss(cp, gnn)
+        assert type(a) is float and type(b) is float
+        assert (a.hex(), b.hex()) == (loss_g.hex(), loss_h.hex())
+        d = abs(loss_g - loss_h) / (1.0 + abs(loss_g))
+        max_loss = max(max_loss, d) if math.isfinite(d) else math.inf
+        for v, rep in enumerate(cp.rep_of_node):
+            row = np.abs(out_g[v] - out_h[rep]).max() / (1.0 + np.abs(out_g[v]).max())
+            max_out = max(max_out, float(row))
+    report = equivalence_report(problem, cp, n_gnns=len(gnns), seed=seed)
+    assert report.max_loss_discrepancy.hex() == max_loss.hex()
+    assert report.max_output_discrepancy.hex() == max_out.hex()
+
+
+def random_problem(seed, loss_kind, dim=3, train_share=0.5):
+    """One- or two-colored random multigraph whose training targets come
+    from a pool of three, so equivalent training nodes often share one
+    and carry weights above 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    g = random_graph(n, int(rng.integers(n, 3 * n)), n_colors=int(rng.integers(1, 3)),
+                     max_mult=2, seed=seed)
+    x, _ = one_hot_features(g)
+    pool = (["a", "b", "c"] if loss_kind == "xent"
+            else [rng.normal(size=dim) for _ in range(3)])
+    q = 3 if loss_kind == "xent" else dim
+    train = {int(v): pool[int(rng.integers(0, 3))]
+             for v in np.flatnonzero(rng.random(n) < train_share)}
+    return LearningProblem(g, x, train, loss_kind, chain_config([x.shape[1], 4, q]))
+
+
+def test_losses_equal_per_term_fold_bitwise():
+    heavy = 0
+    cases = [random_problem(40 + i, "xent") for i in range(10)]
+    cases += [random_problem(60 + dim, "sq", dim=dim) for dim in range(1, 21)]
+    for i, problem in enumerate(cases):
+        cp = compress_problem(problem)
+        heavy += sum(w > 1 for pairs in cp.train_weighted.values() for _, w in pairs)
+        assert_losses_match_per_term_fold(problem, cp, seed=i)
+    assert heavy > 0  # the corpus has weights above 1
+    for kind in ("xent", "sq"):
+        problem = random_problem(90, kind, train_share=0.0)
+        assert problem.train == {}
+        assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=0)

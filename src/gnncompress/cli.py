@@ -33,7 +33,7 @@ def _refinement_summary(result) -> str:
     counts = "→".join(str(c) for c in result.class_counts)
     if result.stable_round is not None:
         return f"stable at round {result.stable_round}; classes: {counts}"
-    return f"reached round {len(result.partitions) - 1}; classes: {counts}"
+    return f"reached round {len(result.class_counts) - 1}; classes: {counts}"
 
 
 def cmd_refine(args) -> int:

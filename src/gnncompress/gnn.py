@@ -116,11 +116,20 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndar
         return np.zeros((n, p), dtype=np.float64)
     if kind == "max":
         # max ranges over the support set, so the width cap never matters
-        acc = np.full((n, p), -np.inf)
-        np.maximum.at(acc, g.in_dst_flat, x[g.in_src])
         has_in = np.diff(g.in_indptr) > 0
+        starts = g.in_indptr[:-1][has_in]
+        rows = x[g.in_src]
+        top = np.maximum.reduceat(rows, starts, axis=0)
+        if np.signbit(x[x == 0]).any():
+            # Of equal values a scan over the in-edges keeps the later one,
+            # and reduceat's vector loops may not. Only the sign of a zero
+            # maximum shows it, so such a maximum is the segment's last zero.
+            position = np.where(rows == 0, np.arange(len(rows))[:, None], -1)
+            last = np.maximum.reduceat(position, starts, axis=0)
+            segment, column = np.nonzero(top == 0)
+            top[segment, column] = rows[last[segment, column], column]
         out = np.zeros((n, p), dtype=np.float64)
-        out[has_in] = acc[has_in]
+        out[has_in] = top
         return out
     dst, src, counts = g.in_dst_flat, g.in_src, g.in_mult
     if not math.isinf(width):

@@ -19,9 +19,10 @@ from .errors import FormatError, ValidationError
 
 # Largest multiplicity we accept; sums beyond this raise instead of wrapping.
 _MULT_LIMIT = 2**62
+_OVERFLOW_MESSAGE = "multiplicity overflow: a summed count reaches 2**62"
 
 
-def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf):
+def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=None):
     """Sum the positive int64 weights of equal int64 keys, capped at ``cap``.
 
     Returns the distinct keys ascending, the sum of each key's weights,
@@ -31,13 +32,22 @@ def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf):
     one "sort by key, sum each run, cap at the grade" of the package:
     edge merging, refinement signatures, reduct multiplicities and
     finite-width aggregation all count through it.
+
+    ``scratch``, an int64 array of shape (2, >= len(keys)), receives the
+    sorted keys and weights, so that a caller counting round after round
+    reuses them instead of having the allocator map them afresh each
+    time. The returned arrays never share its memory.
     """
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    if scratch is None:
+        sorted_keys, w = keys[order], weights[order]
+    else:
+        # mode="clip" writes straight into out; order is always in range
+        sorted_keys = np.take(keys, order, out=scratch[0, :len(keys)], mode="clip")
+        w = np.take(weights, order, out=scratch[1, :len(keys)], mode="clip")
     new_run = np.ones(len(keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
-    w = weights[order]
     sums = np.add.reduceat(w, starts)
     if len(w) and int(w.max()) * len(w) >= _MULT_LIMIT:
         # int64 sums may have wrapped. A float64 sum is off by far less
@@ -48,7 +58,7 @@ def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf):
     if not math.isinf(cap):
         np.minimum(sums, min(int(cap), _MULT_LIMIT), out=sums)
     if len(sums) and sums.max() >= _MULT_LIMIT:
-        raise ValidationError("multiplicity overflow: a summed count reaches 2**62")
+        raise ValidationError(_OVERFLOW_MESSAGE)
     return sorted_keys[starts], sums, order[starts]
 
 

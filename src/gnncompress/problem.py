@@ -111,10 +111,6 @@ class CompressedProblem:
     features: np.ndarray | None = field(default=None, compare=False)
 
     @property
-    def total_weight(self) -> int:
-        return sum(w for pairs in self.train_weighted.values() for _, w in pairs)
-
-    @property
     def label_vocab(self) -> list[str]:
         if self.loss_kind != "xent":
             return []

@@ -8,10 +8,14 @@ bisimulation).
 `refine` works from a dirty frontier: after round 1, a round re-signs
 only the out-neighbors of the nodes that changed class in the round
 before, so its cost follows the in-edges of that frontier rather than
-the whole graph. It keeps no per-round partitions, only a split history
-of at most 2n entries. Canonical class ids (first occurrence by
-ascending node id) are derived for a round when its partition is asked
-for, so partitions, bundles and CLI outputs stay byte-reproducible.
+the whole graph. A frontier of at most _SMALL_ROUND nodes is signed in
+plain Python, since a vectorized round costs a fixed sum of numpy calls
+however few nodes it signs; the cutoff is where the two cost the same,
+and both give the same class ids. `refine` keeps no per-round
+partitions, only a split history of at most 2n entries. Canonical class
+ids (first occurrence by ascending node id) are derived for a round when
+its partition is asked for, so partitions, bundles and CLI outputs stay
+byte-reproducible.
 `refine_step` is the one-round reference, re-signing every node.
 """
 
@@ -24,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ColoredMultigraph, _count_runs
+from .errors import ValidationError
+from .graph import _MULT_LIMIT, _OVERFLOW_MESSAGE, ColoredMultigraph, _count_runs
 
 INF = math.inf
 
@@ -88,11 +93,13 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade):
+def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade,
+                scratch=None):
     """Signatures of ``nodes`` (all nodes when None) under ``class_of``
     with k classes, as arrays (headers, prow, pcls, counts): row i is the
     class headers[i] plus the pairs j with prow[j] == i, ascending by
-    in-neighbor class pcls[j], with capped count counts[j]."""
+    in-neighbor class pcls[j], with capped count counts[j]. ``scratch``
+    is passed on to _count_runs."""
     if nodes is None:
         row_of_edge, edges, headers = g.in_dst_flat, slice(None), class_of
     else:
@@ -103,7 +110,7 @@ def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade
         headers = class_of[nodes]
     keys = class_of[g.in_src[edges]]
     keys += row_of_edge * k
-    pairs, counts, _ = _count_runs(keys, g.in_mult[edges], grade)
+    pairs, counts, _ = _count_runs(keys, g.in_mult[edges], grade, scratch)
     prow, pcls = np.divmod(pairs, k)
     return headers, prow, pcls, counts
 
@@ -261,12 +268,20 @@ class RefinementResult:
         return self.at(self.depth)
 
 
+# At or below this many dirty nodes a round runs in plain Python, and so
+# does the frontier of at most this many moved nodes: handling a few nodes
+# with dicts and sets costs less than the fixed numpy calls of the
+# vectorized path.
+_SMALL_ROUND = 16
+
+
 class _Refiner:
     """Class ids, class sizes and split history of one refine run."""
 
     def __init__(self, g: ColoredMultigraph, grade):
         n = g.node_count
         self.g, self.grade = g, grade
+        self.cap = _MULT_LIMIT if math.isinf(grade) else min(int(grade), _MULT_LIMIT)
         self.cls = initial_partition(g).class_of
         self.k = int(self.cls.max()) + 1 if n else 0
         self.parent = np.full(n, -1, dtype=np.int64)
@@ -274,14 +289,17 @@ class _Refiner:
         self.size[:self.k] = np.bincount(self.cls, minlength=self.k)
         self.mark = np.zeros(n, dtype=bool)         # work flags: all False between uses
         self.best = np.zeros(n, dtype=np.int64)     # work array, per class
+        self.scratch = np.empty((2, len(g.in_src)), dtype=np.int64)    # reused by _count_runs
 
     def round(self, dirty) -> np.ndarray:
         """Run a round, re-signing the ``dirty`` nodes (None: every node).
-        Returns the nodes that moved to a new class."""
+        Returns the nodes that moved to a new class, ascending."""
         cls, size, best, n = self.cls, self.size, self.best, self.g.node_count
         if dirty is not None and 2 * len(dirty) > n:
             dirty = None    # re-signing every node costs less than gathering most
-        rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade)
+        if dirty is not None and len(dirty) <= _SMALL_ROUND:
+            return self._small_round(dirty)
+        rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade, self.scratch)
         if dirty is None:
             dirty = np.arange(n, dtype=np.int64)
         lab = _intern_exact(*_flatten(*rows))
@@ -320,9 +338,58 @@ class _Refiner:
         self.k += len(split)
         return moved
 
+    def _small_round(self, dirty: np.ndarray) -> np.ndarray:
+        """round() over a few dirty nodes, in plain Python: the same
+        signatures, group order and id rules as the vectorized path."""
+        g, cls, size, parent, cap = self.g, self.cls, self.size, self.parent, self.cap
+        src, mult = g.in_src, g.in_mult
+        groups: dict[tuple, list[int]] = {}     # in first-occurrence order
+        for v, c, lo, hi in zip(dirty.tolist(), cls[dirty].tolist(),
+                                g.in_indptr[dirty].tolist(), g.in_indptr[dirty + 1].tolist()):
+            sums: dict[int, int] = {}
+            for b, m in zip(cls[src[lo:hi]].tolist(), mult[lo:hi].tolist()):
+                sums[b] = sums.get(b, 0) + m
+            if cap < _MULT_LIMIT:
+                pairs = tuple(sorted((b, m if m < cap else cap) for b, m in sums.items()))
+            elif sums and max(sums.values()) >= _MULT_LIMIT:
+                raise ValidationError(_OVERFLOW_MESSAGE)
+            else:
+                pairs = tuple(sorted(sums.items()))
+            groups.setdefault((c, pairs), []).append(v)
+
+        # The vectorized path's rule: a class with members that were not
+        # re-signed keeps its id for them; otherwise its first largest group,
+        # which holds the smallest node among the largest, keeps it.
+        resigned: dict[int, int] = {}
+        largest: dict[int, list[int]] = {}
+        for (c, _), members in groups.items():
+            resigned[c] = resigned.get(c, 0) + len(members)
+            if len(members) > len(largest.get(c, ())):
+                largest[c] = members
+        keeper = {c: members for c, members in largest.items() if resigned[c] == size[c]}
+        moved = []
+        for (c, _), members in groups.items():
+            if keeper.get(c) is members:
+                continue
+            new = self.k
+            self.k += 1
+            parent[new] = c
+            size[new] = len(members)
+            size[c] -= len(members)
+            for v in members:
+                cls[v] = new
+            moved += members
+        moved.sort()
+        return np.array(moved, dtype=np.int64)
+
     def frontier(self, moved: np.ndarray) -> np.ndarray:
         """Distinct out-neighbors of the moved nodes, ascending."""
         g, mark = self.g, self.mark
+        if len(moved) <= _SMALL_ROUND:
+            found = set()
+            for lo, hi in zip(g.out_indptr[moved].tolist(), g.out_indptr[moved + 1].tolist()):
+                found.update(g.out_dst[lo:hi].tolist())
+            return np.array(sorted(found), dtype=np.int64)
         lo = g.out_indptr[moved]
         targets = g.out_dst[_ranges(lo, g.out_indptr[moved + 1] - lo)]
         if 32 * len(targets) < len(mark):   # a small frontier: sorting beats a full scan

@@ -158,7 +158,8 @@ def test_criterion_4_loss_equivalence():
             problem, depth, grade, seed = _random_problem(i)
             policy = ("min-incidence", "first-node")[i % 2]
             cp = compress_problem(problem, policy=policy, depth=depth, grade=grade)
-            assert cp.total_weight == len(problem.train)
+            total = sum(w for pairs in cp.train_weighted.values() for _, w in pairs)
+            assert total == len(problem.train)
             gnn = sample_gnn(problem.hypothesis, seed)
             loss_g = evaluate_loss(problem, gnn)
             loss_h = evaluate_compressed_loss(cp, gnn)

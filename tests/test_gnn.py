@@ -276,6 +276,32 @@ def test_forward_width_inf_matches_per_edge_reference_bitwise(agg):
     assert multi > 0  # the corpus has edges of multiplicity above 1
 
 
+@pytest.mark.parametrize("width", [1, 2, math.inf])
+def test_max_aggregation_matches_scatter_form_bitwise(width):
+    # Features of -1.0, -0.0 and 0.0 make most maxima signed zeros, and
+    # in-degrees past 16 reach reduceat's vector loops, which order equal
+    # values differently from a scan.
+    from gnncompress.gnn import _aggregate
+    seen = {"no in-edges": 0, "-0.0": 0, "0.0": 0, "long": 0}
+    for trial in range(20):
+        rng = np.random.default_rng(1100 + trial)
+        n = int(rng.integers(10, 40))
+        g = random_graph(n, int(rng.integers(n // 2, 30 * n)), max_mult=2, seed=1100 + trial)
+        x = rng.choice([-1.0, -0.0, 0.0], size=(n, 3))
+        scatter = np.full((n, 3), -np.inf)
+        np.maximum.at(scatter, g.in_dst_flat, x[g.in_src])
+        has_in = np.diff(g.in_indptr) > 0
+        scatter[~has_in] = 0.0
+        out = _aggregate(g, x, "max", width)
+        assert out.tobytes() == scatter.tobytes()
+        zero = out[has_in] == 0
+        seen["no in-edges"] += int((~has_in).sum())
+        seen["-0.0"] += int((zero & np.signbit(out[has_in])).sum())
+        seen["0.0"] += int((zero & ~np.signbit(out[has_in])).sum())
+        seen["long"] += int((np.diff(g.in_indptr) > 16).sum())
+    assert min(seen.values()) > 0, seen
+
+
 def test_feature_shape_mismatch_rejected():
     g = build_graph([(0, 1, 1)], ["a", "b"])
     gnn = identity_gnn(3)

@@ -23,7 +23,7 @@ def test_compress_fig1_weights():
     cp = compress_problem(p, policy="min-incidence", depth=1)
     rep_b3 = int(np.flatnonzero(cp.node_ids == B3)[0])
     assert cp.train_weighted == {rep_b3: [("y", 2)]}
-    assert cp.total_weight == 2
+    assert sum(w for pairs in cp.train_weighted.values() for _, w in pairs) == 2
 
 
 def test_compress_empty_train():
@@ -165,7 +165,7 @@ def test_width_one_gnns_pass_on_grade_one_compression():
 def test_weight_conservation():
     p = fig1_problem({B1: "y", B2: "z", B3: "y", A1: "y"})
     cp = compress_problem(p)
-    assert cp.total_weight == 4
+    assert sum(w for pairs in cp.train_weighted.values() for _, w in pairs) == 4
 
 
 def test_compress_twice_same_size():

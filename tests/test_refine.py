@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from gnncompress import ValidationError, build_graph, naive_partition, refine
 from gnncompress.graph import ColorTable, ColoredMultigraph
-from gnncompress.refine import _INTERN_LOOP_CUTOFF, refine_step
+from gnncompress.refine import _INTERN_LOOP_CUTOFF, _SMALL_ROUND, refine_step
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       iterated_partitions, partition_blocks, random_graph,
                       refines, same_partition)
+
+refine_module = importlib.import_module("gnncompress.refine")
 
 
 def test_fig1_round1(fig1):
@@ -159,6 +162,50 @@ def assert_matches_reference(g, depth, grade):
         assert r.at(d).round == d
 
 
+def one_color_graph(n, src, dst, mult):
+    table = ColorTable()
+    table.intern("x")
+    return ColoredMultigraph.from_edge_arrays(
+        n, np.asarray(src), np.asarray(dst), np.asarray(mult, dtype=np.int64),
+        np.zeros(n, dtype=np.int64), table)
+
+
+def directed_path(n):
+    return one_color_graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+def broom(leaves):
+    """A directed path of 2 * leaves + 2 nodes whose last node points to
+    ``leaves`` more, with multiplicities 1-3: the round after that node
+    moves re-signs exactly the leaves."""
+    hub = 2 * leaves + 1
+    src = list(range(hub)) + [hub] * leaves
+    dst = list(range(1, hub + 1 + leaves))
+    mult = [1] * hub + [1 + i % 3 for i in range(leaves)]
+    return one_color_graph(hub + 1 + leaves, src, dst, mult)
+
+
+@pytest.fixture
+def round_paths(monkeypatch):
+    """Records ("small", dirty count) for each round in plain Python and
+    ("vectorized", dirty count) for each vectorized round of a frontier."""
+    seen = set()
+    small, sign = refine_module._Refiner._small_round, refine_module._signatures
+
+    def record_small(self, dirty):
+        seen.add(("small", len(dirty)))
+        return small(self, dirty)
+
+    def record_vectorized(g, class_of, k, nodes, *rest):
+        if nodes is not None:
+            seen.add(("vectorized", len(nodes)))
+        return sign(g, class_of, k, nodes, *rest)
+
+    monkeypatch.setattr(refine_module._Refiner, "_small_round", record_small)
+    monkeypatch.setattr(refine_module, "_signatures", record_vectorized)
+    return seen
+
+
 def random_multigraphs(count, seed):
     """Seeded random multigraphs: sparse and dense, 1-3 colors,
     multiplicities 1-3, with every fifth one a set of directed paths."""
@@ -181,29 +228,70 @@ def random_multigraphs(count, seed):
 
 
 @pytest.mark.parametrize("grade", [1, 2, 3, math.inf])
-def test_refine_matches_iterated_refine_step(grade):
-    for g in random_multigraphs(40, seed=31):
+def test_refine_matches_iterated_refine_step(grade, round_paths):
+    # the brooms re-sign exactly _SMALL_ROUND and _SMALL_ROUND + 1 leaves
+    graphs = random_multigraphs(40, seed=31) + [broom(_SMALL_ROUND), broom(_SMALL_ROUND + 1)]
+    for g in graphs:
         for depth in (0, 1, 2, 3, 4, 5, math.inf):
             assert_matches_reference(g, depth, grade)
+    assert ("small", _SMALL_ROUND) in round_paths
+    assert ("vectorized", _SMALL_ROUND + 1) in round_paths
 
 
-@pytest.mark.parametrize("grade", [1, math.inf])
-def test_refine_matches_iterated_refine_step_above_loop_cutoff(grade):
+@pytest.mark.parametrize("grade", [1, 2, 3, math.inf])
+def test_refine_matches_iterated_refine_step_above_loop_cutoff(grade, round_paths):
     # first rounds intern more rows than the dict cutoff, later ones fewer
     for i, (n, m) in enumerate([(1100, 1300), (1500, 4000)]):
         assert n > _INTERN_LOOP_CUTOFF
         g = random_graph(n, m, n_colors=2, max_mult=3, seed=70 + i)
         for depth in (2, math.inf):
             assert_matches_reference(g, depth, grade)
+    assert {path for path, _ in round_paths} == {"small", "vectorized"}
+
+
+@pytest.mark.parametrize("grade", [1, 2, 3, math.inf])
+def test_small_rounds_keep_the_vectorized_history(grade, monkeypatch):
+    # class ids, parents and counts, not only the partitions, are those of
+    # a run whose every round is vectorized
+    graphs = (random_multigraphs(40, seed=31) + [broom(_SMALL_ROUND), broom(_SMALL_ROUND + 1)]
+              + [random_graph(1500, 4000, n_colors=2, max_mult=3, seed=71)])
+    for g in graphs:
+        mixed = refine(g, grade=grade)
+        monkeypatch.setattr(refine_module, "_SMALL_ROUND", -1)
+        vectorized = refine(g, grade=grade)
+        monkeypatch.undo()
+        assert np.array_equal(mixed.cls, vectorized.cls)
+        assert np.array_equal(mixed.parent, vectorized.parent)
+        assert mixed.class_counts == vectorized.class_counts
+        assert mixed.stable_round == vectorized.stable_round
+
+
+def test_small_round_guards_the_multiplicity_limit(monkeypatch):
+    # Round 1 is always vectorized and per-class sums only shrink after it,
+    # so refine never reaches this guard: run a frontier round directly on
+    # the round-0 state. Node 6's five in-edges of 2**62 - 1 sum past the
+    # limit; capped at 2**62 - 1 they split from node 5's one edge.
+    edges = [(0, 5, 2**62 - 5)] + [(i, 6, 2**62 - 1) for i in range(5)]
+    g = build_graph(edges, ["a"] * 5 + ["b", "b"])
+    dirty = np.array([5, 6])
+    classes = {}
+    for cutoff in (_SMALL_ROUND, -1):       # the small round, then the vectorized one
+        monkeypatch.setattr(refine_module, "_SMALL_ROUND", cutoff)
+        for grade in (2**62, math.inf):
+            with pytest.raises(ValidationError, match="overflow"):
+                refine_module._Refiner(g, grade).round(dirty)
+        for grade in (1, 3, 2**62 - 1):
+            state = refine_module._Refiner(g, grade)
+            moved = state.round(dirty)
+            classes.setdefault(grade, []).append((moved.tolist(), state.cls.tolist()))
+    for grade in (1, 3):
+        assert classes[grade][0] == classes[grade][1] == ([], [0, 0, 0, 0, 0, 1, 1])
+    assert classes[2**62 - 1][0] == classes[2**62 - 1][1] == ([6], [0, 0, 0, 0, 0, 1, 2])
 
 
 def test_long_path_refines_one_node_per_round():
     n = 3000
-    table = ColorTable()
-    table.intern("x")
-    g = ColoredMultigraph.from_edge_arrays(
-        n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1, dtype=np.int64),
-        np.zeros(n, dtype=np.int64), table)
+    g = directed_path(n)
     r = refine(g)
     assert r.stable_round == n - 1
     assert r.class_counts == list(range(1, n + 1)) + [n]
@@ -219,3 +307,18 @@ def test_labels_are_a_copy_at_every_round(fig1):
         before = r.at(d).class_of.copy()
         r.labels(d)[:] = 0
         assert np.array_equal(r.at(d).class_of, before), d
+
+
+def test_long_path_signs_with_numpy_only_in_round_one(monkeypatch):
+    # every later round re-signs one node: a silent fall back to the
+    # vectorized round would cost its fixed numpy calls 3,000 times
+    calls = []
+    sign = refine_module._signatures
+
+    def counting(*args):
+        calls.append(args[3])
+        return sign(*args)
+
+    monkeypatch.setattr(refine_module, "_signatures", counting)
+    assert refine(directed_path(3000)).stable_round == 2999
+    assert len(calls) == 1 and calls[0] is None

@@ -11,11 +11,9 @@ from .errors import FormatError, GnnCompressError, ValidationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
                   one_hot_features, sample_gnn)
 from .graph import ColoredMultigraph, ColorTable, build_graph, graph_size
-from .problem import (CompressedProblem, EquivalenceReport, LearningProblem,
-                      compress_problem, equivalence_report,
-                      evaluate_compressed_loss, evaluate_loss)
-from .reduction import (Reduct, Substitution, VerifyResult, choose_substitution,
-                        reduce_graph, verify_reduct)
+from .problem import (CompressedProblem, LearningProblem, compress_problem,
+                      equivalence_report, evaluate_compressed_loss, evaluate_loss)
+from .reduction import Substitution, choose_substitution, reduce_graph, verify_reduct
 from .refine import INF, Partition, RefinementResult, naive_partition, refine
 
 __version__ = "0.1.0"
@@ -25,7 +23,6 @@ __all__ = [
     "ColorTable",
     "ColoredMultigraph",
     "CompressedProblem",
-    "EquivalenceReport",
     "FormatError",
     "Gnn",
     "GnnCompressError",
@@ -33,11 +30,9 @@ __all__ = [
     "LayerConfig",
     "LearningProblem",
     "Partition",
-    "Reduct",
     "RefinementResult",
     "Substitution",
     "ValidationError",
-    "VerifyResult",
     "build_graph",
     "chain_config",
     "choose_substitution",

@@ -124,8 +124,7 @@ def cmd_verify(args) -> int:
             return 4
 
     # Equivalence over sampled GNNs.
-    vocab = sorted(g.color_table.payloads, key=repr)
-    features, _ = one_hot_features(g, vocab)
+    features, vocab = one_hot_features(g)
     cp.features = one_hot_features(cp.graph, vocab)[0]
     p_dim = len(vocab)
     depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)

@@ -68,6 +68,17 @@ def _iter_data_lines(path: Path):
         yield lineno, line
 
 
+def _tab_rows(path: Path, what: str):
+    """(lineno, fields) of each data line split at tabs; a line with
+    another field count than ``what`` (as 'a<TAB>b') is a FormatError."""
+    count = what.count("<TAB>") + 1
+    for lineno, line in _iter_data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != count:
+            raise FormatError(f"{path}:{lineno}: expected '{what}'")
+        yield lineno, parts
+
+
 def _is_int(x, minimum=0) -> bool:
     return type(x) is int and minimum <= x < 2**63
 
@@ -197,17 +208,14 @@ def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise FormatError(f"{path}:{lineno}: node ids must be non-negative")
         if m < 1:
             raise FormatError(f"{path}:{lineno}: multiplicity must be >= 1")
+        if max(s, d, m) >= 2**63:
+            raise FormatError(f"{path}:{lineno}: ids and multiplicity must be below 2**63")
         srcs.append(s)
         dsts.append(d)
         mults.append(m)
-    try:
-        return (np.array(srcs, dtype=np.int64),
-                np.array(dsts, dtype=np.int64),
-                np.array(mults, dtype=np.int64))
-    except OverflowError:
-        rows = zip(_iter_data_lines(path), srcs, dsts, mults)
-        lineno = next(ln for (ln, _), *values in rows if max(values) >= 2**63)
-        raise FormatError(f"{path}:{lineno}: ids and multiplicity must be below 2**63") from None
+    return (np.array(srcs, dtype=np.int64),
+            np.array(dsts, dtype=np.int64),
+            np.array(mults, dtype=np.int64))
 
 
 def read_colors(path, n: int, original_ids: np.ndarray | None) -> list:
@@ -234,10 +242,7 @@ def read_colors(path, n: int, original_ids: np.ndarray | None) -> list:
     id_map = None if original_ids is None else dict(zip(original_ids.tolist(), range(n)))
     payloads = [DEFAULT_COLOR] * n
     seen = set()
-    for lineno, line in _iter_data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'node<TAB>color_token'")
+    for lineno, parts in _tab_rows(path, "node<TAB>color_token"):
         raw = _int_field(parts[0], path, lineno, "node id")
         v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
         if v is None:
@@ -306,10 +311,7 @@ def read_train(path, n: int, loss_kind: str, id_map: dict[int, int] | None = Non
     path = Path(path)
     train: dict[int, object] = {}
     dim = None
-    for lineno, line in _iter_data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'node<TAB>target'")
+    for lineno, parts in _tab_rows(path, "node<TAB>target"):
         raw = _int_field(parts[0], path, lineno, "node id")
         v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
         if v is None:
@@ -394,10 +396,7 @@ def _bundle_colors(path: Path) -> list[str]:
     if pairs is not None and np.array_equal(pairs[0], np.arange(len(pairs[0]))):
         return pairs[1]
     tokens: dict[int, str] = {}
-    for lineno, line in _iter_data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'node<TAB>color_token'")
+    for lineno, parts in _tab_rows(path, "node<TAB>color_token"):
         v = _int_field(parts[0], path, lineno, "node id")
         if v in tokens:
             raise ValidationError(f"{path}:{lineno}: duplicate node {v}")
@@ -422,10 +421,7 @@ def _bundle_map(path: Path, r: int, order: list[int] | None) -> np.ndarray:
         if rep.max() < r and np.array_equal(orig[sorter], np.unique(want)):
             return rep[sorter[np.searchsorted(orig, want, sorter=sorter)]]
     pairs: dict[int, int] = {}
-    for lineno, line in _iter_data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'orig_node<TAB>representative'")
+    for lineno, parts in _tab_rows(path, "orig_node<TAB>representative"):
         o = _int_field(parts[0], path, lineno, "node id")
         rep = _int_field(parts[1], path, lineno, "representative")
         if o in pairs:
@@ -490,10 +486,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     train_path = bundle / "train.tsv"
     train_weighted: dict[int, list[tuple[object, int]]] = {}
     if train_path.exists():
-        for lineno, line in _iter_data_lines(train_path):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{train_path}:{lineno}: expected 'node<TAB>target<TAB>weight'")
+        for lineno, parts in _tab_rows(train_path, "node<TAB>target<TAB>weight"):
             v = _int_field(parts[0], train_path, lineno, "node id")
             if not 0 <= v < r:
                 raise ValidationError(f"{train_path}:{lineno}: node {v} not a representative")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ColoredMultigraph, _count_runs
-from .refine import INF
+from .refine import INF, _check_extent
 
 AGG_KINDS = ("sum", "mean", "max")
 ACTIVATIONS = ("relu", "identity")
@@ -57,9 +57,7 @@ class GnnConfig:
             if a.out_dim != b.in_dim:
                 raise ValueError(
                     f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
-        w = self.width
-        if not (math.isinf(w) or (float(w).is_integer() and w >= 1)):
-            raise ValueError(f"width must be a positive integer or inf, got {w!r}")
+        _check_extent(self.width, "width", 1)
 
     @property
     def depth(self) -> int:

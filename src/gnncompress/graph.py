@@ -11,6 +11,7 @@ across threads.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -60,6 +61,11 @@ def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=Non
     if len(sums) and sums.max() >= _MULT_LIMIT:
         raise ValidationError(_OVERFLOW_MESSAGE)
     return sorted_keys[starts], sums, order[starts]
+
+
+def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR structure with these row offsets."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 class ColorTable:
@@ -115,8 +121,6 @@ class ColoredMultigraph:
         self.in_mult = in_mult
         self.colors = colors
         self.color_table = color_table
-        self._in_dst_flat = None
-        self._out_src_flat = None
 
     # -- construction ------------------------------------------------
 
@@ -154,21 +158,15 @@ class ColoredMultigraph:
 
     # -- flattened views (cached) -------------------------------------
 
-    @property
+    @cached_property
     def in_dst_flat(self) -> np.ndarray:
         """Target node of every in-CSR entry (parallel to in_src/in_mult)."""
-        if self._in_dst_flat is None:
-            degrees = np.diff(self.in_indptr)
-            self._in_dst_flat = np.repeat(np.arange(self.node_count, dtype=np.int64), degrees)
-        return self._in_dst_flat
+        return _row_of_entry(self.in_indptr)
 
-    @property
+    @cached_property
     def out_src_flat(self) -> np.ndarray:
         """Source node of every out-CSR entry (parallel to out_dst/out_mult)."""
-        if self._out_src_flat is None:
-            degrees = np.diff(self.out_indptr)
-            self._out_src_flat = np.repeat(np.arange(self.node_count, dtype=np.int64), degrees)
-        return self._out_src_flat
+        return _row_of_entry(self.out_indptr)
 
     @property
     def simple_edge_count(self) -> int:

@@ -36,40 +36,31 @@ class Substitution:
 def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
     """Per node, the number of distinct partition classes containing one
     of its in-neighbors."""
-    n = g.node_count
-    if not len(g.in_src):
-        return np.zeros(n, dtype=np.int64)
     k = partition.num_classes
     key = g.in_dst_flat * k + partition.class_of[g.in_src]
-    uniq = np.unique(key)
-    return np.bincount(uniq // k, minlength=n)
+    return np.bincount(np.unique(key) // k, minlength=g.node_count)
 
 
 def choose_substitution(g: ColoredMultigraph, partition: Partition,
                         policy: str = "min-incidence", grade=INF) -> Substitution:
-    """Pick one representative per class.
+    """Pick one representative per class: the member of least cost, ties
+    going to the smallest node id.
 
-    min-incidence: member with the fewest distinct in-neighbor classes
-    (ties broken by smallest node id), which yields a minimal-size reduct.
-    first-node: smallest node id in the class.
+    min-incidence: the cost is the number of distinct in-neighbor classes,
+    which yields a minimal-size reduct. first-node: every cost is 0, so the
+    smallest node id in the class.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    k = partition.num_classes
-    rep_of_class = np.empty(k, dtype=np.int64)
-    if policy == "first-node":
-        for cid, members in enumerate(partition.classes):
-            rep_of_class[cid] = members[0]
+    if policy == "min-incidence":
+        cost = incidence_all(g, partition)
     else:
-        inc = incidence_all(g, partition)
-        order = np.lexsort((np.arange(g.node_count, dtype=np.int64),
-                            inc, partition.class_of))
-        ordered_cls = partition.class_of[order]
-        if len(order):
-            firsts = np.empty(len(order), dtype=bool)
-            firsts[0] = True
-            firsts[1:] = ordered_cls[1:] != ordered_cls[:-1]
-            rep_of_class[ordered_cls[firsts]] = order[firsts]
+        cost = np.zeros(g.node_count, dtype=np.int64)
+    order = np.lexsort((cost, partition.class_of))     # stable: ties by node id
+    ordered = partition.class_of[order]
+    first = np.diff(ordered, prepend=-1) != 0           # the head of each class
+    rep_of_class = np.empty(partition.num_classes, dtype=np.int64)
+    rep_of_class[ordered[first]] = order[first]
     return Substitution(rep_of_class, rep_of_class[partition.class_of], grade)
 
 
@@ -100,19 +91,12 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
     node_ids = np.unique(substitution.rep_of_class)
     rep_index = np.searchsorted(node_ids, rep_of_node)
 
-    src, dst, mult = g.out_src_flat, g.out_dst, g.out_mult
-    if len(dst):
-        is_rep = np.zeros(g.node_count, dtype=bool)
-        is_rep[node_ids] = True
-        keep = is_rep[dst]
-        new_src = rep_index[src[keep]]
-        new_dst = np.searchsorted(node_ids, dst[keep])
-        new_mult = mult[keep]
-    else:
-        new_src = new_dst = new_mult = np.empty(0, dtype=np.int64)
-
+    is_rep = np.zeros(g.node_count, dtype=bool)
+    is_rep[node_ids] = True
+    keep = is_rep[g.out_dst]
     h = ColoredMultigraph.from_edge_arrays(
-        len(node_ids), new_src, new_dst, new_mult,
+        len(node_ids), rep_index[g.out_src_flat[keep]],
+        np.searchsorted(node_ids, g.out_dst[keep]), g.out_mult[keep],
         g.colors[node_ids], g.color_table, cap=substitution.grade)
     return Reduct(h, node_ids, rep_index)
 
@@ -146,10 +130,8 @@ def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
 
     # Union interning table: remap per distinct color, not per node.
     table_union = ColorTable()
-    g_map = np.fromiter((table_union.intern(p) for p in g.color_table.payloads),
-                        dtype=np.int64, count=len(g.color_table))
-    h_map = np.fromiter((table_union.intern(p) for p in h.color_table.payloads),
-                        dtype=np.int64, count=len(h.color_table))
+    g_map = table_union.intern_all(g.color_table.payloads)
+    h_map = table_union.intern_all(h.color_table.payloads)
     colors_union = np.concatenate([g_map[g.colors], h_map[h.colors]])
 
     src = np.concatenate([g.out_src_flat, h.out_src_flat + n])

@@ -22,9 +22,8 @@ byte-reproducible.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +33,11 @@ from .graph import _MULT_LIMIT, _OVERFLOW_MESSAGE, ColoredMultigraph, _count_run
 INF = math.inf
 
 
-def _validate_grade(c) -> None:
-    if not (math.isinf(c) or (float(c).is_integer() and c >= 1)):
-        raise ValueError(f"grade must be a positive integer or inf, got {c!r}")
-
-
-def _validate_depth(d) -> None:
-    if not (math.isinf(d) or (float(d).is_integer() and d >= 0)):
-        raise ValueError(f"depth must be a non-negative integer or inf, got {d!r}")
+def _check_extent(x, name: str, minimum: int) -> None:
+    """Raise ValueError unless x is inf or an integer >= minimum (0 or 1)."""
+    if not (math.isinf(x) or (float(x).is_integer() and x >= minimum)):
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer or inf, got {x!r}")
 
 
 @dataclass
@@ -54,27 +50,15 @@ class Partition:
 
     class_of: np.ndarray
     round: int
-    _classes: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_classes(self) -> int:
         return int(self.class_of.max()) + 1 if len(self.class_of) else 0
 
-    @property
-    def classes(self) -> list[np.ndarray]:
-        """Member lists per class id, each ascending."""
-        if self._classes is None:
-            order = np.argsort(self.class_of, kind="stable")
-            counts = np.bincount(self.class_of, minlength=self.num_classes)
-            self._classes = np.split(order, np.cumsum(counts)[:-1])
-        return self._classes
-
 
 def canonical_partition(labels, round: int = 0) -> Partition:
     """Relabel arbitrary dense labels into canonical class ids."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        return Partition(labels.copy(), round)
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(first))
@@ -139,13 +123,10 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     (neighbor class id, capped count)); signatures are interned to assign
     new ids canonically.
     """
-    _validate_grade(grade)
-    n = g.node_count
-    if len(current.class_of) != n:
+    _check_extent(grade, "grade", 1)
+    if len(current.class_of) != g.node_count:
         raise ValueError("partition does not cover the graph")
-    if n == 0:
-        return Partition(current.class_of.copy(), current.round + 1)
-    rows = _signatures(g, current.class_of, current.num_classes, None, grade)
+    rows = _signatures(g, current.class_of, max(current.num_classes, 1), None, grade)
     return canonical_partition(_intern_exact(*_flatten(*rows)), current.round + 1)
 
 
@@ -190,14 +171,10 @@ class _Rounds(Sequence):
         return len(self._result.class_counts)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"round {i} was not computed")
-        return self._result.at(i)
+        rounds = range(len(self))[i]
+        if isinstance(rounds, range):
+            return [self._result.at(d) for d in rounds]
+        return self._result.at(rounds)
 
 
 @dataclass
@@ -222,7 +199,6 @@ class RefinementResult:
     parent: np.ndarray
     class_counts: list[int]
     stable_round: int | None
-    grade: float
     depth: float
 
     @property
@@ -417,8 +393,8 @@ def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
     always reached within node_count rounds since every non-stable round
     strictly increases the class count.
     """
-    _validate_depth(depth)
-    _validate_grade(grade)
+    _check_extent(depth, "depth", 0)
+    _check_extent(grade, "grade", 1)
     state = _Refiner(g, grade)
     counts = [state.k]
     stable = None
@@ -433,7 +409,7 @@ def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
         dirty = state.frontier(moved)
     if math.isinf(depth) and stable is None:
         raise AssertionError("refinement failed to stabilize within the node bound")
-    return RefinementResult(state.cls, state.parent[:state.k].copy(), counts, stable, grade, depth)
+    return RefinementResult(state.cls, state.parent[:state.k].copy(), counts, stable, depth)
 
 
 def naive_partition(g: ColoredMultigraph, depth: int, grade=INF) -> Partition:
@@ -446,7 +422,7 @@ def naive_partition(g: ColoredMultigraph, depth: int, grade=INF) -> Partition:
     Terms are kept as canonical strings, built in plain Python without
     the refine_step signature pipeline.
     """
-    _validate_grade(grade)
+    _check_extent(grade, "grade", 1)
     if math.isinf(depth):
         raise ValueError("naive_partition needs a finite depth")
     n = g.node_count

@@ -131,10 +131,15 @@ def make_corpus(count: int, master_seed: int = 20240):
     return graphs
 
 
+def class_members(partition) -> list[np.ndarray]:
+    """Member lists per class id, each ascending."""
+    return [np.flatnonzero(partition.class_of == cid) for cid in range(partition.num_classes)]
+
+
 def random_substitution(partition, rng) -> np.ndarray:
     """rep_of_class array with a uniformly random member per class."""
     reps = np.empty(partition.num_classes, dtype=np.int64)
-    for cid, members in enumerate(partition.classes):
+    for cid, members in enumerate(class_members(partition)):
         reps[cid] = members[int(rng.integers(0, len(members)))]
     return reps
 

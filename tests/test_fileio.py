@@ -75,11 +75,13 @@ def test_default_color_for_absent_nodes(tmp_path):
 
 def test_parse_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "g.tsv"
-    for text in ("0\t1\nnope\n",
-                 "0\t1\n1\t2\t9223372036854775808\n",    # multiplicity 2**63
-                 "0\t1\n# ids past int64\n18446744073709551616\t0\n"):
+    for text, line in (("0\t1\nnope\n", 2),
+                       ("0\t1\n1\t2\t9223372036854775808\n", 2),    # multiplicity 2**63
+                       ("0\t1\n# ids past int64\n18446744073709551616\t0\n", 3),
+                       # the first bad line, though a later one fails to parse
+                       ("0\t1\n9223372036854775808\t0\n2\t3\nnope\n", 2)):
         p.write_text(text)
-        with pytest.raises(FormatError, match=f":{len(text.splitlines())}:"):
+        with pytest.raises(FormatError, match=f":{line}:"):
             load_graph(p)
     # the same parser reads graph.tsv inside bundles
     cp = make_compressed()

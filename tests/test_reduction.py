@@ -7,7 +7,7 @@ from gnncompress import (build_graph, choose_substitution, graph_size,
                          reduce_graph, refine, verify_reduct)
 from gnncompress.graph import ColoredMultigraph
 from gnncompress.reduction import Substitution, incidence_all
-from conftest import (A1, A2, B1, B3, iterated_partitions, random_graph,
+from conftest import (A1, A2, B1, B3, class_members, iterated_partitions, random_graph,
                       random_substitution, star_of_stars)
 
 
@@ -50,6 +50,31 @@ def test_singleton_classes_keep_sole_member(fig1):
         sub = choose_substitution(fig1, p, policy)
         assert sub.rep_of_node[A1] == A1
         assert sub.rep_of_node[B3] == B3
+
+
+def test_representatives_match_per_class_scan():
+    # reference: scan each class for its least (incidence, node id), or its
+    # least node id, with the incidence counted per node in plain Python
+    rng = np.random.default_rng(17)
+    graphs = [build_graph([], []), build_graph([], ["a"]), build_graph([], ["a", "b", "a"])]
+    for i in range(100):
+        n = int(rng.integers(1, 30))
+        m = 0 if i % 10 == 0 else int(rng.integers(1, 3 * n + 1))
+        graphs.append(random_graph(n, m, n_colors=int(rng.integers(1, 4)),
+                                   max_mult=3, seed=700 + i))
+    for i, g in enumerate(graphs):
+        depth, grade = (0, 1, 2, math.inf)[i % 4], (math.inf, 1, 2)[i % 3]
+        part = refine(g, depth, grade).final
+        cls = part.class_of.tolist()
+        inc = [len({cls[u] for u in g.in_src[g.in_indptr[v]:g.in_indptr[v + 1]].tolist()})
+               for v in range(g.node_count)]
+        members = [m.tolist() for m in class_members(part)]
+        want = {"min-incidence": [min(m, key=lambda v: (inc[v], v)) for m in members],
+                "first-node": [min(m) for m in members]}
+        for policy, reps in want.items():
+            sub = choose_substitution(g, part, policy, grade)
+            assert sub.rep_of_class.tolist() == reps, (i, policy)
+            assert sub.rep_of_node.tolist() == [reps[c] for c in cls], (i, policy)
 
 
 def test_substitution_fixes_representatives(fig1, fig1_p1):

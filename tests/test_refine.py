@@ -1,12 +1,18 @@
 import importlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from gnncompress import ValidationError, build_graph, naive_partition, refine
+from gnncompress import (GnnConfig, LayerConfig, ValidationError, build_graph,
+                         choose_substitution, naive_partition, reduce_graph, refine,
+                         verify_reduct)
 from gnncompress.graph import ColorTable, ColoredMultigraph
-from gnncompress.refine import _INTERN_LOOP_CUTOFF, _SMALL_ROUND, refine_step
+from gnncompress.reduction import incidence_all
+from gnncompress.refine import (_INTERN_LOOP_CUTOFF, _SMALL_ROUND, canonical_partition,
+                                initial_partition, refine_step)
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       iterated_partitions, partition_blocks, random_graph,
                       refines, same_partition)
@@ -67,6 +73,36 @@ def test_early_stop_within_finite_depth(fig1):
     assert len(r.partitions) == 4
     # rounds 4..10 are valid queries and equal the stable partition
     assert np.array_equal(r.at(7).class_of, r.at(2).class_of)
+
+
+def test_partitions_index_like_a_list(fig1):
+    r = refine(fig1)                        # rounds 0..3
+    assert r.partitions[-1].round == 3
+    assert [p.round for p in r.partitions[1:]] == [1, 2, 3]
+    assert [p.round for p in r.partitions[::-2]] == [3, 1]
+    assert r.partitions[7:] == []
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            r.partitions[i]
+
+
+def test_extent_errors_name_the_extent(fig1):
+    cases = ((lambda: refine(fig1, depth=-1),
+              "depth must be a non-negative integer or inf, got -1"),
+             (lambda: refine(fig1, depth=1.5),
+              "depth must be a non-negative integer or inf, got 1.5"),
+             (lambda: refine(fig1, grade=0), "grade must be a positive integer or inf, got 0"),
+             (lambda: refine_step(fig1, initial_partition(fig1), grade=0),
+              "grade must be a positive integer or inf, got 0"),
+             (lambda: naive_partition(fig1, 1, grade=0),
+              "grade must be a positive integer or inf, got 0"),
+             (lambda: GnnConfig((LayerConfig(2, 2),), width=0),
+              "width must be a positive integer or inf, got 0"),
+             (lambda: GnnConfig((LayerConfig(2, 2),), width=1.5),
+              "width must be a positive integer or inf, got 1.5"))
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_refinement_monotone(fig1):
@@ -148,6 +184,28 @@ def test_empty_graph_refine():
     r = refine(g)
     assert r.stable_round == 0
     assert r.final.num_classes == 0
+    # the empty graph and edgeless graphs pass through every layer with
+    # numpy's own handling of empty arrays, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for colors, classes in (([], []), (["a"], [0]), (["a", "b", "a"], [0, 1, 0])):
+            g = build_graph([], colors)
+            n = len(colors)
+            p = canonical_partition([7, 3, 7][:n], round=4)
+            assert (p.class_of.dtype, p.class_of.tolist(), p.round) == (np.int64, classes, 4)
+            step = refine_step(g, initial_partition(g))
+            assert (step.class_of.dtype, step.class_of.tolist(), step.round) == (
+                np.int64, classes, 1)
+            final = refine(g).final
+            assert final.class_of.tolist() == classes
+            inc = incidence_all(g, final)
+            assert (inc.dtype, inc.tolist()) == (np.int64, [0] * n)
+            for policy in ("min-incidence", "first-node"):
+                red = reduce_graph(g, choose_substitution(g, final, policy))
+                assert (red.graph.node_count, red.graph.simple_edge_count) == (min(n, 2), 0)
+                assert red.node_ids.tolist() == [0, 1][:n]
+                assert red.rep_index_of_node.tolist() == classes
+                assert verify_reduct(g, red.graph, red.rep_index_of_node).ok
 
 
 def assert_matches_reference(g, depth, grade):
@@ -295,10 +353,14 @@ def test_long_path_refines_one_node_per_round():
     r = refine(g)
     assert r.stable_round == n - 1
     assert r.class_counts == list(range(1, n + 1)) + [n]
-    parts, stable = iterated_partitions(g)
-    assert stable == n - 1
-    for d in (0, 1, 2, 1234, n - 2, n - 1, n):
-        assert np.array_equal(r.at(d).class_of, parts[d].class_of), d
+    # round d tells the first d nodes apart by their distance from the
+    # start and leaves the rest together: node i is in class min(i, d)
+    nodes = np.arange(n)
+    for d in range(n + 1):
+        assert np.array_equal(r.at(d).class_of, np.minimum(nodes, d)), d
+    parts, _ = iterated_partitions(g, depth=3)
+    for d, p in enumerate(parts):
+        assert np.array_equal(r.at(d).class_of, p.class_of), d
 
 
 def test_labels_are_a_copy_at_every_round(fig1):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graph import ColorTable, ColoredMultigraph, graph_size
+from .graph import ColorTable, ColoredMultigraph, _sorted_distinct, graph_size
 from .problem import LOSS_KINDS, CompressedProblem
 from .refine import INF
 
@@ -418,7 +418,7 @@ def _bundle_map(path: Path, r: int, order: list[int] | None) -> np.ndarray:
         sorter = np.argsort(orig)
         # orig sorted equal to the distinct wanted ids: orig has no
         # duplicates and covers exactly the wanted nodes.
-        if rep.max() < r and np.array_equal(orig[sorter], np.unique(want)):
+        if rep.max() < r and np.array_equal(orig[sorter], _sorted_distinct(want)):
             return rep[sorter[np.searchsorted(orig, want, sorter=sorter)]]
     pairs: dict[int, int] = {}
     for lineno, parts in _tab_rows(path, "orig_node<TAB>representative"):

@@ -136,7 +136,8 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndar
         rows = np.ascontiguousarray(x).view(np.dtype((np.void, p * x.itemsize))).ravel()
         uniq, row_id = np.unique(rows, return_inverse=True)
         r = len(uniq)
-        pairs, counts, first = _count_runs(dst * r + row_id[src], counts, width)
+        pairs, counts, first = _count_runs(dst * r + row_id[src], counts, width,
+                                           return_first=True)
         order = np.argsort(first)
         dst, src, counts = pairs[order] // r, src[first[order]], counts[order]
     # bincount adds out[i] += w[i] in input order, from 0.0, so each node sums

@@ -23,21 +23,28 @@ _MULT_LIMIT = 2**62
 _OVERFLOW_MESSAGE = "multiplicity overflow: a summed count reaches 2**62"
 
 
-def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=None):
+def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=None,
+                return_first=False):
     """Sum the positive int64 weights of equal int64 keys, capped at ``cap``.
 
-    Returns the distinct keys ascending, the sum of each key's weights,
-    and the input position of each key's first occurrence. A finite cap
-    saturates the sums at the cap; a sum that stays at or past
-    _MULT_LIMIT raises ValidationError instead of wrapping. This is the
-    one "sort by key, sum each run, cap at the grade" of the package:
-    edge merging, refinement signatures, reduct multiplicities and
-    finite-width aggregation all count through it.
+    Returns the distinct keys ascending and the sum of each key's weights;
+    with ``return_first``, also the input position of each key's first
+    occurrence. A finite cap saturates the sums at the cap; a sum that
+    stays at or past _MULT_LIMIT raises ValidationError instead of
+    wrapping. This is the one "sort by key, sum each run, cap at the
+    grade" of the package: edge merging, refinement signatures, reduct
+    multiplicities and finite-width aggregation all count through it.
 
     ``scratch``, an int64 array of shape (2, >= len(keys)), receives the
     sorted keys and weights, so that a caller counting round after round
     reuses them instead of having the allocator map them afresh each
-    time. The returned arrays never share its memory.
+    time. The keys may be held in scratch[1]: they are read before the
+    weights are written. The returned arrays never share its memory.
+
+    The sort stays stable (timsort): the keys of refinement and
+    aggregation arrive grouped by row, with each row's keys ascending or
+    nearly so, and on such runs timsort is about twice as fast as the
+    default vectorized sort. Callers with shuffled keys sort them first.
     """
     order = np.argsort(keys, kind="stable")
     if scratch is None:
@@ -60,7 +67,18 @@ def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=Non
         np.minimum(sums, min(int(cap), _MULT_LIMIT), out=sums)
     if len(sums) and sums.max() >= _MULT_LIMIT:
         raise ValidationError(_OVERFLOW_MESSAGE)
-    return sorted_keys[starts], sums, order[starts]
+    if return_first:
+        return sorted_keys[starts], sums, order[starts]
+    return sorted_keys[starts], sums
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending, by a sort and an adjacent
+    comparison (np.unique(x) without return_* takes a slower hash set)."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
@@ -140,14 +158,19 @@ class ColoredMultigraph:
                 raise ValidationError("edge endpoint out of range")
             if mult.min() <= 0:
                 raise FormatError("edge multiplicity must be >= 1")
-        pairs, out_mult, _ = _count_runs(src * n + dst, mult, cap)
+        # Shuffled keys: the vectorized sort first, so that _count_runs's
+        # stable sort meets sorted input.
+        keys = src * n + dst
+        order = np.argsort(keys)
+        pairs, out_mult = _count_runs(keys[order], mult[order], cap)
         out_src, out_dst = np.divmod(pairs, n)
 
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(out_src, minlength=n), out=out_indptr[1:])
 
-        # in-direction: same unique pairs re-sorted by (dst, src)
-        in_order = np.argsort(out_dst, kind="stable")
+        # in-direction: same unique pairs re-sorted by (dst, src); the keys
+        # are distinct, so any sort gives the one order
+        in_order = np.argsort(out_dst * n + out_src)
         in_src = out_src[in_order]
         in_mult = out_mult[in_order]
         in_indptr = np.zeros(n + 1, dtype=np.int64)

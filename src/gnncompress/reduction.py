@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColorTable, ColoredMultigraph
+from .graph import ColorTable, ColoredMultigraph, _sorted_distinct
 from .refine import INF, Partition, refine
 
 POLICIES = ("min-incidence", "first-node")
@@ -38,7 +38,7 @@ def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
     of its in-neighbors."""
     k = partition.num_classes
     key = g.in_dst_flat * k + partition.class_of[g.in_src]
-    return np.bincount(np.unique(key) // k, minlength=g.node_count)
+    return np.bincount(_sorted_distinct(key) // k, minlength=g.node_count)
 
 
 def choose_substitution(g: ColoredMultigraph, partition: Partition,
@@ -88,7 +88,7 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
     survive; colors are preserved.
     """
     rep_of_node = substitution.rep_of_node
-    node_ids = np.unique(substitution.rep_of_class)
+    node_ids = np.sort(substitution.rep_of_class)        # distinct: one node per class
     rep_index = np.searchsorted(node_ids, rep_of_node)
 
     is_rep = np.zeros(g.node_count, dtype=bool)

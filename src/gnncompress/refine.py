@@ -16,7 +16,14 @@ partitions, only a split history of at most 2n entries. Canonical class
 ids (first occurrence by ascending node id) are derived for a round when
 its partition is asked for, so partitions, bundles and CLI outputs stay
 byte-reproducible.
-`refine_step` is the one-round reference, re-signing every node.
+
+A round groups its nodes by signature. At _INTERN_LOOP_CUTOFF rows and
+above, it hashes each row and sorts the keys once (_intern_hashed), then
+compares every row with the first row of its group; on a collision it
+groups the rows by a full row sort instead (_intern_exact), so a
+collision costs time, never a wrong partition.
+`refine_step` is the one-round reference, re-signing every node and
+always interning exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import _MULT_LIMIT, _OVERFLOW_MESSAGE, ColoredMultigraph, _count_runs
+from .graph import (_MULT_LIMIT, _OVERFLOW_MESSAGE, ColoredMultigraph, _count_runs,
+                    _sorted_distinct)
 
 INF = math.inf
 
@@ -78,12 +86,13 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade,
-                scratch=None):
+                scratch):
     """Signatures of ``nodes`` (all nodes when None) under ``class_of``
     with k classes, as arrays (headers, prow, pcls, counts): row i is the
     class headers[i] plus the pairs j with prow[j] == i, ascending by
-    in-neighbor class pcls[j], with capped count counts[j]. ``scratch``
-    is passed on to _count_runs."""
+    in-neighbor class pcls[j], with capped count counts[j]. ``scratch``,
+    an int64 array of shape (2, >= len(g.in_src)), holds the keys and is
+    passed on to _count_runs."""
     if nodes is None:
         row_of_edge, edges, headers = g.in_dst_flat, slice(None), class_of
     else:
@@ -92,10 +101,11 @@ def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade
         edges = _ranges(lo, degree)
         row_of_edge = np.repeat(np.arange(len(nodes), dtype=np.int64), degree)
         headers = class_of[nodes]
-    keys = class_of[g.in_src[edges]]
-    keys += row_of_edge * k
-    pairs, counts, _ = _count_runs(keys, g.in_mult[edges], grade, scratch)
-    prow, pcls = np.divmod(pairs, k)
+    src = g.in_src[edges]
+    keys = np.take(class_of, src, out=scratch[1, :len(src)])
+    keys += np.multiply(row_of_edge, k, out=scratch[0, :len(src)])
+    pairs, counts = _count_runs(keys, g.in_mult[edges], grade, scratch)
+    prow, pcls = np.divmod(pairs, k, out=(pairs, np.empty_like(pairs)))    # prow reuses pairs
     return headers, prow, pcls, counts
 
 
@@ -126,7 +136,8 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     _check_extent(grade, "grade", 1)
     if len(current.class_of) != g.node_count:
         raise ValueError("partition does not cover the graph")
-    rows = _signatures(g, current.class_of, max(current.num_classes, 1), None, grade)
+    rows = _signatures(g, current.class_of, max(current.num_classes, 1), None, grade,
+                       np.empty((2, len(g.in_src)), dtype=np.int64))
     return canonical_partition(_intern_exact(*_flatten(*rows)), current.round + 1)
 
 
@@ -150,7 +161,7 @@ def _intern_exact(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     lengths = np.diff(offsets)
     labels = np.empty(rows, dtype=np.int64)
     base = 0
-    for length in np.unique(lengths):
+    for length in _sorted_distinct(lengths):
         members = np.flatnonzero(lengths == length)
         block = flat[offsets[members, None] + np.arange(length)]
         view = np.ascontiguousarray(block).view(
@@ -158,6 +169,90 @@ def _intern_exact(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         uniq, inverse = np.unique(view, return_inverse=True)
         labels[members] = base + inverse
         base += len(uniq)
+    return labels
+
+
+# Multipliers of the signature hash: an odd constant that spreads class
+# ids, then the two of the splitmix64 finalizer.
+_HASH_MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+                     np.uint64(0x94D049BB133111EB))
+
+
+def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Scramble the uint64 values x in place with the splitmix64
+    finalizer, a bijection; tmp is a work array of x's length."""
+    _, m1, m2 = _HASH_MULTIPLIERS
+    for shift, mul in ((30, m1), (27, m2), (31, None)):
+        np.right_shift(x, shift, out=tmp)
+        x ^= tmp
+        if mul is not None:
+            x *= mul
+
+
+def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
+    """_intern_exact's labels for the signature rows of _signatures, by
+    hashing each row and checking every hash exactly.
+
+    A row's key is its mixed header plus the wrapping sum of its mixed
+    (class, count) pairs; one sort of the keys groups the rows. Equal rows
+    get equal keys, so only rows that share a key can be wrongly grouped:
+    each is compared with the first row of its group, header, pair count
+    and every pair. On any mismatch the rows are interned by _intern_exact
+    instead. ``scratch`` is an int64 array of shape (2, > len(prow)); its
+    contents are overwritten.
+    """
+    spread = _HASH_MULTIPLIERS[0]
+    rows, pairs = len(headers), len(prow)
+    lengths = np.bincount(prow, minlength=rows)
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+
+    # Pair hashes after a leading 0, then their running sum: a row's sum
+    # is the difference of the running sum at its two offsets.
+    run = scratch[0, :pairs + 1].view(np.uint64)
+    mixed = run[1:]
+    np.multiply(pcls.view(np.uint64), spread, out=mixed)
+    mixed += counts.view(np.uint64)
+    _mix(mixed, scratch[1, :pairs].view(np.uint64))
+    run[0] = 0
+    np.cumsum(run, out=run)
+    key = run[offsets[1:]]
+    key -= run[offsets[:-1]]
+    head = np.multiply(headers.view(np.uint64), spread)
+    _mix(head, np.empty_like(head))
+    key += head
+
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = np.ones(rows, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    labels = np.empty(rows, dtype=np.int64)
+    labels[order] = group
+    if group[-1] + 1 == rows:
+        return labels           # all keys distinct, so all rows distinct
+    lead = order[first][labels]     # the first row of each row's group
+    if (headers[lead] != headers).any() or (lengths[lead] != lengths).any():
+        return _intern_exact(*_flatten(headers, prow, pcls, counts))
+
+    # The position of each pair's counterpart in its lead row. It steps
+    # by 1 within a row, so it is the running sum of steps that are 1
+    # except at the first pair of each row.
+    filled = lengths > 0
+    ref = offsets[lead[filled]]
+    jump = ref.copy()
+    jump[1:] -= ref[:-1] + lengths[filled][:-1] - 1
+    counterpart = scratch[0, :pairs]
+    counterpart.fill(1)
+    counterpart[offsets[:-1][filled]] = jump
+    np.cumsum(counterpart, out=counterpart)
+    other = scratch[1, :pairs]
+    for values in (pcls, counts):
+        np.take(values, counterpart, out=other, mode="clip")
+        other -= values
+        if other.any():
+            return _intern_exact(*_flatten(headers, prow, pcls, counts))
     return labels
 
 
@@ -265,7 +360,8 @@ class _Refiner:
         self.size[:self.k] = np.bincount(self.cls, minlength=self.k)
         self.mark = np.zeros(n, dtype=bool)         # work flags: all False between uses
         self.best = np.zeros(n, dtype=np.int64)     # work array, per class
-        self.scratch = np.empty((2, len(g.in_src)), dtype=np.int64)    # reused by _count_runs
+        # reused by _count_runs, then by _intern_hashed
+        self.scratch = np.empty((2, len(g.in_src) + 1), dtype=np.int64)
 
     def round(self, dirty) -> np.ndarray:
         """Run a round, re-signing the ``dirty`` nodes (None: every node).
@@ -278,7 +374,10 @@ class _Refiner:
         rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade, self.scratch)
         if dirty is None:
             dirty = np.arange(n, dtype=np.int64)
-        lab = _intern_exact(*_flatten(*rows))
+        if len(dirty) < _INTERN_LOOP_CUTOFF:
+            lab = _intern_exact(*_flatten(*rows))
+        else:
+            lab = _intern_hashed(*rows, self.scratch)
         groups = int(lab.max()) + 1 if len(lab) else 0
         gcls = np.empty(groups, dtype=np.int64)
         gcls[lab] = rows[0]                             # the class of each group
@@ -369,7 +468,7 @@ class _Refiner:
         lo = g.out_indptr[moved]
         targets = g.out_dst[_ranges(lo, g.out_indptr[moved + 1] - lo)]
         if 32 * len(targets) < len(mark):   # a small frontier: sorting beats a full scan
-            return np.unique(targets)
+            return _sorted_distinct(targets)
         mark[targets] = True
         found = np.flatnonzero(mark)
         mark[found] = False

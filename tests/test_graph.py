@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnncompress import FormatError, ValidationError, build_graph, graph_size
+from gnncompress.graph import ColorTable, ColoredMultigraph
 from conftest import A1, A2, A3, B2, random_graph, star_of_stars, transpose
 
 
@@ -92,3 +93,44 @@ def test_in_out_multiplicity_totals(fig1):
         in_total = int(fig1.in_mult[lo:hi].sum())
         out_total = int(fig1.out_mult[fig1.out_dst == v].sum())
         assert in_total == out_total
+
+
+def test_large_shuffled_edge_arrays_match_a_dict_build():
+    # 40,000 shuffled edge slots over 2,500 nodes, a quarter of them
+    # repeated pairs, merged and capped at a finite cap
+    rng = np.random.default_rng(7)
+    n, cap = 2500, 5
+    src = rng.integers(0, n, 30_000)
+    dst = rng.integers(0, n, 30_000)
+    repeat = rng.integers(0, len(src), 10_000)
+    src, dst = np.concatenate([src, src[repeat]]), np.concatenate([dst, dst[repeat]])
+    mult = rng.integers(1, 4, len(src))
+    shuffle = rng.permutation(len(src))
+    src, dst, mult = src[shuffle], dst[shuffle], mult[shuffle]
+
+    merged = {}
+    for s, d, m in zip(src.tolist(), dst.tolist(), mult.tolist()):
+        merged[s, d] = merged.get((s, d), 0) + m
+    assert len(merged) < len(src)
+    out_pairs = sorted(merged)
+    in_pairs = sorted(merged, key=lambda p: (p[1], p[0]))
+    expected = {
+        "out_indptr": np.searchsorted([s for s, _ in out_pairs], np.arange(n + 1)),
+        "out_dst": [d for _, d in out_pairs],
+        "out_mult": [min(merged[p], cap) for p in out_pairs],
+        "in_indptr": np.searchsorted([d for _, d in in_pairs], np.arange(n + 1)),
+        "in_src": [s for s, _ in in_pairs],
+        "in_mult": [min(merged[p], cap) for p in in_pairs],
+    }
+    table = ColorTable()
+    table.intern("x")
+    colors = np.zeros(n, dtype=np.int64)
+    for order in (slice(None), slice(None, None, -1)):
+        g = ColoredMultigraph.from_edge_arrays(n, src[order], dst[order], mult[order],
+                                               colors, table, cap=cap)
+        for name, want in expected.items():
+            got = getattr(g, name)
+            assert got.dtype == np.int64 and np.array_equal(got, want), name
+        for indptr, entries in ((g.out_indptr, g.out_dst), (g.in_indptr, g.in_src)):
+            row = np.repeat(np.arange(n), np.diff(indptr))
+            assert (np.diff(row * n + entries) > 0).all()     # ascending within each row

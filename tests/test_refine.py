@@ -307,6 +307,97 @@ def test_refine_matches_iterated_refine_step_above_loop_cutoff(grade, round_path
     assert {path for path, _ in round_paths} == {"small", "vectorized"}
 
 
+@pytest.fixture
+def exact_fallbacks(monkeypatch):
+    """Records the row count of each _intern_exact call above the dict
+    cutoff: in a refine run, only _intern_hashed's fallback makes those."""
+    calls = []
+    exact = refine_module._intern_exact
+
+    def counting(flat, offsets):
+        if len(offsets) - 1 >= _INTERN_LOOP_CUTOFF:
+            calls.append(len(offsets) - 1)
+        return exact(flat, offsets)
+
+    monkeypatch.setattr(refine_module, "_intern_exact", counting)
+    return calls
+
+
+SPLITMIX = refine_module._HASH_MULTIPLIERS[1:]
+# "all": every key is equal. "some": keys ignore class ids, in headers and
+# pairs alike, so rows collide when only class ids tell them apart.
+COLLIDING_MULTIPLIERS = {"all": (np.uint64(0),) * 3, "some": (np.uint64(0), *SPLITMIX)}
+
+
+@pytest.mark.parametrize("collide", sorted(COLLIDING_MULTIPLIERS))
+@pytest.mark.parametrize("grade", [1, 2, math.inf])
+def test_hash_collisions_fall_back_to_exact_interning(grade, collide, monkeypatch,
+                                                      exact_fallbacks):
+    graphs = [random_graph(1100, 1300, n_colors=2, max_mult=3, seed=80),
+              random_graph(1500, 4000, n_colors=2, max_mult=3, seed=81)]
+    unpatched = [refine(g, grade=grade) for g in graphs]
+    assert not exact_fallbacks
+    monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS[collide])
+    patched = [refine(g, grade=grade) for g in graphs]
+    assert exact_fallbacks
+    for g, r, plain in zip(graphs, patched, unpatched):
+        parts, stable = iterated_partitions(g, grade=grade)
+        assert r.stable_round == stable == plain.stable_round
+        assert r.class_counts == [p.num_classes for p in parts] == plain.class_counts
+        for d, p in enumerate(parts):
+            assert np.array_equal(r.at(d).class_of, p.class_of), d
+            assert np.array_equal(r.at(d).class_of, plain.at(d).class_of), d
+
+
+@pytest.mark.parametrize("differ", [None, "header", "pair count", "class", "count"])
+def test_hash_check_compares_each_row_in_full(differ, monkeypatch, exact_fallbacks):
+    # every key collides, and odd rows differ from even ones in one part
+    # only, so only the check of that part can tell them apart
+    n = _INTERN_LOOP_CUTOFF + 100
+    odd = np.arange(n) % 2
+    lengths = 1 + odd if differ == "pair count" else np.ones(n, dtype=np.int64)
+    pairs = int(lengths.sum())
+    headers = odd if differ == "header" else np.zeros(n, dtype=np.int64)
+    pcls = np.repeat(odd, lengths) if differ == "class" else np.zeros(pairs, dtype=np.int64)
+    counts = 1 + np.repeat(odd, lengths) if differ == "count" else np.ones(pairs, dtype=np.int64)
+    prow = np.repeat(np.arange(n), lengths)
+    monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"])
+    labels = refine_module._intern_hashed(headers, prow, pcls, counts,
+                                          np.empty((2, pairs + 1), dtype=np.int64))
+    expected = np.zeros(n, dtype=np.int64) if differ is None else odd
+    assert np.array_equal(canonical_partition(labels).class_of, expected)
+    assert len(exact_fallbacks) == (differ is not None)
+
+
+def test_hash_path_at_the_multiplicity_limit(monkeypatch):
+    # in-edges of up to 2**62 - 1 whose sums pass the limit, and a fifth
+    # of the nodes with no in-edges, in rounds above the dict cutoff
+    rng = np.random.default_rng(90)
+    n = 1200
+    big = [1, 2, 2**61, 2**62 - 1]
+    edges = {}
+    for v in range(n // 5, n):
+        for w in rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist():
+            edges[(w, v)] = big[int(rng.integers(0, len(big)))]
+    g = build_graph([(w, v, m) for (w, v), m in edges.items()],
+                    rng.integers(0, 2, n).tolist())
+    hashed = []
+    intern = refine_module._intern_hashed
+
+    def recording(*args):
+        hashed.append(len(args[0]))
+        return intern(*args)
+
+    monkeypatch.setattr(refine_module, "_intern_hashed", recording)
+    grade = 2**62 - 1
+    r = refine(g, depth=3, grade=grade)
+    assert hashed and min(hashed) >= _INTERN_LOOP_CUTOFF
+    for d in range(4):
+        assert np.array_equal(r.at(d).class_of, naive_partition(g, d, grade).class_of), d
+    with pytest.raises(ValidationError, match="overflow"):
+        refine(g, depth=3, grade=math.inf)
+
+
 @pytest.mark.parametrize("grade", [1, 2, 3, math.inf])
 def test_small_rounds_keep_the_vectorized_history(grade, monkeypatch):
     # class ids, parents and counts, not only the partitions, are those of

@@ -11,6 +11,15 @@ kernel that refinement uses. This evaluator is the oracle behind all
 equivalence checks, so determinism matters more than speed: each node
 sums its terms in order of first occurrence, which is ascending neighbor
 id, and all arithmetic is float64.
+
+At a finite width, rows are grouped by a 64-bit key that chains their
+uint64 bit patterns through refinement's splitmix64 finalizer; one sort
+of the keys groups them. The grouping is exact, not probabilistic: equal
+rows always get equal keys, and every row is then compared bit for bit
+with the first row of its group. Any mismatch, which takes a hash
+collision, makes the layer group its rows by a sort of their bytes
+instead. Rows are compared as bits, so -0.0 and 0.0 are different rows,
+as they are in the byte comparison.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ColoredMultigraph, _count_runs
-from .refine import INF, _check_extent
+from .refine import _HASH_MULTIPLIERS, INF, _check_extent, _group_keys, _mix
 
 AGG_KINDS = ("sum", "mean", "max")
 ACTIVATIONS = ("relu", "identity")
@@ -108,7 +117,41 @@ class Gnn:
                     raise ValueError(f"layer {i}: non-finite parameter")
 
 
-def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndarray:
+def _row_labels(x: np.ndarray) -> np.ndarray:
+    """Labels of the rows of the float64 matrix x, equal labels <=> equal
+    bits; each label is below len(x).
+
+    A row's key chains its uint64 bit patterns through the splitmix64
+    finalizer, and one sort of the keys groups the rows. Equal rows get
+    equal keys, so only rows that share a key can be wrongly grouped: each
+    is compared with the first row of its group, bit for bit. On any
+    mismatch the rows are labelled by a sort of their bytes instead.
+    """
+    bits = np.ascontiguousarray(x).view(np.uint64)
+    key = np.zeros(len(bits), dtype=np.uint64)
+    tmp = np.empty_like(key)
+    for column in bits.T:
+        key *= _HASH_MULTIPLIERS[0]
+        key += column
+        _mix(key, tmp)
+    labels, lead = _group_keys(key)
+    if lead is None or np.array_equal(bits[lead], bits):
+        return labels
+    rows = bits.view(np.dtype((np.void, bits.shape[1] * bits.itemsize))).ravel()
+    return np.unique(rows, return_inverse=True)[1]
+
+
+def _in_edges(g: ColoredMultigraph):
+    """g's in-edges as every layer of a forward pass reads them: target and
+    source of each, its multiplicity as float64, and a work buffer of one
+    float per edge."""
+    return g.in_dst_flat, g.in_src, g.in_mult.astype(np.float64), np.empty(len(g.in_src))
+
+
+def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,
+               edges=None) -> np.ndarray:
+    """Aggregate the in-neighbor rows of x per node; ``edges`` is
+    _in_edges(g), built once by a caller that aggregates layer after layer."""
     n, p = x.shape
     if not len(g.in_src):
         return np.zeros((n, p), dtype=np.float64)
@@ -129,26 +172,29 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width) -> np.ndar
         out = np.zeros((n, p), dtype=np.float64)
         out[has_in] = top
         return out
-    dst, src, counts = g.in_dst_flat, g.in_src, g.in_mult
+    dst, src, weights, term = _in_edges(g) if edges is None else edges
     if not math.isinf(width):
-        # Finite width: count each distinct neighbor row (by its bytes), capped
+        # Finite width: count each distinct neighbor row (by its bits), capped
         # at c, and keep the first in-edge of each row as the one that adds it.
-        rows = np.ascontiguousarray(x).view(np.dtype((np.void, p * x.itemsize))).ravel()
-        uniq, row_id = np.unique(rows, return_inverse=True)
-        r = len(uniq)
-        pairs, counts, first = _count_runs(dst * r + row_id[src], counts, width,
-                                           return_first=True)
-        order = np.argsort(first)
-        dst, src, counts = pairs[order] // r, src[first[order]], counts[order]
+        _, counts, first = _count_runs(dst * n + _row_labels(x)[src], g.in_mult, width,
+                                       return_first=True)
+        capped = np.zeros(len(src), dtype=np.float64)
+        capped[first] = counts
+        keep = np.flatnonzero(capped)       # the first in-edges, ascending
+        dst, src, weights, term = dst[keep], src[keep], capped[keep], term[:len(keep)]
     # bincount adds out[i] += w[i] in input order, from 0.0, so each node sums
     # its in-edges in ascending order; a column at a time keeps temporaries
-    # at one float per edge
+    # at one float per edge. out stays C-ordered: the combine step's np.dot
+    # may pick another BLAS kernel, and round differently, for an F-ordered
+    # operand.
     out = np.empty((n, p), dtype=np.float64)
-    for j, column in enumerate(x.T):
-        out[:, j] = np.bincount(dst, column[src] * counts, minlength=n)
+    for j, column in enumerate(np.ascontiguousarray(x.T)):
+        np.take(column, src, out=term, mode="clip")
+        term *= weights
+        out[:, j] = np.bincount(dst, term, minlength=n)
     if kind == "mean":
         # a node without in-edges holds 0.0, which a total of 1 leaves as it is
-        out /= np.maximum(np.bincount(dst, counts, minlength=n), 1.0)[:, None]
+        out /= np.maximum(np.bincount(dst, weights, minlength=n), 1.0)[:, None]
     return out
 
 
@@ -164,9 +210,14 @@ def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn) -> np.ndarray:
         raise ValueError("input features must be finite")
     if x.shape != (g.node_count, gnn.config.input_dim):
         raise ValueError(f"feature shape {x.shape} != {(g.node_count, gnn.config.input_dim)}")
+    edges = _in_edges(g)
     for layer, w_self, w_agg, bias in zip(gnn.config.layers, gnn.w_self, gnn.w_agg, gnn.bias):
-        agg = _aggregate(g, x, layer.agg, gnn.config.width)
-        x = x @ w_self.T + agg @ w_agg.T + bias
+        agg = _aggregate(g, x, layer.agg, gnn.config.width, edges)
+        # np.dot gives @'s bits on these 2-D float64 operands and skips
+        # matmul's overhead at inner dimension 1
+        x = np.dot(x, w_self.T)
+        x += np.dot(agg, w_agg.T)
+        x += bias
         if layer.activation == "relu":
             np.maximum(x, 0.0, out=x)
     return x
@@ -178,13 +229,16 @@ def sample_gnn(config: GnnConfig, seed: int) -> Gnn:
     Per layer, in order: W_self, then W_agg, then bias. The same seed
     yields byte-identical parameters on every platform.
     """
-    rng = np.random.default_rng(seed)
+    q_p = [(layer.out_dim, layer.in_dim) for layer in config.layers]
+    # one draw of all parameters gives the values of one draw per array
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, sum(q * (2 * p + 1) for q, p in q_p))
     w_self, w_agg, bias = [], [], []
-    for layer in config.layers:
-        q, p = layer.out_dim, layer.in_dim
-        w_self.append(rng.uniform(-1.0, 1.0, (q, p)))
-        w_agg.append(rng.uniform(-1.0, 1.0, (q, p)))
-        bias.append(rng.uniform(-1.0, 1.0, q))
+    at = 0
+    for q, p in q_p:
+        w_self.append(draws[at:at + q * p].reshape(q, p))
+        w_agg.append(draws[at + q * p:at + 2 * q * p].reshape(q, p))
+        bias.append(draws[at + 2 * q * p:at + q * (2 * p + 1)])
+        at += q * (2 * p + 1)
     return Gnn(config, w_self, w_agg, bias)
 
 

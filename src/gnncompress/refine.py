@@ -189,6 +189,23 @@ def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
             x *= mul
 
 
+def _group_keys(key: np.ndarray):
+    """Group equal uint64 keys with one sort. Returns dense labels, equal
+    labels <=> equal keys, numbered in key order, and the index of the
+    first entry of each entry's group, or None when all keys differ."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    labels = np.empty(len(key), dtype=np.int64)
+    labels[order] = group
+    if group[-1] + 1 == len(key):
+        return labels, None
+    return labels, order[first][labels]
+
+
 def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
     """_intern_exact's labels for the signature rows of _signatures, by
     hashing each row and checking every hash exactly.
@@ -222,17 +239,9 @@ def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
     _mix(head, np.empty_like(head))
     key += head
 
-    order = np.argsort(key)
-    sorted_key = key[order]
-    first = np.ones(rows, dtype=bool)
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    group = np.cumsum(first)
-    group -= 1
-    labels = np.empty(rows, dtype=np.int64)
-    labels[order] = group
-    if group[-1] + 1 == rows:
+    labels, lead = _group_keys(key)
+    if lead is None:
         return labels           # all keys distinct, so all rows distinct
-    lead = order[first][labels]     # the first row of each row's group
     if (headers[lead] != headers).any() or (lengths[lead] != lengths).any():
         return _intern_exact(*_flatten(headers, prow, pcls, counts))
 

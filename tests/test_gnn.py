@@ -1,4 +1,6 @@
+import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +8,12 @@ import pytest
 from gnncompress import (Gnn, GnnConfig, LayerConfig, build_graph, chain_config,
                          choose_substitution, forward, naive_partition,
                          one_hot_features, reduce_graph, refine, sample_gnn)
+from gnncompress.gnn import _aggregate
 from gnncompress.graph import ColoredMultigraph, ColorTable
 from conftest import class_members, random_graph
+
+gnn_module = importlib.import_module("gnncompress.gnn")
+refine_module = importlib.import_module("gnncompress.refine")
 
 
 def identity_gnn(p):
@@ -244,6 +250,35 @@ def reference_forward(g, x, gnn):
     return x
 
 
+def verify_shaped_cases(agg, width):
+    """(graph, x, gnn) at the shapes verify and the epochs use: a 60-layer
+    chain of width 1, one-hot inputs, one output column (one label),
+    hidden features that relu zeroes, F-ordered and column-sliced inputs,
+    and a graph without edges. Rows repeat per colour, so a finite width
+    changes the sums."""
+    rng = np.random.default_rng(1300)
+    path = build_graph([(v, v + 1, 1) for v in range(29)], ["c"] * 30)
+    g = random_graph(30, 60, n_colors=3, max_mult=4, seed=1300)
+    chain = sample_gnn(chain_config([1] * 60 + [4], width=width, agg=agg), seed=1)
+    yield path, one_hot_features(path)[0], chain
+    yield g, rng.normal(size=(3, 1))[g.colors], chain
+    one_hot = one_hot_features(g)[0]
+    gnn = sample_gnn(chain_config([3, 5, 3], width=width, agg=agg), seed=2)
+    yield g, one_hot, gnn
+    yield g, one_hot, sample_gnn(chain_config([3, 5, 1], width=width, agg=agg), seed=3)
+    # a bias lowered by 1 makes relu zero most hidden features
+    shifted = Gnn(gnn.config, gnn.w_self, gnn.w_agg, [gnn.bias[0] - 1.0, gnn.bias[1]])
+    first = Gnn(GnnConfig(gnn.config.layers[:1], width), gnn.w_self[:1], gnn.w_agg[:1],
+                shifted.bias[:1])
+    hidden = forward(g, one_hot, first)
+    assert 0 < (hidden == 0).sum() < hidden.size
+    yield g, one_hot, shifted
+    wide = rng.normal(size=(3, 5))[g.colors]
+    yield g, np.asfortranarray(wide[:, :3]), gnn
+    yield g, wide[:, 1:4], gnn
+    yield build_graph([], ["a", "b", "a"]), rng.normal(size=(3, 3)), gnn
+
+
 @pytest.mark.parametrize("agg", ["sum", "mean", "max"])
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_finite_width_forward_matches_reference_bitwise(agg, width):
@@ -259,6 +294,8 @@ def test_finite_width_forward_matches_reference_bitwise(agg, width):
         gnn = sample_gnn(chain_config([4, 5, 3], width=width, agg=agg), seed=trial)
         assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
     assert sources_seen > 0  # the corpus has nodes with no in-edges
+    for g, x, gnn in verify_shaped_cases(agg, width):
+        assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
 
 
 @pytest.mark.parametrize("agg", ["sum", "mean", "max"])
@@ -274,6 +311,8 @@ def test_forward_width_inf_matches_per_edge_reference_bitwise(agg):
         gnn = sample_gnn(chain_config([4, 5, 3], agg=agg), seed=trial)
         assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
     assert multi > 0  # the corpus has edges of multiplicity above 1
+    for g, x, gnn in verify_shaped_cases(agg, math.inf):
+        assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 2, math.inf])
@@ -281,7 +320,6 @@ def test_max_aggregation_matches_scatter_form_bitwise(width):
     # Features of -1.0, -0.0 and 0.0 make most maxima signed zeros, and
     # in-degrees past 16 reach reduceat's vector loops, which order equal
     # values differently from a scan.
-    from gnncompress.gnn import _aggregate
     seen = {"no in-edges": 0, "-0.0": 0, "0.0": 0, "long": 0}
     for trial in range(20):
         rng = np.random.default_rng(1100 + trial)
@@ -307,3 +345,123 @@ def test_feature_shape_mismatch_rejected():
     gnn = identity_gnn(3)
     with pytest.raises(ValueError):
         forward(g, np.zeros((2, 2)), gnn)
+
+
+SPREAD, _, LAST_MULTIPLIER = refine_module._HASH_MULTIPLIERS
+# "all": every row key is equal. "some": a first finalizer multiplier of
+# 2**32 keeps only the low 32 bits of (k ^ k >> 30), so 0.0, -0.0 and 2.0
+# collide, and rows that differ only in such values collide too, while
+# random values keep distinct keys.
+ROW_COLLISIONS = {"all": (np.uint64(0),) * 3,
+                  "some": (SPREAD, np.uint64(1 << 32), LAST_MULTIPLIER)}
+
+
+@pytest.fixture
+def row_grouping(monkeypatch):
+    """Records the number of distinct row keys of each hashed grouping and
+    the row count of each void-row np.unique call: in an aggregation,
+    only the exact fallback of the row grouping makes those."""
+    seen = {"keys": [], "fallbacks": []}
+    group_keys, unique = gnn_module._group_keys, np.unique
+
+    def recording_group_keys(key):
+        labels, lead = group_keys(key)
+        seen["keys"].append(int(labels.max()) + 1)
+        return labels, lead
+
+    def counting_unique(values, *args, **kwargs):
+        if values.dtype.kind == "V":
+            seen["fallbacks"].append(len(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(gnn_module, "_group_keys", recording_group_keys)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    return seen
+
+
+@pytest.mark.parametrize("collide", sorted(ROW_COLLISIONS))
+@pytest.mark.parametrize("agg", ["sum", "mean"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_row_grouping_falls_back_to_exact_on_collisions(width, agg, collide, monkeypatch,
+                                                        row_grouping):
+    # Palette rows 0 and 1 (and, at p = 3, rows 2 and 3) differ only in a
+    # -0.0 against a 0.0, so a grouping that trusted its colliding keys
+    # would merge them.
+    rng = np.random.default_rng(1400 + width)
+    cases = []
+    for p in (1, 3):
+        palette = np.zeros((6, p))
+        palette[0, 1:] = palette[1, 1:] = rng.normal(size=p - 1)
+        palette[1, 0] = -0.0
+        palette[2:4, 0] = 2.0
+        palette[3, 1:] = -0.0
+        palette[4:] = rng.normal(size=(2, p))
+        g = random_graph(30, 150, n_colors=6, max_mult=3, seed=1400 + p)
+        cases.append((g, palette[g.colors]))
+    unpatched = [_aggregate(g, x, agg, width) for g, x in cases]
+    assert not row_grouping["fallbacks"]
+    monkeypatch.setattr(gnn_module, "_HASH_MULTIPLIERS", ROW_COLLISIONS[collide])
+    monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", ROW_COLLISIONS[collide])
+    row_grouping["keys"].clear()
+    patched = [_aggregate(g, x, agg, width) for g, x in cases]
+    assert row_grouping["fallbacks"] == [30, 30]
+    if collide == "all":
+        assert row_grouping["keys"] == [1, 1]
+    else:
+        assert min(row_grouping["keys"]) > 1
+    for (g, x), got, plain in zip(cases, patched, unpatched):
+        want = reference_aggregate(g, x, agg, width)
+        assert got.tobytes() == plain.tobytes() == want.tobytes()
+
+
+def per_array_draws(config, seed):
+    """sample_gnn's parameters drawn one array at a time, W_self, W_agg and
+    bias per layer: the reference for its single draw."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for layer in config.layers:
+        q, p = layer.out_dim, layer.in_dim
+        arrays += [rng.uniform(-1.0, 1.0, (q, p)), rng.uniform(-1.0, 1.0, (q, p)),
+                   rng.uniform(-1.0, 1.0, q)]
+    return arrays
+
+
+@pytest.mark.parametrize("dims", [[4, 16, 16, 3], [16, 16, 4], [1] * 400 + [4]],
+                         ids=["4-16-16-3", "16-16-4", "1x400-4"])
+def test_sample_gnn_matches_per_array_draws(dims):
+    config = chain_config(dims)
+    for seed in (0, 7):
+        gnn = sample_gnn(config, seed)
+        got = [a for layer in zip(gnn.w_self, gnn.w_agg, gnn.bias) for a in layer]
+        want = per_array_draws(config, seed)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def gnn_arrays(gnn):
+    return {name: [a.copy() for a in getattr(gnn, name)] for name in ("w_self", "w_agg", "bias")}
+
+
+@pytest.mark.parametrize("part", ["w_self", "w_agg", "bias"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gnn_rejects_non_finite_parameters(part, bad):
+    gnn = sample_gnn(chain_config([2, 3, 2]), 0)
+    arrays = gnn_arrays(gnn)
+    arrays[part][1].flat[-1] = bad
+    with pytest.raises(ValueError, match="layer 1: non-finite parameter"):
+        Gnn(gnn.config, **arrays)
+
+
+def test_gnn_rejects_wrong_shapes_and_parameter_counts():
+    gnn = sample_gnn(chain_config([2, 3, 2]), 0)
+    for part, shape in (("w_self", (3, 3)), ("w_agg", (2, 3)), ("bias", (3, 1))):
+        arrays = gnn_arrays(gnn)
+        arrays[part][0] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"layer 0: .* shape {re.escape(str(shape))}"):
+            Gnn(gnn.config, **arrays)
+    for part in ("w_self", "w_agg", "bias"):
+        for count in (1, 3):
+            arrays = gnn_arrays(gnn)
+            arrays[part] = (arrays[part] * 2)[:count]
+            with pytest.raises(ValueError, match="parameter count"):
+                Gnn(gnn.config, **arrays)

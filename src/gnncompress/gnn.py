@@ -20,6 +20,15 @@ with the first row of its group. Any mismatch, which takes a hash
 collision, makes the layer group its rows by a sort of their bytes
 instead. Rows are compared as bits, so -0.0 and 0.0 are different rows,
 as they are in the byte comparison.
+
+forward allocates one block per call for everything its layers write
+except the returned output, and reuses it layer after layer. Arrays made
+afresh in each layer grew and shrank the heap within every call, and
+glibc then handed the top of the heap back to the system and faulted it
+in again on the next call: about 1,300 minor page faults per call of the
+original road-d3 problem in some benchmark processes and none in others.
+One block the size of the whole pass raises glibc's dynamic mmap and trim
+thresholds to that size, so the memory stays in the heap between calls.
 """
 
 from __future__ import annotations
@@ -141,20 +150,18 @@ def _row_labels(x: np.ndarray) -> np.ndarray:
     return np.unique(rows, return_inverse=True)[1]
 
 
-def _in_edges(g: ColoredMultigraph):
-    """g's in-edges as every layer of a forward pass reads them: target and
-    source of each, its multiplicity as float64, and a work buffer of one
-    float per edge."""
-    return g.in_dst_flat, g.in_src, g.in_mult.astype(np.float64), np.empty(len(g.in_src))
-
-
 def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,
-               edges=None) -> np.ndarray:
-    """Aggregate the in-neighbor rows of x per node; ``edges`` is
-    _in_edges(g), built once by a caller that aggregates layer after layer."""
+               edges=None, out=None) -> np.ndarray:
+    """Aggregate the in-neighbor rows of x per node, into ``out`` when it is
+    given (a C-ordered n x p array). ``edges`` is (target, source,
+    multiplicity as float64, a work buffer of one float per edge) of g's
+    in-edges, which forward builds once for all its layers."""
     n, p = x.shape
+    if out is None:
+        out = np.empty((n, p), dtype=np.float64)
     if not len(g.in_src):
-        return np.zeros((n, p), dtype=np.float64)
+        out.fill(0.0)
+        return out
     if kind == "max":
         # max ranges over the support set, so the width cap never matters
         has_in = np.diff(g.in_indptr) > 0
@@ -169,10 +176,12 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,
             last = np.maximum.reduceat(position, starts, axis=0)
             segment, column = np.nonzero(top == 0)
             top[segment, column] = rows[last[segment, column], column]
-        out = np.zeros((n, p), dtype=np.float64)
+        out.fill(0.0)
         out[has_in] = top
         return out
-    dst, src, weights, term = _in_edges(g) if edges is None else edges
+    if edges is None:
+        edges = g.in_dst_flat, g.in_src, g.in_mult.astype(np.float64), np.empty(len(g.in_src))
+    dst, src, weights, term = edges
     if not math.isinf(width):
         # Finite width: count each distinct neighbor row (by its bits), capped
         # at c, and keep the first in-edge of each row as the one that adds it.
@@ -184,12 +193,9 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,
         dst, src, weights, term = dst[keep], src[keep], capped[keep], term[:len(keep)]
     # bincount adds out[i] += w[i] in input order, from 0.0, so each node sums
     # its in-edges in ascending order; a column at a time keeps temporaries
-    # at one float per edge. out stays C-ordered: the combine step's np.dot
-    # may pick another BLAS kernel, and round differently, for an F-ordered
-    # operand.
-    out = np.empty((n, p), dtype=np.float64)
-    for j, column in enumerate(np.ascontiguousarray(x.T)):
-        np.take(column, src, out=term, mode="clip")
+    # at one float per node
+    for j in range(p):
+        np.take(x[:, j], src, out=term, mode="clip")
         term *= weights
         out[:, j] = np.bincount(dst, term, minlength=n)
     if kind == "mean":
@@ -210,13 +216,32 @@ def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn) -> np.ndarray:
         raise ValueError("input features must be finite")
     if x.shape != (g.node_count, gnn.config.input_dim):
         raise ValueError(f"feature shape {x.shape} != {(g.node_count, gnn.config.input_dim)}")
-    edges = _in_edges(g)
-    for layer, w_self, w_agg, bias in zip(gnn.config.layers, gnn.w_self, gnn.w_agg, gnn.bias):
-        agg = _aggregate(g, x, layer.agg, gnn.config.width, edges)
-        # np.dot gives @'s bits on these 2-D float64 operands and skips
-        # matmul's overhead at inner dimension 1
-        x = np.dot(x, w_self.T)
-        x += np.dot(agg, w_agg.T)
+    # Every array the layers write, except the returned output, lives in
+    # one block per call (see the module docstring): the float
+    # multiplicities and a work buffer, one float per in-edge each, then
+    # three slots of n x d floats, d the widest layer.
+    n, m = g.node_count, len(g.in_src)
+    d = max(max(layer.in_dim, layer.out_dim) for layer in gnn.config.layers)
+    work = np.empty(2 * m + 3 * n * d)
+    weights, term = work[:m], work[m:2 * m]
+    np.copyto(weights, g.in_mult)
+    edges = g.in_dst_flat, g.in_src, weights, term
+    slots = work[2 * m:].reshape(3, n * d)
+    last = gnn.config.depth - 1
+    for i, (layer, w_self, w_agg, bias) in enumerate(
+            zip(gnn.config.layers, gnn.w_self, gnn.w_agg, gnn.bias)):
+        p, q = layer.in_dim, layer.out_dim
+        agg = _aggregate(g, x, layer.agg, gnn.config.width, edges,
+                         slots[0, :n * p].reshape(n, p))
+        # Slot 0 holds agg; the layer's output and its second product take
+        # turns in slots 1 and 2, so the product lands where the layer's
+        # input was. np.dot gives matmul's bits on C-ordered float64
+        # operands and skips its overhead at inner dimension 1; the caller's
+        # x may be strided, where the two round differently, so layer 0
+        # keeps matmul. agg must stay C-ordered for the same reason.
+        out = None if i == last else slots[1 + i % 2, :n * q].reshape(n, q)
+        x = (np.matmul if i == 0 else np.dot)(x, w_self.T, out=out)
+        x += np.dot(agg, w_agg.T, out=slots[2 - i % 2, :n * q].reshape(n, q))
         x += bias
         if layer.activation == "relu":
             np.maximum(x, 0.0, out=x)

@@ -253,8 +253,8 @@ def reference_forward(g, x, gnn):
 def verify_shaped_cases(agg, width):
     """(graph, x, gnn) at the shapes verify and the epochs use: a 60-layer
     chain of width 1, one-hot inputs, one output column (one label),
-    hidden features that relu zeroes, F-ordered and column-sliced inputs,
-    and a graph without edges. Rows repeat per colour, so a finite width
+    hidden features that relu zeroes, F-ordered, column-sliced and
+    column-strided inputs, and a graph without edges. Rows repeat per colour, so a finite width
     changes the sums."""
     rng = np.random.default_rng(1300)
     path = build_graph([(v, v + 1, 1) for v in range(29)], ["c"] * 30)
@@ -276,6 +276,9 @@ def verify_shaped_cases(agg, width):
     wide = rng.normal(size=(3, 5))[g.colors]
     yield g, np.asfortranarray(wide[:, :3]), gnn
     yield g, wide[:, 1:4], gnn
+    # every other column against one output column: matmul's loop for a
+    # non-unit inner stride and BLAS round this product differently
+    yield g, wide[:, ::2], sample_gnn(chain_config([3, 1, 2], width=width, agg=agg), seed=4)
     yield build_graph([], ["a", "b", "a"]), rng.normal(size=(3, 3)), gnn
 
 
@@ -338,6 +341,27 @@ def test_max_aggregation_matches_scatter_form_bitwise(width):
         seen["0.0"] += int((zero & ~np.signbit(out[has_in])).sum())
         seen["long"] += int((np.diff(g.in_indptr) > 16).sum())
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+@pytest.mark.parametrize("width", [1, 2, math.inf])
+def test_aggregate_into_out_matches_fresh_array(agg, width):
+    rng = np.random.default_rng(1500)
+    for g in (random_graph(25, 70, n_colors=3, max_mult=4, seed=1500),
+              build_graph([], ["a", "b", "a"])):
+        x = rng.choice([-0.0, 0.0, 1.0, -2.5], size=(g.node_count, 3))
+        out = np.full((g.node_count, 3), np.nan)
+        assert _aggregate(g, x, agg, width, out=out) is out
+        assert out.tobytes() == _aggregate(g, x, agg, width).tobytes()
+
+
+@pytest.mark.parametrize("dims", [[3, 2], [3, 8, 1], [3, 1, 16, 4]])
+def test_forward_output_owns_its_memory(dims):
+    # forward's per-call block must not stay alive through the output
+    g = random_graph(20, 50, n_colors=3, max_mult=3, seed=1600)
+    x, _ = one_hot_features(g)
+    out = forward(g, x, sample_gnn(chain_config(dims), seed=0))
+    assert out.base is None and out.flags.c_contiguous and out.shape == (20, dims[-1])
 
 
 def test_feature_shape_mismatch_rejected():

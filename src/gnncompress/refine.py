@@ -17,13 +17,14 @@ ids (first occurrence by ascending node id) are derived for a round when
 its partition is asked for, so partitions, bundles and CLI outputs stay
 byte-reproducible.
 
-A round groups its nodes by signature. At _INTERN_LOOP_CUTOFF rows and
-above, it hashes each row and sorts the keys once (_intern_hashed), then
-compares every row with the first row of its group; on a collision it
-groups the rows by a full row sort instead (_intern_exact), so a
-collision costs time, never a wrong partition.
+A vectorized round groups its nodes by signature: it hashes each row and
+sorts the keys once (_intern_hashed), then compares every row with the
+first row of its group; on a collision it groups the rows by a full row
+sort instead (_intern_exact), so a collision costs time, never a wrong
+partition. New class ids go in order of each group's smallest node, so
+the history does not depend on how the rows were grouped.
 `refine_step` is the one-round reference, re-signing every node and
-always interning exactly.
+always interning by the row sort.
 """
 
 from __future__ import annotations
@@ -141,25 +142,12 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     return canonical_partition(_intern_exact(*_flatten(*rows)), current.round + 1)
 
 
-# Below this many rows a plain dict beats the vectorized path.
-_INTERN_LOOP_CUTOFF = 1024
-
-
 def _intern_exact(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Dense labels of the rows flat[offsets[i]:offsets[i + 1]]: equal
     labels <=> equal rows. Deterministic, but not canonical."""
-    rows = len(offsets) - 1
-    if rows < _INTERN_LOOP_CUTOFF:
-        labels = np.empty(rows, dtype=np.int64)
-        table: dict[bytes, int] = {}
-        buf = flat.tobytes()
-        bounds = (offsets * flat.itemsize).tolist()
-        for i in range(rows):
-            labels[i] = table.setdefault(buf[bounds[i]:bounds[i + 1]], len(table))
-        return labels
     # Bucket rows by length, then unique rows per bucket.
     lengths = np.diff(offsets)
-    labels = np.empty(rows, dtype=np.int64)
+    labels = np.empty(len(lengths), dtype=np.int64)
     base = 0
     for length in _sorted_distinct(lengths):
         members = np.flatnonzero(lengths == length)
@@ -192,7 +180,7 @@ def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
 def _group_keys(key: np.ndarray):
     """Group equal uint64 keys with one sort. Returns dense labels, equal
     labels <=> equal keys, numbered in key order, and the index of the
-    first entry of each entry's group, or None when all keys differ."""
+    first entry of each entry's group, or None when no two keys are equal."""
     order = np.argsort(key)
     sorted_key = key[order]
     first = np.ones(len(key), dtype=bool)
@@ -201,7 +189,7 @@ def _group_keys(key: np.ndarray):
     group -= 1
     labels = np.empty(len(key), dtype=np.int64)
     labels[order] = group
-    if group[-1] + 1 == len(key):
+    if first.all():
         return labels, None
     return labels, order[first][labels]
 
@@ -286,13 +274,14 @@ class RefinementResult:
     """Split history of a refinement run plus stability information.
 
     cls[v] is node v's class id after the last computed round. A class
-    keeps its id while it only loses nodes; a class split off in round r
-    gets the next free id, with parent[id] the class it left. Ids
-    therefore grow with the round a class was born in, which is the r
-    with class_counts[r - 1] <= id < class_counts[r]: the classes of round
-    d are the ids below class_counts[d], and a node's round-d class is the
-    nearest ancestor of its class, itself included, with such an id. The
-    history takes at most n entries besides cls.
+    keeps its id while it only loses nodes; the classes split off in round
+    r get the next free ids in order of their smallest node, with
+    parent[id] the class each left. Ids therefore grow with the round a
+    class was born in, which is the r with class_counts[r - 1] <= id <
+    class_counts[r]: the classes of round d are the ids below
+    class_counts[d], and a node's round-d class is the nearest ancestor of
+    its class, itself included, with such an id. The history takes at most
+    n entries besides cls.
 
     Round 0 holds the initial colors. If the partition stabilized,
     stable_round s is minimal with round s == round s + 1 (the detection
@@ -351,8 +340,8 @@ class RefinementResult:
 # At or below this many dirty nodes a round runs in plain Python, and so
 # does the frontier of at most this many moved nodes: handling a few nodes
 # with dicts and sets costs less than the fixed numpy calls of the
-# vectorized path.
-_SMALL_ROUND = 16
+# vectorized path. Both cost the same at about 40 nodes of in-degree 3.
+_SMALL_ROUND = 40
 
 
 class _Refiner:
@@ -383,10 +372,7 @@ class _Refiner:
         rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade, self.scratch)
         if dirty is None:
             dirty = np.arange(n, dtype=np.int64)
-        if len(dirty) < _INTERN_LOOP_CUTOFF:
-            lab = _intern_exact(*_flatten(*rows))
-        else:
-            lab = _intern_hashed(*rows, self.scratch)
+        lab = _intern_hashed(*rows, self.scratch)
         groups = int(lab.max()) + 1 if len(lab) else 0
         gcls = np.empty(groups, dtype=np.int64)
         gcls[lab] = rows[0]                             # the class of each group
@@ -409,7 +395,8 @@ class _Refiner:
         np.minimum.at(best, gcls[tied], gmin[tied])
         keeps = tied & (gmin == best[gcls])
 
-        split = np.flatnonzero(~keeps)
+        split = np.flatnonzero(~keeps)      # new ids: by each group's smallest node
+        split = split[np.argsort(gmin[split])]
         new_ids = self.k + np.arange(len(split), dtype=np.int64)
         target = gcls.copy()
         target[split] = new_ids

@@ -11,8 +11,8 @@ from gnncompress import (GnnConfig, LayerConfig, ValidationError, build_graph,
                          verify_reduct)
 from gnncompress.graph import ColorTable, ColoredMultigraph
 from gnncompress.reduction import incidence_all
-from gnncompress.refine import (_INTERN_LOOP_CUTOFF, _SMALL_ROUND, canonical_partition,
-                                initial_partition, refine_step)
+from gnncompress.refine import (_SMALL_ROUND, canonical_partition, initial_partition,
+                                refine_step)
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       iterated_partitions, partition_blocks, random_graph,
                       refines, same_partition)
@@ -297,10 +297,10 @@ def test_refine_matches_iterated_refine_step(grade, round_paths):
 
 
 @pytest.mark.parametrize("grade", [1, 2, 3, math.inf])
-def test_refine_matches_iterated_refine_step_above_loop_cutoff(grade, round_paths):
-    # first rounds intern more rows than the dict cutoff, later ones fewer
+def test_refine_matches_iterated_refine_step_on_larger_graphs(grade, round_paths):
+    # round 1 signs over a thousand nodes, later rounds gathered frontiers
+    # and a few nodes in plain Python
     for i, (n, m) in enumerate([(1100, 1300), (1500, 4000)]):
-        assert n > _INTERN_LOOP_CUTOFF
         g = random_graph(n, m, n_colors=2, max_mult=3, seed=70 + i)
         for depth in (2, math.inf):
             assert_matches_reference(g, depth, grade)
@@ -309,14 +309,13 @@ def test_refine_matches_iterated_refine_step_above_loop_cutoff(grade, round_path
 
 @pytest.fixture
 def exact_fallbacks(monkeypatch):
-    """Records the row count of each _intern_exact call above the dict
-    cutoff: in a refine run, only _intern_hashed's fallback makes those."""
+    """Records the row count of each _intern_exact call: in a refine run,
+    only _intern_hashed's fallback makes those."""
     calls = []
     exact = refine_module._intern_exact
 
     def counting(flat, offsets):
-        if len(offsets) - 1 >= _INTERN_LOOP_CUTOFF:
-            calls.append(len(offsets) - 1)
+        calls.append(len(offsets) - 1)
         return exact(flat, offsets)
 
     monkeypatch.setattr(refine_module, "_intern_exact", counting)
@@ -333,14 +332,18 @@ COLLIDING_MULTIPLIERS = {"all": (np.uint64(0),) * 3, "some": (np.uint64(0), *SPL
 @pytest.mark.parametrize("grade", [1, 2, math.inf])
 def test_hash_collisions_fall_back_to_exact_interning(grade, collide, monkeypatch,
                                                       exact_fallbacks):
-    graphs = [random_graph(1100, 1300, n_colors=2, max_mult=3, seed=80),
-              random_graph(1500, 4000, n_colors=2, max_mult=3, seed=81)]
+    # rounds of 1 to 60 rows in the small graphs, over a thousand in the others
+    graphs = random_multigraphs(40, seed=31) + [
+        random_graph(1100, 1300, n_colors=2, max_mult=3, seed=80),
+        random_graph(1500, 4000, n_colors=2, max_mult=3, seed=81)]
     unpatched = [refine(g, grade=grade) for g in graphs]
     assert not exact_fallbacks
     monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS[collide])
     patched = [refine(g, grade=grade) for g in graphs]
-    assert exact_fallbacks
+    assert min(exact_fallbacks) < 60 and max(exact_fallbacks) > 1000
     for g, r, plain in zip(graphs, patched, unpatched):
+        assert np.array_equal(r.cls, plain.cls)
+        assert np.array_equal(r.parent, plain.parent)
         parts, stable = iterated_partitions(g, grade=grade)
         assert r.stable_round == stable == plain.stable_round
         assert r.class_counts == [p.num_classes for p in parts] == plain.class_counts
@@ -353,25 +356,26 @@ def test_hash_collisions_fall_back_to_exact_interning(grade, collide, monkeypatc
 def test_hash_check_compares_each_row_in_full(differ, monkeypatch, exact_fallbacks):
     # every key collides, and odd rows differ from even ones in one part
     # only, so only the check of that part can tell them apart
-    n = _INTERN_LOOP_CUTOFF + 100
-    odd = np.arange(n) % 2
-    lengths = 1 + odd if differ == "pair count" else np.ones(n, dtype=np.int64)
-    pairs = int(lengths.sum())
-    headers = odd if differ == "header" else np.zeros(n, dtype=np.int64)
-    pcls = np.repeat(odd, lengths) if differ == "class" else np.zeros(pairs, dtype=np.int64)
-    counts = 1 + np.repeat(odd, lengths) if differ == "count" else np.ones(pairs, dtype=np.int64)
-    prow = np.repeat(np.arange(n), lengths)
     monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"])
-    labels = refine_module._intern_hashed(headers, prow, pcls, counts,
-                                          np.empty((2, pairs + 1), dtype=np.int64))
-    expected = np.zeros(n, dtype=np.int64) if differ is None else odd
-    assert np.array_equal(canonical_partition(labels).class_of, expected)
-    assert len(exact_fallbacks) == (differ is not None)
+    for n in (2, 17, 1100):
+        odd = np.arange(n) % 2
+        lengths = 1 + odd if differ == "pair count" else np.ones(n, dtype=np.int64)
+        pairs = int(lengths.sum())
+        headers = odd if differ == "header" else np.zeros(n, dtype=np.int64)
+        pcls = np.repeat(odd, lengths) if differ == "class" else np.zeros(pairs, dtype=np.int64)
+        counts = (1 + np.repeat(odd, lengths) if differ == "count"
+                  else np.ones(pairs, dtype=np.int64))
+        prow = np.repeat(np.arange(n), lengths)
+        labels = refine_module._intern_hashed(headers, prow, pcls, counts,
+                                              np.empty((2, pairs + 1), dtype=np.int64))
+        expected = np.zeros(n, dtype=np.int64) if differ is None else odd
+        assert np.array_equal(canonical_partition(labels).class_of, expected), n
+    assert exact_fallbacks == ([] if differ is None else [2, 17, 1100])
 
 
 def test_hash_path_at_the_multiplicity_limit(monkeypatch):
     # in-edges of up to 2**62 - 1 whose sums pass the limit, and a fifth
-    # of the nodes with no in-edges, in rounds above the dict cutoff
+    # of the nodes with no in-edges, in rounds that all hash
     rng = np.random.default_rng(90)
     n = 1200
     big = [1, 2, 2**61, 2**62 - 1]
@@ -381,17 +385,22 @@ def test_hash_path_at_the_multiplicity_limit(monkeypatch):
             edges[(w, v)] = big[int(rng.integers(0, len(big)))]
     g = build_graph([(w, v, m) for (w, v), m in edges.items()],
                     rng.integers(0, 2, n).tolist())
-    hashed = []
-    intern = refine_module._intern_hashed
+    calls = {"hashed": 0, "signed": 0}
+    intern, sign = refine_module._intern_hashed, refine_module._signatures
 
-    def recording(*args):
-        hashed.append(len(args[0]))
+    def hashing(*args):
+        calls["hashed"] += 1
         return intern(*args)
 
-    monkeypatch.setattr(refine_module, "_intern_hashed", recording)
+    def signing(*args):
+        calls["signed"] += 1
+        return sign(*args)
+
+    monkeypatch.setattr(refine_module, "_intern_hashed", hashing)
+    monkeypatch.setattr(refine_module, "_signatures", signing)
     grade = 2**62 - 1
     r = refine(g, depth=3, grade=grade)
-    assert hashed and min(hashed) >= _INTERN_LOOP_CUTOFF
+    assert calls["hashed"] == calls["signed"] > 0
     for d in range(4):
         assert np.array_equal(r.at(d).class_of, naive_partition(g, d, grade).class_of), d
     with pytest.raises(ValidationError, match="overflow"):
@@ -413,6 +422,26 @@ def test_small_rounds_keep_the_vectorized_history(grade, monkeypatch):
         assert np.array_equal(mixed.parent, vectorized.parent)
         assert mixed.class_counts == vectorized.class_counts
         assert mixed.stable_round == vectorized.stable_round
+
+
+@pytest.mark.parametrize("grade", [1, 2, math.inf])
+def test_class_ids_do_not_depend_on_the_grouping_path(grade, monkeypatch):
+    # class ids, parents and counts are the same when every round falls
+    # back to the exact row sort, and when every round is vectorized
+    rng = np.random.default_rng(95)
+    for i in range(60):
+        n = int(50 * 60 ** rng.random())            # 50 to 3,000 nodes
+        g = random_graph(n, int(rng.integers(n // 2, 3 * n)), int(rng.integers(1, 4)),
+                         int(rng.integers(1, 4)), seed=950 + i)
+        plain = refine(g, grade=grade)
+        for name, value in (("_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"]),
+                            ("_SMALL_ROUND", -1)):
+            monkeypatch.setattr(refine_module, name, value)
+            r = refine(g, grade=grade)
+            monkeypatch.undo()
+            assert np.array_equal(r.cls, plain.cls), (i, name)
+            assert np.array_equal(r.parent, plain.parent), (i, name)
+            assert r.class_counts == plain.class_counts, (i, name)
 
 
 def test_small_round_guards_the_multiplicity_limit(monkeypatch):

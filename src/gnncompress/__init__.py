@@ -10,7 +10,7 @@ loss-equivalent to the original.
 from .errors import FormatError, GnnCompressError, ValidationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
                   one_hot_features, sample_gnn)
-from .graph import ColoredMultigraph, ColorTable, build_graph, graph_size
+from .graph import ColoredMultigraph, build_graph, graph_size
 from .problem import (CompressedProblem, LearningProblem, compress_problem,
                       equivalence_report, evaluate_compressed_loss, evaluate_loss)
 from .reduction import Substitution, choose_substitution, reduce_graph, verify_reduct
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "ColorTable",
     "ColoredMultigraph",
     "CompressedProblem",
     "FormatError",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graph import ColorTable, ColoredMultigraph, _sorted_distinct, graph_size
+from .graph import ColoredMultigraph, _sorted_distinct, graph_size, intern_colors
 from .problem import LOSS_KINDS, CompressedProblem
 from .refine import INF
 
@@ -282,9 +282,8 @@ def load_graph(edge_path, color_path=None, undirected: bool = False) -> LoadedGr
         payloads = read_colors(color_path, n, original_ids)
     else:
         payloads = [DEFAULT_COLOR] * n
-    table = ColorTable()
-    colors = table.intern_all(payloads)
-    graph = ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, table)
+    colors, palette = intern_colors(payloads)
+    graph = ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, palette)
     return LoadedGraph(graph, original_ids, id_map)
 
 
@@ -467,9 +466,8 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     src, dst, mult = read_edges(bundle / "graph.tsv")
     if len(src) and (src.max() >= r or dst.max() >= r):
         raise ValidationError(f"{bundle / 'graph.tsv'}: edge endpoint outside colors.tsv range")
-    table = ColorTable()
-    color_ids = table.intern_all(tokens)
-    graph = ColoredMultigraph.from_edge_arrays(r, src, dst, mult, color_ids, table)
+    color_ids, palette = intern_colors(tokens)
+    graph = ColoredMultigraph.from_edge_arrays(r, src, dst, mult, color_ids, palette)
 
     map_path = bundle / "map.tsv"
     rep_of_node = _bundle_map(map_path, r, meta.get("original_node_ids"))

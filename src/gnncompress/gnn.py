@@ -271,10 +271,10 @@ def one_hot_features(g: ColoredMultigraph, vocab: list | None = None) -> tuple[n
     color payloads in sorted-repr order so it is stable across graphs
     sharing the same color set."""
     if vocab is None:
-        vocab = sorted(g.color_table.payloads, key=repr)
+        vocab = sorted(g.palette, key=repr)
     index = {payload: i for i, payload in enumerate(vocab)}
     used, inverse = np.unique(g.colors, return_inverse=True)
-    column = np.array([index[g.color_table.payload(int(c))] for c in used], dtype=np.int64)
+    column = np.array([index[g.palette[c]] for c in used.tolist()], dtype=np.int64)
     x = np.zeros((g.node_count, len(vocab)), dtype=np.float64)
     x[np.arange(g.node_count), column[inverse]] = 1.0
     return x, vocab

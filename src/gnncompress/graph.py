@@ -1,11 +1,11 @@
 """Colored directed multigraphs with integer edge multiplicities.
 
-Nodes are dense integers in [0, n). Each node carries a color taken from
-an interning table (equal payloads <=> equal color ids). Adjacency is
-stored in both directions as CSR-style arrays so that in-neighborhoods
-(needed by refinement) and out-edges (needed by reduction) are both O(1)
-to slice. Graphs are immutable after construction and safe to share
-across threads.
+Nodes are dense integers in [0, n). Each node carries a color id, an
+index into the graph's palette of payloads (equal payloads <=> equal
+color ids). Adjacency is stored in both directions as CSR-style arrays so
+that in-neighborhoods (needed by refinement) and out-edges (needed by
+reduction) are both O(1) to slice. Graphs are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -86,37 +86,13 @@ def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
-class ColorTable:
-    """Bidirectional payload <-> dense color id map (injective per run)."""
-
-    def __init__(self):
-        self._id_of = {}
-        self._payloads = []
-
-    def intern(self, payload) -> int:
-        cid = self._id_of.get(payload)
-        if cid is None:
-            cid = len(self._payloads)
-            self._id_of[payload] = cid
-            self._payloads.append(payload)
-        return cid
-
-    def intern_all(self, payloads: list) -> np.ndarray:
-        """Intern each payload in turn; returns their color ids (int64)."""
-        for p in dict.fromkeys(payloads):
-            self.intern(p)
-        return np.fromiter(map(self._id_of.__getitem__, payloads), dtype=np.int64,
-                           count=len(payloads))
-
-    def payload(self, cid: int):
-        return self._payloads[cid]
-
-    @property
-    def payloads(self) -> list:
-        return list(self._payloads)
-
-    def __len__(self) -> int:
-        return len(self._payloads)
+def intern_colors(payloads) -> tuple[np.ndarray, tuple]:
+    """Number the distinct payloads by first occurrence: the color id of
+    each payload (int64) and the palette, the payload of each color id."""
+    palette = tuple(dict.fromkeys(payloads))
+    id_of = dict(zip(palette, range(len(palette))))
+    return np.fromiter(map(id_of.__getitem__, payloads), dtype=np.int64,
+                       count=len(payloads)), palette
 
 
 class ColoredMultigraph:
@@ -129,7 +105,7 @@ class ColoredMultigraph:
     """
 
     def __init__(self, node_count, out_indptr, out_dst, out_mult,
-                 in_indptr, in_src, in_mult, colors, color_table):
+                 in_indptr, in_src, in_mult, colors, palette):
         self.node_count = int(node_count)
         self.out_indptr = out_indptr
         self.out_dst = out_dst
@@ -138,12 +114,12 @@ class ColoredMultigraph:
         self.in_src = in_src
         self.in_mult = in_mult
         self.colors = colors
-        self.color_table = color_table
+        self.palette = palette
 
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_edge_arrays(cls, n: int, src, dst, mult, color_ids, color_table,
+    def from_edge_arrays(cls, n: int, src, dst, mult, color_ids, palette,
                          cap=math.inf) -> "ColoredMultigraph":
         """Build from parallel edge arrays; duplicate (src, dst) pairs are
         merged by summing multiplicities, saturating at ``cap`` when finite."""
@@ -177,7 +153,7 @@ class ColoredMultigraph:
         np.cumsum(np.bincount(out_dst, minlength=n), out=in_indptr[1:])
 
         return cls(n, out_indptr, out_dst, out_mult,
-                   in_indptr, in_src, in_mult, color_ids, color_table)
+                   in_indptr, in_src, in_mult, color_ids, palette)
 
     # -- flattened views (cached) -------------------------------------
 
@@ -196,11 +172,10 @@ class ColoredMultigraph:
         return len(self.out_dst)
 
     def color_payload(self, v: int):
-        return self.color_table.payload(int(self.colors[v]))
+        return self.palette[self.colors[v]]
 
     def payload_per_node(self) -> list:
-        payloads = self.color_table.payloads
-        return [payloads[c] for c in self.colors.tolist()]
+        return [self.palette[c] for c in self.colors.tolist()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColoredMultigraph):
@@ -233,8 +208,7 @@ def build_graph(edges: Iterable[tuple], colors) -> ColoredMultigraph:
         payloads = list(colors)
         n = len(payloads)
 
-    table = ColorTable()
-    color_ids = table.intern_all(payloads)
+    color_ids, palette = intern_colors(payloads)
 
     edges = list(edges)
     if edges:
@@ -243,7 +217,7 @@ def build_graph(edges: Iterable[tuple], colors) -> ColoredMultigraph:
         mult = np.array([e[2] for e in edges], dtype=np.int64)
     else:
         src = dst = mult = np.empty(0, dtype=np.int64)
-    return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, color_ids, table)
+    return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, color_ids, palette)
 
 
 def graph_size(g: ColoredMultigraph) -> tuple[int, int]:

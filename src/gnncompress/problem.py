@@ -148,7 +148,7 @@ def _check_features_consistent(problem: LearningProblem) -> None:
     if mixed.any():
         cid = int(g.colors[mixed].min())
         raise ValidationError(
-            f"initial color {g.color_table.payload(cid)!r} mixes distinct "
+            f"initial color {g.palette[cid]!r} mixes distinct "
             "feature vectors; colors must separate differing features")
 
 

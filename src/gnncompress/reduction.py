@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColorTable, ColoredMultigraph, _sorted_distinct
+from .graph import ColoredMultigraph, _sorted_distinct, intern_colors
 from .refine import INF, Partition, refine
 
 POLICIES = ("min-incidence", "first-node")
@@ -97,7 +97,7 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
     h = ColoredMultigraph.from_edge_arrays(
         len(node_ids), rep_index[g.out_src_flat[keep]],
         np.searchsorted(node_ids, g.out_dst[keep]), g.out_mult[keep],
-        g.colors[node_ids], g.color_table, cap=substitution.grade)
+        g.colors[node_ids], g.palette, cap=substitution.grade)
     return Reduct(h, node_ids, rep_index)
 
 
@@ -128,17 +128,14 @@ def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
     if len(rep_index_of_node) and (rep_index_of_node.min() < 0 or rep_index_of_node.max() >= r):
         raise ValueError("rep map points outside the reduct")
 
-    # Union interning table: remap per distinct color, not per node.
-    table_union = ColorTable()
-    g_map = table_union.intern_all(g.color_table.payloads)
-    h_map = table_union.intern_all(h.color_table.payloads)
-    colors_union = np.concatenate([g_map[g.colors], h_map[h.colors]])
+    # One palette for the union: remap per distinct color, not per node.
+    remap, palette = intern_colors(g.palette + h.palette)
+    colors_union = np.concatenate([remap[g.colors], remap[len(g.palette) + h.colors]])
 
     src = np.concatenate([g.out_src_flat, h.out_src_flat + n])
     dst = np.concatenate([g.out_dst, h.out_dst + n])
     mult = np.concatenate([g.out_mult, h.out_mult])
-    union = ColoredMultigraph.from_edge_arrays(n + r, src, dst, mult,
-                                               colors_union, table_union)
+    union = ColoredMultigraph.from_edge_arrays(n + r, src, dst, mult, colors_union, palette)
 
     result = refine(union, depth=depth, grade=grade)
     rep_pos = rep_index_of_node + n

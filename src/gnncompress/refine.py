@@ -501,7 +501,8 @@ def refine(g: ColoredMultigraph, depth=INF, grade=INF) -> RefinementResult:
         if not len(moved):
             stable = r - 1
             break
-        dirty = state.frontier(moved)
+        if r < bound:                               # no round reads the last frontier
+            dirty = state.frontier(moved)
     if math.isinf(depth) and stable is None:
         raise AssertionError("refinement failed to stabilize within the node bound")
     return RefinementResult(state.cls, state.parent[:state.k].copy(), counts, stable, depth)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gnncompress import build_graph
-from gnncompress.graph import ColorTable, ColoredMultigraph
+from gnncompress.graph import ColoredMultigraph, intern_colors
 from gnncompress.refine import Partition, initial_partition, refine_step
 
 # Worked example: 6 nodes a1,a2,a3 (color a) and b1,b2,b3 (color b),
@@ -32,9 +32,8 @@ def random_graph(n: int, m: int, n_colors: int = 1, max_mult: int = 1,
     dst = rng.integers(0, n, m)
     mult = rng.integers(1, max_mult + 1, m)
     payloads = rng.integers(0, n_colors, n)
-    table = ColorTable()
-    colors = np.fromiter((table.intern(int(p)) for p in payloads), dtype=np.int64, count=n)
-    return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, table)
+    colors, palette = intern_colors(payloads.tolist())
+    return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, palette)
 
 
 def bench_graph(total_size: int, density: float, seed: int = 0) -> ColoredMultigraph:
@@ -47,7 +46,7 @@ def bench_graph(total_size: int, density: float, seed: int = 0) -> ColoredMultig
 def transpose(g):
     """g with every edge reversed."""
     return ColoredMultigraph.from_edge_arrays(g.node_count, g.out_dst, g.out_src_flat,
-                                              g.out_mult, g.colors, g.color_table)
+                                              g.out_mult, g.colors, g.palette)
 
 
 def star_of_stars(m: int, n: int):

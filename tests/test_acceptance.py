@@ -127,7 +127,7 @@ def _random_problem(i: int):
     n_colors = int(rng.integers(1, 4))
     g = random_graph(n, m, n_colors=n_colors, max_mult=3, seed=9000 + i)
     p_dim = 3
-    rows = rng.normal(size=(len(g.color_table), p_dim))
+    rows = rng.normal(size=(len(g.palette), p_dim))
     feats = rows[g.colors]
     loss_kind = "xent" if i % 2 == 0 else "sq"
     t_size = int(rng.integers(0, n // 2 + 1))

@@ -113,7 +113,7 @@ def test_verify_grade_one_with_wide_gnns_warns(fig1_files, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("depth,grade", [("2", "2"), ("inf", "inf"), ("inf", "1"),
-                                         ("3", "inf")])
+                                         ("3", "inf"), ("0", "inf"), ("0", "1")])
 def test_compress_verify_round_trip_settings(fig1_files, capsys, tmp_path, depth, grade):
     g, c, t = fig1_files
     bundle = tmp_path / "bundle"
@@ -123,6 +123,7 @@ def test_compress_verify_round_trip_settings(fig1_files, capsys, tmp_path, depth
     code, out, _ = run(capsys, "verify", "--bundle", bundle, "--original", g,
                        "--colors", c, "--train", t, "--gnns", "3")
     assert code == 0, out
+    assert "verification passed" in out and "FAIL" not in out, out
 
 
 def test_verify_requires_train_when_bundle_has_one(fig1_files, capsys, tmp_path):
@@ -340,3 +341,11 @@ def test_public_names_resolve_once():
     import gnncompress
     assert sorted(set(gnncompress.__all__)) == sorted(gnncompress.__all__)
     assert [name for name in gnncompress.__all__ if not hasattr(gnncompress, name)] == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
+    assert "EquivalenceReport(" in capsys.readouterr().out

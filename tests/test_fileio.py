@@ -376,7 +376,7 @@ def test_bundle_fast_paths_match_per_line_parser(tmp_path, monkeypatch, name, sp
         except (FormatError, ValidationError) as exc:
             return type(exc).__name__, str(exc)
         return (back.graph, back.rep_of_node.tolist(),
-                back.graph.color_table.payloads, back.node_ids.tolist())
+                back.graph.palette, back.node_ids.tolist())
 
     fast = [load(lines) for lines in variants]
     assert fast[0][1] == cp.rep_of_node.tolist()

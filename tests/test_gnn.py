@@ -9,7 +9,7 @@ from gnncompress import (Gnn, GnnConfig, LayerConfig, build_graph, chain_config,
                          choose_substitution, forward, naive_partition,
                          one_hot_features, reduce_graph, refine, sample_gnn)
 from gnncompress.gnn import _aggregate
-from gnncompress.graph import ColoredMultigraph, ColorTable
+from gnncompress.graph import ColoredMultigraph
 from conftest import class_members, random_graph
 
 gnn_module = importlib.import_module("gnncompress.gnn")
@@ -120,12 +120,11 @@ def test_sample_gnn_deterministic():
 
 def test_one_hot_matches_per_node_loop():
     g = random_graph(30, 60, n_colors=5, max_mult=2, seed=4)
-    # the same graph over a color table that also holds a color no node has
-    table = ColorTable()
-    table.intern("unused")
-    ids = [table.intern(p) for p in g.payload_per_node()]
+    # the same graph over a palette that also holds a color no node has
+    palette = ("unused", *g.palette)
+    ids = g.colors + 1
     h = ColoredMultigraph.from_edge_arrays(g.node_count, g.out_src_flat, g.out_dst,
-                                           g.out_mult, ids, table)
+                                           g.out_mult, ids, palette)
     for graph in (g, h):
         x, vocab = one_hot_features(graph)
         want = np.zeros((graph.node_count, len(vocab)))

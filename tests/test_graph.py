@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnncompress import FormatError, ValidationError, build_graph, graph_size
-from gnncompress.graph import ColorTable, ColoredMultigraph
+from gnncompress.graph import ColoredMultigraph
 from conftest import A1, A2, A3, B2, random_graph, star_of_stars, transpose
 
 
@@ -122,12 +122,10 @@ def test_large_shuffled_edge_arrays_match_a_dict_build():
         "in_src": [s for s, _ in in_pairs],
         "in_mult": [min(merged[p], cap) for p in in_pairs],
     }
-    table = ColorTable()
-    table.intern("x")
     colors = np.zeros(n, dtype=np.int64)
     for order in (slice(None), slice(None, None, -1)):
         g = ColoredMultigraph.from_edge_arrays(n, src[order], dst[order], mult[order],
-                                               colors, table, cap=cap)
+                                               colors, ("x",), cap=cap)
         for name, want in expected.items():
             got = getattr(g, name)
             assert got.dtype == np.int64 and np.array_equal(got, want), name

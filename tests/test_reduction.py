@@ -146,6 +146,29 @@ def test_verify_reduct_detects_corruption(fig1, fig1_p1):
     assert res.witness_node is not None and res.witness_round is not None
 
 
+def test_verify_reduct_matches_colors_by_payload():
+    # a reduct numbering its colors unlike the original still verifies;
+    # one node given a payload the original lacks fails at round 0
+    for i, (depth, grade) in enumerate([(1, math.inf), (2, 2), (math.inf, math.inf)]):
+        g = random_graph(30, 70, n_colors=4, max_mult=2, seed=700 + i)
+        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
+                                                  grade=grade))
+        h, rep_index = red.graph, red.rep_index_of_node
+        k, v = len(h.palette), h.node_count // 2
+        palette = h.palette[::-1] + ("absent",)
+
+        def rebuilt(colors):
+            return ColoredMultigraph.from_edge_arrays(h.node_count, h.out_src_flat, h.out_dst,
+                                                      h.out_mult, colors, palette)
+
+        assert verify_reduct(g, rebuilt(k - 1 - h.colors), rep_index, depth, grade).ok
+        recolored = k - 1 - h.colors
+        recolored[v] = k
+        res = verify_reduct(g, rebuilt(recolored), rep_index, depth, grade)
+        assert not res.ok and res.witness_round == 0
+        assert rep_index[res.witness_node] == v
+
+
 def test_stable_reduct_verifies_at_inf(fig1):
     part = refine(fig1).final
     sub = choose_substitution(fig1, part, "min-incidence")
@@ -239,7 +262,7 @@ def tampered(h, rng, how):
     else:
         mult[i] += 1
     return ColoredMultigraph.from_edge_arrays(h.node_count, src, dst, mult,
-                                              h.colors, h.color_table)
+                                              h.colors, h.palette)
 
 
 def test_verify_reduct_witness_matches_reference_scan():

@@ -9,7 +9,7 @@ import pytest
 from gnncompress import (GnnConfig, LayerConfig, ValidationError, build_graph,
                          choose_substitution, naive_partition, reduce_graph, refine,
                          verify_reduct)
-from gnncompress.graph import ColorTable, ColoredMultigraph
+from gnncompress.graph import ColoredMultigraph
 from gnncompress.reduction import incidence_all
 from gnncompress.refine import (_SMALL_ROUND, canonical_partition, initial_partition,
                                 refine_step)
@@ -221,11 +221,9 @@ def assert_matches_reference(g, depth, grade):
 
 
 def one_color_graph(n, src, dst, mult):
-    table = ColorTable()
-    table.intern("x")
     return ColoredMultigraph.from_edge_arrays(
         n, np.asarray(src), np.asarray(dst), np.asarray(mult, dtype=np.int64),
-        np.zeros(n, dtype=np.int64), table)
+        np.zeros(n, dtype=np.int64), ("x",))
 
 
 def directed_path(n):
@@ -276,11 +274,9 @@ def random_multigraphs(count, seed):
                          seed=seed + i)
         if i % 5 == 0:
             src = np.flatnonzero(rng.random(n - 1) < 0.9)
-            table = ColorTable()
-            table.intern(0)
             g = ColoredMultigraph.from_edge_arrays(
                 n, src, src + 1, np.ones(len(src), dtype=np.int64),
-                np.zeros(n, dtype=np.int64), table)
+                np.zeros(n, dtype=np.int64), (0,))
         graphs.append(g)
     return graphs
 

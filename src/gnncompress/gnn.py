@@ -92,11 +92,9 @@ class GnnConfig:
 
 def chain_config(dims: list[int], width=INF, agg: str = "sum") -> GnnConfig:
     """Convenience builder: relu between layers, identity on the last."""
-    layers = []
-    for i, (a, b) in enumerate(zip(dims, dims[1:])):
-        act = "identity" if i == len(dims) - 2 else "relu"
-        layers.append(LayerConfig(a, b, agg, act))
-    return GnnConfig(tuple(layers), width)
+    shapes = list(zip(dims, dims[1:], ["relu"] * (len(dims) - 2) + ["identity"]))
+    made = {s: LayerConfig(s[0], s[1], agg, s[2]) for s in dict.fromkeys(shapes)}  # one per shape
+    return GnnConfig(tuple(map(made.__getitem__, shapes)), width)
 
 
 @dataclass
@@ -121,9 +119,10 @@ class Gnn:
                 raise ValueError(f"layer {i}: W_agg shape {self.w_agg[i].shape} != {(q, p)}")
             if self.bias[i].shape != (q,):
                 raise ValueError(f"layer {i}: bias shape {self.bias[i].shape} != {(q,)}")
-            for arr in (self.w_self[i], self.w_agg[i], self.bias[i]):
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"layer {i}: non-finite parameter")
+        params = [*self.w_self, *self.w_agg, *self.bias]     # layer i at i, L + i, 2L + i
+        if not np.isfinite(np.concatenate([a.ravel() for a in params])).all():  # one pass
+            i = min(j % L for j, a in enumerate(params) if not np.isfinite(a).all())
+            raise ValueError(f"layer {i}: non-finite parameter")
 
 
 def _row_labels(x: np.ndarray) -> np.ndarray:

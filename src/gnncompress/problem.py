@@ -10,6 +10,7 @@ hypothesis space is identical on both problems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -189,47 +190,60 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     )
 
 
-def _weighted_loss(loss_kind: str, out: np.ndarray, entries: list, vocab: list[str]) -> float:
-    """Sum of weight * loss over (row, target, weight) entries, added left
-    to right from 0.0 in entry order.
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array, its columns folded with np.maximum (exact,
+    NaN wins): a.max(axis=1) takes numpy's slow per-row loop on tall arrays."""
+    return functools.reduce(np.maximum, a.T)
 
-    xent: softmax cross-entropy of the logits against the target label's
-    index in the (sorted) label vocabulary. sq: squared euclidean error.
-    Each term equals the loss of its row computed on its own, bit for bit.
+
+def _weighted_loss(loss_kind: str, entries: list, vocab: list[str]):
+    """The loss of (row, target, weight) entries as a function of a GNN's
+    output: weight * loss summed left to right from 0.0 in entry order.
+
+    The rows, targets (label indices into the sorted vocabulary for xent, a
+    target matrix for sq) and float weights are built once; per GNN only
+    array operations run. xent: softmax cross-entropy; sq: squared
+    euclidean error. Each term equals its row's loss alone, bit for bit.
     """
     if not entries:
-        return 0.0
+        return lambda out: 0.0
     rows, targets, weights = zip(*entries)
-    z = out[list(rows)]
     if loss_kind == "xent":
         index = {label: i for i, label in enumerate(vocab)}
-        m = z.max(axis=1)
-        sums = np.exp(z - m[:, None]).sum(axis=1)
-        logs = np.array([math.log(s) for s in sums.tolist()])
-        terms = m + logs - z[np.arange(len(z)), [index[t] for t in targets]]
-    else:
-        d = z - np.array(targets)
-        # a stacked matmul is the row dot product d @ d; (d * d).sum(axis=1)
-        # and einsum add in other orders
-        terms = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
-    # cumsum adds one term at a time, left to right; np.sum adds pairwise
-    return float(np.cumsum(np.array(weights, dtype=np.float64) * terms)[-1])
+        targets = [index[t] for t in targets]
+    rows, targets, weights = np.array(rows), np.array(targets), np.array(weights, dtype=float)
+
+    def loss(out: np.ndarray) -> float:
+        z = out[rows]
+        if loss_kind == "xent":
+            m = _row_max(z)
+            sums = np.exp(z - m[:, None]).sum(axis=1)
+            logs = np.array([math.log(s) for s in sums.tolist()])
+            terms = m + logs - z[np.arange(len(z)), targets]
+        else:
+            d = z - targets
+            # a stacked matmul is the row dot product d @ d; (d * d).sum(axis=1)
+            # and einsum add in other orders
+            terms = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+        # cumsum adds one term at a time, left to right; np.sum adds pairwise
+        return float(np.cumsum(weights * terms)[-1])
+    return loss
 
 
-def _original_loss(problem: LearningProblem, out: np.ndarray) -> float:
+def _original_loss(problem: LearningProblem):
     entries = [(v, problem.train[v], 1) for v in sorted(problem.train)]
-    return _weighted_loss(problem.loss_kind, out, entries, problem.label_vocab)
+    return _weighted_loss(problem.loss_kind, entries, problem.label_vocab)
 
 
-def _compressed_loss(cp: CompressedProblem, out: np.ndarray, vocab: list[str]) -> float:
+def _compressed_loss(cp: CompressedProblem, vocab: list[str]):
     entries = [(rep, target, weight) for rep in sorted(cp.train_weighted)
                for target, weight in cp.train_weighted[rep]]
-    return _weighted_loss(cp.loss_kind, out, entries, vocab)
+    return _weighted_loss(cp.loss_kind, entries, vocab)
 
 
 def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
     """Total training loss of a GNN on the original problem."""
-    return _original_loss(problem, forward(problem.graph, problem.features, gnn))
+    return _original_loss(problem)(forward(problem.graph, problem.features, gnn))
 
 
 def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
@@ -237,7 +251,7 @@ def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
     per-target losses at each representative."""
     if cp.features is None:
         raise ValueError("compressed problem has no feature matrix")
-    return _compressed_loss(cp, forward(cp.graph, cp.features, gnn), cp.label_vocab)
+    return _compressed_loss(cp, cp.label_vocab)(forward(cp.graph, cp.features, gnn))
 
 
 @dataclass
@@ -278,18 +292,18 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
     elif config.depth > cp.depth:
         note = "approximate: hypothesis depth exceeds compression depth"
 
-    max_loss = 0.0
-    max_out = 0.0
+    loss_of_g = _original_loss(problem)
+    loss_of_h = _compressed_loss(cp, problem.label_vocab)
+    max_loss = max_out = 0.0
     for i in range(n_gnns):
         gnn = sample_gnn(config, seed + i)
         out_g = forward(problem.graph, problem.features, gnn)
         out_h = forward(cp.graph, cp.features, gnn)
         diff = np.abs(out_g - out_h[cp.rep_of_node])
-        scale = 1.0 + np.abs(out_g).max(axis=1)
-        max_out = _worse(max_out, float((diff.max(axis=1) / scale).max()) if len(diff) else 0.0)
+        scale = 1.0 + _row_max(np.abs(out_g))
+        max_out = _worse(max_out, float((_row_max(diff) / scale).max()) if len(diff) else 0.0)
 
-        loss_g = _original_loss(problem, out_g)
-        loss_h = _compressed_loss(cp, out_h, problem.label_vocab)
+        loss_g, loss_h = loss_of_g(out_g), loss_of_h(out_h)
         max_loss = _worse(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
     passed = max_loss <= tolerance and max_out <= tolerance

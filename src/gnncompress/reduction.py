@@ -108,18 +108,33 @@ class VerifyResult:
     witness_round: int | None = None
 
 
+def _disjoint_union(g: ColoredMultigraph, h: ColoredMultigraph) -> ColoredMultigraph:
+    """g and h side by side, h's nodes numbered from g.node_count on. Both
+    CSR structures are sorted and merged, so stacking them, h's row offsets
+    shifted by g's edge count and its node ids by g's node count, gives
+    what from_edge_arrays builds, with no sort."""
+    n, m = g.node_count, len(g.out_dst)
+    # One palette for the union: remap per distinct color, not per node.
+    remap, palette = intern_colors(g.palette + h.palette)
+    colors = np.concatenate([remap[g.colors], remap[len(g.palette) + h.colors]])
+    stacked = [np.concatenate(pair) for pair in (
+        (g.out_indptr, h.out_indptr[1:] + m), (g.out_dst, h.out_dst + n), (g.out_mult, h.out_mult),
+        (g.in_indptr, h.in_indptr[1:] + m), (g.in_src, h.in_src + n), (g.in_mult, h.in_mult))]
+    return ColoredMultigraph(n + h.node_count, *stacked, colors, palette)
+
+
 def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
                   rep_index_of_node: np.ndarray, depth=INF, grade=INF) -> VerifyResult:
     """Check that every node of g shares its refinement color with its
     representative in h, at every round up to depth (up to stability for
     depth = inf).
 
-    Runs refinement on the disjoint union of g and h; refinement never
-    mixes information across union components, so union classes restrict
-    to per-graph classes. Partitions are nested, so it is enough to compare
-    class membership in the last computed round. A failed check carries the
-    earliest violating (node, round), the round found by bisecting the
-    split history.
+    Runs refinement on the disjoint union of g and h, their CSR arrays
+    stacked with no sort; refinement never mixes information across union
+    components, so union classes restrict to per-graph classes. Partitions
+    are nested, so it is enough to compare class membership in the last
+    computed round. A failed check carries the earliest violating (node,
+    round), the round found by bisecting the split history.
     """
     n, r = g.node_count, h.node_count
     rep_index_of_node = np.asarray(rep_index_of_node, dtype=np.int64)
@@ -128,16 +143,7 @@ def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
     if len(rep_index_of_node) and (rep_index_of_node.min() < 0 or rep_index_of_node.max() >= r):
         raise ValueError("rep map points outside the reduct")
 
-    # One palette for the union: remap per distinct color, not per node.
-    remap, palette = intern_colors(g.palette + h.palette)
-    colors_union = np.concatenate([remap[g.colors], remap[len(g.palette) + h.colors]])
-
-    src = np.concatenate([g.out_src_flat, h.out_src_flat + n])
-    dst = np.concatenate([g.out_dst, h.out_dst + n])
-    mult = np.concatenate([g.out_mult, h.out_mult])
-    union = ColoredMultigraph.from_edge_arrays(n + r, src, dst, mult, colors_union, palette)
-
-    result = refine(union, depth=depth, grade=grade)
+    result = refine(_disjoint_union(g, h), depth=depth, grade=grade)
     rep_pos = rep_index_of_node + n
 
     def apart(d) -> np.ndarray:

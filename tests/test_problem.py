@@ -7,6 +7,7 @@ from gnncompress import (LearningProblem, ValidationError, build_graph,
                          chain_config, compress_problem, equivalence_report,
                          evaluate_compressed_loss, evaluate_loss, forward,
                          graph_size, one_hot_features, sample_gnn)
+from gnncompress import problem as problem_module
 from conftest import (A1, B1, B2, B3, FIG1_COLORS, FIG1_EDGES, pointwise_loss,
                       random_graph)
 
@@ -185,6 +186,9 @@ def test_depth_inf_compression():
     assert graph_size(cp.graph) == (4, 6)
 
 
+real_forward, real_sample_gnn = forward, sample_gnn
+
+
 def reference_losses(problem, cp, gnn):
     """Both training losses as per-term folds from 0.0: training nodes
     ascending, then representatives ascending with their pairs in order."""
@@ -212,8 +216,8 @@ def assert_losses_match_per_term_fold(problem, cp, seed):
         d = abs(loss_g - loss_h) / (1.0 + abs(loss_g))
         max_loss = max(max_loss, d) if math.isfinite(d) else math.inf
         for v, rep in enumerate(cp.rep_of_node):
-            row = np.abs(out_g[v] - out_h[rep]).max() / (1.0 + np.abs(out_g[v]).max())
-            max_out = max(max_out, float(row))
+            row = float(np.abs(out_g[v] - out_h[rep]).max() / (1.0 + np.abs(out_g[v]).max()))
+            max_out = max(max_out, row) if math.isfinite(row) else math.inf
     report = equivalence_report(problem, cp, n_gnns=len(gnns), seed=seed)
     assert report.max_loss_discrepancy.hex() == max_loss.hex()
     assert report.max_output_discrepancy.hex() == max_out.hex()
@@ -236,7 +240,7 @@ def random_problem(seed, loss_kind, dim=3, train_share=0.5):
     return LearningProblem(g, x, train, loss_kind, chain_config([x.shape[1], 4, q]))
 
 
-def test_losses_equal_per_term_fold_bitwise():
+def test_losses_equal_per_term_fold_bitwise(monkeypatch):
     heavy = 0
     cases = [random_problem(40 + i, "xent") for i in range(10)]
     cases += [random_problem(60 + dim, "sq", dim=dim) for dim in range(1, 21)]
@@ -249,3 +253,40 @@ def test_losses_equal_per_term_fold_bitwise():
         problem = random_problem(90, kind, train_share=0.0)
         assert problem.train == {}
         assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=0)
+
+    # xent logits whose row maximum is a +0.0/-0.0 tie, in both orders. The
+    # affine layers never return -0.0, so the outputs are mapped row by row:
+    # equal rows stay equal, and the orders pin the folded row maxima.
+    def tied(g, x, gnn):
+        z = real_forward(g, x, gnn)
+        first = np.where(z[:, 0] > 0, -0.0, 0.0)
+        return np.column_stack([first, -first, -1.0 - np.abs(z[:, 2:])])
+
+    monkeypatch.setattr(problem_module, "forward", tied)
+    monkeypatch.setitem(globals(), "forward", tied)
+    for i in range(4):
+        problem = random_problem(40 + i, "xent")
+        assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=i)
+    monkeypatch.undo()
+
+    # GNNs whose first output overflows: rows mix finite entries with inf
+    # (xent, sq) or NaN (sq), and NaN must win the folded maxima
+    def overflowing(config, seed):
+        gnn = real_sample_gnn(config, seed)
+        for w in (gnn.w_self[-1], gnn.w_agg[-1]):
+            w[0] *= 1e308
+        return gnn
+
+    monkeypatch.setattr(problem_module, "sample_gnn", overflowing)
+    monkeypatch.setitem(globals(), "sample_gnn", overflowing)
+    inf = nan = mixed = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, problem in enumerate([random_problem(40 + i, "xent") for i in range(4)]
+                                    + [random_problem(61 + i, "sq", dim=1 + i) for i in range(4)]):
+            z = real_forward(problem.graph, problem.features, overflowing(problem.hypothesis, i))
+            finite = np.isfinite(z)
+            inf |= np.isinf(z).any()
+            nan |= np.isnan(z).any()
+            mixed |= (finite.any(axis=1) & ~finite.all(axis=1)).any()
+            assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=i)
+    assert inf and nan and mixed

@@ -5,8 +5,8 @@ import pytest
 
 from gnncompress import (build_graph, choose_substitution, graph_size,
                          reduce_graph, refine, verify_reduct)
-from gnncompress.graph import ColoredMultigraph
-from gnncompress.reduction import Substitution, incidence_all
+from gnncompress.graph import ColoredMultigraph, intern_colors
+from gnncompress.reduction import Substitution, _disjoint_union, incidence_all
 from conftest import (A1, A2, B1, B3, class_members, iterated_partitions, random_graph,
                       random_substitution, star_of_stars)
 
@@ -234,6 +234,49 @@ def test_random_substitution_construction(fig1, fig1_p1):
     sub = Substitution(reps, reps[fig1_p1.class_of], grade=math.inf)
     red = reduce_graph(fig1, sub)
     assert verify_reduct(fig1, red.graph, red.rep_index_of_node, depth=1).ok
+
+
+def sorted_union(g, h):
+    """The disjoint union of g and h built from concatenated edge lists,
+    which from_edge_arrays sorts and merges."""
+    n = g.node_count
+    remap, palette = intern_colors(g.palette + h.palette)
+    colors = np.concatenate([remap[g.colors], remap[len(g.palette) + h.colors]])
+    return ColoredMultigraph.from_edge_arrays(
+        n + h.node_count, np.concatenate([g.out_src_flat, h.out_src_flat + n]),
+        np.concatenate([g.out_dst, h.out_dst + n]), np.concatenate([g.out_mult, h.out_mult]),
+        colors, palette)
+
+
+def test_disjoint_union_stacks_the_sorted_build():
+    rng = np.random.default_rng(23)
+    pairs = []
+    for i in range(40):
+        n = int(rng.integers(1, 30))
+        g = random_graph(n, int(rng.integers(0, 3 * n)), n_colors=int(rng.integers(1, 4)),
+                         max_mult=3, seed=900 + i)
+        if i % 2:       # g against its own reduct
+            red = reduce_graph(g, choose_substitution(g, refine(g, 1 + i % 3).final))
+            pairs.append((g, red.graph))
+        else:           # sparse draws leave isolated nodes
+            h = random_graph(int(rng.integers(1, 20)), int(rng.integers(0, 8)),
+                             n_colors=int(rng.integers(1, 5)), max_mult=2, seed=950 + i)
+            pairs.append((g, h))
+    empty, single = build_graph([], []), build_graph([], ["a"])
+    loop = build_graph([(0, 0, 3)], ["b"])
+    isolated = build_graph([(0, 2, 1), (2, 0, 2)], ["a", "b", "a", "c"])
+    no_edges = build_graph([], ["c", "a", "c"])
+    pairs += [(empty, empty), (empty, single), (single, empty), (single, loop),
+              (loop, single), (isolated, no_edges), (no_edges, isolated),
+              (isolated, empty), (pairs[0][0], no_edges), (pairs[1][0], empty)]
+    for i, (g, h) in enumerate(pairs):
+        got, want = _disjoint_union(g, h), sorted_union(g, h)
+        assert got.node_count == want.node_count, i
+        for name in ("out_indptr", "out_dst", "out_mult", "in_indptr", "in_src", "in_mult",
+                     "out_src_flat", "in_dst_flat", "colors"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (i, name)
+        assert got.palette == want.palette, i
 
 
 def reference_witness(g, h, rep_index, depth, grade):

@@ -131,7 +131,9 @@ def cmd_verify(args) -> int:
 
     # Equivalence over sampled GNNs.
     features, vocab = one_hot_features(g)
-    cp.features = one_hot_features(cp.graph, vocab)[0]
+    # verify_reduct compared each node's initial color with its
+    # representative's, so these are the reduct's one-hot rows
+    cp.features = features[cp.node_ids]
     p_dim = len(vocab)
     depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)
     if width is None:

@@ -9,8 +9,9 @@ most c copies per value before aggregating, so evaluation is invariant
 under that restriction. The capped counts come from the same checked
 kernel that refinement uses. This evaluator is the oracle behind all
 equivalence checks, so determinism matters more than speed: each node
-sums its terms in order of first occurrence, which is ascending neighbor
-id, and all arithmetic is float64.
+folds its terms (a sum, or np.maximum from -inf for max) in order of
+first occurrence, which is ascending neighbor id, and all arithmetic is
+float64.
 
 At a finite width, rows are grouped by a 64-bit key that chains their
 uint64 bit patterns through refinement's splitmix64 finalizer; one sort
@@ -157,46 +158,35 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,
     n, p = x.shape
     if out is None:
         out = np.empty((n, p), dtype=np.float64)
-    if not len(g.in_src):
-        out.fill(0.0)
-        return out
-    if kind == "max":
-        # max ranges over the support set, so the width cap never matters
-        has_in = np.diff(g.in_indptr) > 0
-        starts = g.in_indptr[:-1][has_in]
-        rows = x[g.in_src]
-        top = np.maximum.reduceat(rows, starts, axis=0)
-        if np.signbit(x[x == 0]).any():
-            # Of equal values a scan over the in-edges keeps the later one,
-            # and reduceat's vector loops may not. Only the sign of a zero
-            # maximum shows it, so such a maximum is the segment's last zero.
-            position = np.where(rows == 0, np.arange(len(rows))[:, None], -1)
-            last = np.maximum.reduceat(position, starts, axis=0)
-            segment, column = np.nonzero(top == 0)
-            top[segment, column] = rows[last[segment, column], column]
-        out.fill(0.0)
-        out[has_in] = top
-        return out
     if edges is None:
         edges = g.in_dst_flat, g.in_src, g.in_mult.astype(np.float64), np.empty(len(g.in_src))
     dst, src, weights, term = edges
-    if not math.isinf(width):
+    if not math.isinf(width) and kind != "max":
         # Finite width: count each distinct neighbor row (by its bits), capped
         # at c, and keep the first in-edge of each row as the one that adds it.
+        # max ranges over the support set, so the cap never matters there.
         _, counts, first = _count_runs(dst * n + _row_labels(x)[src], g.in_mult, width,
                                        return_first=True)
         capped = np.zeros(len(src), dtype=np.float64)
         capped[first] = counts
         keep = np.flatnonzero(capped)       # the first in-edges, ascending
         dst, src, weights, term = dst[keep], src[keep], capped[keep], term[:len(keep)]
-    # bincount adds out[i] += w[i] in input order, from 0.0, so each node sums
-    # its in-edges in ascending order; a column at a time keeps temporaries
-    # at one float per node
+    # Each node folds its in-edges in ascending order: bincount adds
+    # out[i] += w[i] in input order from 0.0, and maximum.at on a column
+    # applies np.maximum(out[i], term[i]) in input order from -inf. A column
+    # at a time keeps temporaries at one float per node.
     for j in range(p):
         np.take(x[:, j], src, out=term, mode="clip")
-        term *= weights
-        out[:, j] = np.bincount(dst, term, minlength=n)
-    if kind == "mean":
+        if kind == "max":
+            out[:, j] = -np.inf
+            with np.errstate(invalid="ignore"):     # maximum.at warns on a NaN term
+                np.maximum.at(out[:, j], dst, term)
+        else:
+            term *= weights
+            out[:, j] = np.bincount(dst, term, minlength=n)
+    if kind == "max":
+        out[g.in_indptr[:-1] == g.in_indptr[1:]] = 0.0
+    elif kind == "mean":
         # a node without in-edges holds 0.0, which a total of 1 leaves as it is
         out /= np.maximum(np.bincount(dst, weights, minlength=n), 1.0)[:, None]
     return out

@@ -88,6 +88,26 @@ def test_verify_tampered_weight_exits_4(fig1_files, capsys, tmp_path):
     assert "node 2" in out
 
 
+def test_verify_accepts_reordered_training_lines(fig1_files, capsys, tmp_path):
+    # the training-weight check compares per-node weight tables, so the
+    # order of train.tsv's lines, across and within nodes, does not matter
+    g, c, _ = fig1_files
+    t = tmp_path / "t6.tsv"
+    t.write_text("0\tx\n1\ty\n2\ty\n3\ty\n4\tx\n5\tx\n")
+    bundle = tmp_path / "bundle"
+    run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+        "--train", t, "--loss", "xent", "--out", bundle)
+    train = bundle / "train.tsv"
+    lines = train.read_text().splitlines(keepends=True)
+    nodes = [line.split("\t")[0] for line in lines]
+    assert len(set(nodes)) < len(nodes)     # some node has two targets
+    train.write_text("".join(reversed(lines)))
+    code, out, _ = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                       "--colors", c, "--train", t, "--gnns", "5", "--seed", "0")
+    assert code == 0
+    assert "verification passed" in out
+
+
 def test_verify_tampered_multiplicity_exits_4(fig1_files, capsys, tmp_path):
     g, c, t = fig1_files
     bundle = tmp_path / "bundle"

@@ -319,10 +319,11 @@ def test_forward_width_inf_matches_per_edge_reference_bitwise(agg):
 
 @pytest.mark.parametrize("width", [1, 2, math.inf])
 def test_max_aggregation_matches_scatter_form_bitwise(width):
-    # Features of -1.0, -0.0 and 0.0 make most maxima signed zeros, and
-    # in-degrees past 16 reach reduceat's vector loops, which order equal
-    # values differently from a scan.
-    seen = {"no in-edges": 0, "-0.0": 0, "0.0": 0, "long": 0}
+    # Features of -1.0, -0.0 and 0.0 make most maxima signed zeros: -0.0 and
+    # 0.0 compare equal, so which of them a fold keeps shows in the sign
+    # bit. In-degrees past 16 keep long runs of such ties in the corpus,
+    # where a fold that visits the edges out of order keeps another one.
+    seen = {"no in-edges": 0, "-0.0": 0, "0.0": 0, "long": 0, "-nan": 0}
     for trial in range(20):
         rng = np.random.default_rng(1100 + trial)
         n = int(rng.integers(10, 40))
@@ -339,6 +340,12 @@ def test_max_aggregation_matches_scatter_form_bitwise(width):
         seen["-0.0"] += int((zero & np.signbit(out[has_in])).sum())
         seen["0.0"] += int((zero & ~np.signbit(out[has_in])).sum())
         seen["long"] += int((np.diff(g.in_indptr) > 16).sum())
+        # NaNs of both signs against ±inf: np.maximum propagates a NaN, so
+        # which NaN a node keeps, and its sign, depend on the fold's order
+        nonfinite = rng.choice([np.inf, -np.inf, np.nan, -np.nan], size=(n, 3))
+        out = _aggregate(g, nonfinite, "max", width)
+        assert out.tobytes() == reference_aggregate(g, nonfinite, "max", width).tobytes()
+        seen["-nan"] += int((np.isnan(out) & np.signbit(out)).sum())
     assert min(seen.values()) > 0, seen
 
 

@@ -12,12 +12,12 @@ import math
 import sys
 
 from .errors import FormatError, ValidationError
-from .fileio import (LoadedGraph, _fmt_extent, _write_table, load_bundle,
-                     load_graph, parse_extent, read_train, save_bundle)
+from .fileio import (_fmt_extent, _write_table, load_bundle, load_graph, parse_extent,
+                     read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
 from .graph import graph_size
-from .problem import (LOSS_KINDS, LearningProblem, _weight_table, compress_problem,
-                      equivalence_report, push_forward)
+from .problem import (LOSS_KINDS, LearningProblem, compress_problem, equivalence_report,
+                      first_difference, push_forward, training_set)
 from .reduction import POLICIES, choose_substitution, reduce_graph, verify_reduct
 from .refine import refine
 
@@ -51,29 +51,19 @@ def cmd_refine(args) -> int:
     return 0
 
 
-def _problem_from_files(args, loaded: LoadedGraph) -> LearningProblem:
-    g = loaded.graph
-    if args.train:
-        train = read_train(args.train, g.node_count, args.loss, loaded.id_map)
-        loss_kind = args.loss
-    else:
-        train = {}
-        loss_kind = args.loss or "xent"
-    # Color ids as the one feature: constant on every color class, which
-    # is all compression needs. Bundles store no features.
-    return LearningProblem(g, g.colors[:, None], train, loss_kind)
-
-
 def cmd_compress(args) -> int:
     depth = parse_extent(args.depth)
     grade = parse_extent(args.grade, minimum=1)
     loaded = load_graph(args.graph, args.colors, args.undirected)
     if args.train and not args.loss:
         raise ValidationError("--train requires --loss")
-    problem = _problem_from_files(args, loaded)
+    g = loaded.graph
+    train = read_train(args.train, g.node_count, args.loss, loaded.id_map) if args.train else {}
+    # Color ids as the one feature: constant on every color class, which
+    # is all compression needs. Bundles store no features.
+    problem = LearningProblem(g, g.colors[:, None], train, args.loss or "xent")
     cp = compress_problem(problem, policy=args.policy, depth=depth, grade=grade)
 
-    g = loaded.graph
     n0, m0 = graph_size(g)
     n1, m1 = graph_size(cp.graph)
     print(f"nodes {100.0 * n1 / n0:.2f}% ({n1}/{n0}), "
@@ -100,7 +90,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"bundle maps {len(cp.rep_of_node)} nodes, original has {g.node_count}")
 
-    if cp.train_weighted and not args.train:
+    if cp.train and not args.train:
         raise ValidationError("bundle carries a training set; pass --train "
                               "to verify it against the original")
 
@@ -114,13 +104,11 @@ def cmd_verify(args) -> int:
     loss_kind = cp.loss_kind or "xent"
     train = {}
     if args.train:
-        train = read_train(args.train, g.node_count, loss_kind, loaded.id_map)
-        got = _weight_table(cp.train_weighted)
-        want = _weight_table(push_forward(train, cp.rep_of_node))
-        if got != want:
-            bad = sorted(set(got) ^ set(want)
-                         or {rep for rep in got if got[rep] != want.get(rep)})
-            print(f"FAIL training weights: node {bad[0]} has tampered targets or weights")
+        train = training_set(read_train(args.train, g.node_count, loss_kind, loaded.id_map),
+                             g.node_count, loss_kind)
+        bad = first_difference(cp.train, push_forward(train, cp.rep_of_node))
+        if bad is not None:
+            print(f"FAIL training weights: node {bad} has tampered targets or weights")
             return 4
 
     if cp.depth == 0:       # no sampled GNN has 0 layers
@@ -138,10 +126,8 @@ def cmd_verify(args) -> int:
     depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)
     if width is None:
         width = cp.grade
-    if loss_kind == "xent":
-        q = max(1, len(cp.label_vocab)) if cp.train_weighted else p_dim
-    else:
-        q = len(next(iter(cp.train_weighted.values()))[0][0]) if cp.train_weighted else p_dim
+    palette = cp.train.palette
+    q = (len(palette) if loss_kind == "xent" else palette.shape[1]) if cp.train else p_dim
     config = chain_config([p_dim] * depth + [q], width=width, agg="sum")
 
     problem = LearningProblem(g, features, train, loss_kind, config)

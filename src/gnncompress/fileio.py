@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .graph import ColoredMultigraph, _sorted_distinct, graph_size, intern_colors
-from .problem import LOSS_KINDS, CompressedProblem
+from .problem import LOSS_KINDS, CompressedProblem, TrainingSet
 from .refine import INF
 
 SCHEMA_VERSION = 1
@@ -299,12 +299,6 @@ def _parse_target(token: str, loss_kind: str, path, lineno: int):
     return target
 
 
-def _format_target(target) -> str:
-    if isinstance(target, np.ndarray):
-        return ",".join(repr(float(x)) for x in target)
-    return str(target)
-
-
 def read_train(path, n: int, loss_kind: str, id_map: dict[int, int] | None = None) -> dict:
     """Parse a training file into node -> target; each node at most once."""
     path = Path(path)
@@ -348,10 +342,10 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
     labels = orig.tolist() if orig is not None else range(len(cp.rep_of_node))
     _write_table(out / "map.tsv", "%d\t%d\n", labels, cp.rep_of_node.tolist())
 
-    rows = [f"{rep}\t{_format_target(target)}\t{weight}\n"
-            for rep in sorted(cp.train_weighted)
-            for target, weight in cp.train_weighted[rep]]
-    (out / "train.tsv").write_text("".join(rows), encoding="utf-8")
+    train = cp.train
+    tokens = [t if isinstance(t, str) else ",".join(map(repr, t.tolist())) for t in train.palette]
+    _write_table(out / "train.tsv", "%d\t%s\t%d\n", train.nodes.tolist(),
+                 [tokens[i] for i in train.target.tolist()], train.weight.tolist())
 
     nodes, edges = graph_size(h)
     meta = {
@@ -482,7 +476,8 @@ def load_bundle(bundle_dir) -> CompressedProblem:
                               f"node per reduct node, each mapping to its own entry")
 
     train_path = bundle / "train.tsv"
-    train_weighted: dict[int, list[tuple[object, int]]] = {}
+    kind = loss_kind if loss_kind else "xent"
+    rows = []
     if train_path.exists():
         for lineno, parts in _tab_rows(train_path, "node<TAB>target<TAB>weight"):
             v = _int_field(parts[0], train_path, lineno, "node id")
@@ -491,15 +486,19 @@ def load_bundle(bundle_dir) -> CompressedProblem:
             weight = _int_field(parts[2], train_path, lineno, "weight")
             if weight < 1:
                 raise ValidationError(f"{train_path}:{lineno}: weight must be a positive integer")
-            kind = loss_kind if loss_kind else "xent"
+            if weight >= 2**63:
+                raise FormatError(f"{train_path}:{lineno}: weight must be below 2**63")
             target = _parse_target(parts[1], kind, train_path, lineno)
-            train_weighted.setdefault(v, []).append((target, weight))
+            if kind == "sq" and rows and len(target) != len(rows[0][1]):
+                raise ValidationError(f"{train_path}:{lineno}: target dimension "
+                                      f"{len(target)} != {len(rows[0][1])}")
+            rows.append((v, target, weight))
 
     return CompressedProblem(
         graph=graph,
         node_ids=node_ids,
         rep_of_node=rep_of_node,
-        train_weighted=train_weighted,
+        train=TrainingSet.from_rows(rows, kind),
         depth=depth, grade=grade, policy=meta["policy"],
         loss_kind=loss_kind,
         rounds=meta["rounds"],

@@ -3,9 +3,9 @@
 A problem is a featured graph, a training set with per-node targets, a
 loss kind, and a GNN hypothesis. Compressing refines the graph at the
 hypothesis depth and width, collapses each refinement class onto one
-representative, and rewrites the training set as integer-weighted
-targets on the representatives: the total loss of any GNN from the
-hypothesis space is identical on both problems.
+representative, and pushes the training set forward as integer weights
+on the representatives: the total loss of any GNN from the hypothesis
+space is identical on both problems.
 """
 
 from __future__ import annotations
@@ -18,27 +18,80 @@ import numpy as np
 
 from .errors import ValidationError
 from .gnn import Gnn, GnnConfig, forward, sample_gnn
-from .graph import ColoredMultigraph
+from .graph import ColoredMultigraph, _count_runs
 from .refine import INF, refine
 from .reduction import choose_substitution, reduce_graph
 
 LOSS_KINDS = ("xent", "sq")
 
 
-def _target_key(target):
-    """Canonical grouping/sorting key for a target value."""
-    if isinstance(target, np.ndarray):
-        return target.tobytes()
-    return str(target)
+@dataclass
+class TrainingSet:
+    """Training rows: node ``nodes[i]`` carries the target
+    ``palette[target[i]]`` with integer weight ``weight[i]``.
+
+    Rows are sorted by (node, target id) and distinct (a malformed bundle
+    may repeat one). The palette holds the distinct targets in canonical
+    order: for xent the sorted labels, the label vocabulary; for sq the
+    rows of a float64 matrix ordered by their bytes (0.0 is not -0.0).
+    """
+
+    nodes: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
+    palette: tuple[str, ...] | np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @classmethod
+    def from_rows(cls, rows: list, loss_kind: str) -> TrainingSet:
+        """The (node, target, weight) rows sorted, over the palette of their
+        targets (sq: 1-D float64 arrays of one length)."""
+        nodes, targets, weights = zip(*rows) if rows else ((), (), ())
+        keys = targets if loss_kind == "xent" else [t.tobytes() for t in targets]
+        distinct = sorted(set(keys))
+        index = dict(zip(distinct, range(len(distinct))))
+        ids = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+        dim = len(targets[0]) if rows and loss_kind == "sq" else 0
+        palette = tuple(distinct) if loss_kind == "xent" else np.frombuffer(
+            b"".join(distinct), dtype=np.float64).reshape(len(distinct), dim)
+        nodes, weights = np.array(nodes, dtype=np.int64), np.array(weights, dtype=np.int64)
+        order = np.lexsort((weights, ids, nodes))
+        return cls(nodes[order], ids[order], weights[order], palette)
+
+
+def training_set(train, n: int, loss_kind: str) -> TrainingSet:
+    """Validate a {node: target} training set and convert it, leaving the
+    mapping as it is; every weight is 1."""
+    rows = []
+    for v, target in train.items():
+        if not 0 <= v < n:
+            raise ValidationError(f"training node {v} out of range")
+        if loss_kind == "sq":
+            target = np.asarray(target, dtype=np.float64)
+            if target.ndim != 1 or not len(target):
+                raise ValidationError(
+                    f"regression target of node {v} must be a non-empty vector")
+            if not np.isfinite(target).all():
+                raise ValidationError(f"regression target of node {v} is not finite")
+            if rows and len(target) != len(rows[0][1]):
+                raise ValidationError(f"regression targets of mixed dimension: "
+                                      f"{len(rows[0][1])} and {len(target)}")
+        elif not isinstance(target, str):
+            raise ValidationError("classification targets must be label tokens")
+        rows.append((v, target, 1))
+    return TrainingSet.from_rows(rows, loss_kind)
 
 
 @dataclass
 class LearningProblem:
-    """Original (uncompressed) node-labelling problem."""
+    """Original (uncompressed) node-labelling problem. A {node: target}
+    ``train`` is held as the TrainingSet it converts to."""
 
     graph: ColoredMultigraph
     features: np.ndarray
-    train: dict[int, object]
+    train: dict[int, object] | TrainingSet
     loss_kind: str
     hypothesis: GnnConfig | None = None
 
@@ -51,39 +104,17 @@ class LearningProblem:
             raise ValidationError("features must be finite")
         if self.loss_kind not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.loss_kind!r}")
-        for v, target in self.train.items():
-            if not 0 <= v < n:
-                raise ValidationError(f"training node {v} out of range")
-            if self.loss_kind == "sq":
-                if not isinstance(target, np.ndarray):
-                    self.train[v] = target = np.asarray(target, dtype=np.float64)
-                if not np.isfinite(target).all():
-                    raise ValidationError(f"regression target of node {v} is not finite")
-            elif not isinstance(target, str):
-                raise ValidationError("classification targets must be label tokens")
-        if self.loss_kind == "sq" and self.train:
-            dims = {t.shape for t in self.train.values()}
-            if len(dims) > 1:
-                raise ValidationError(f"regression targets of mixed dimension: {dims}")
+        if not isinstance(self.train, TrainingSet):
+            self.train = training_set(self.train, n, self.loss_kind)
         if self.hypothesis is not None:
             if self.hypothesis.input_dim != self.features.shape[1]:
                 raise ValidationError("hypothesis input dim does not match features")
-            if self.train:
-                q = self.hypothesis.output_dim
-                if self.loss_kind == "sq":
-                    dim = len(next(iter(self.train.values())))
-                    if dim != q:
-                        raise ValidationError(
-                            f"regression targets have dimension {dim}, hypothesis outputs {q}")
-                elif len(self.label_vocab) > q:
-                    raise ValidationError(
-                        f"{len(self.label_vocab)} labels exceed hypothesis output dim {q}")
-
-    @property
-    def label_vocab(self) -> list[str]:
-        if self.loss_kind != "xent":
-            return []
-        return sorted({t for t in self.train.values()})
+            q, palette = self.hypothesis.output_dim, self.train.palette
+            if self.loss_kind == "sq" and self.train and palette.shape[1] != q:
+                raise ValidationError(f"regression targets have dimension "
+                                      f"{palette.shape[1]}, hypothesis outputs {q}")
+            if self.loss_kind == "xent" and len(palette) > q:
+                raise ValidationError(f"{len(palette)} labels exceed hypothesis output dim {q}")
 
 
 @dataclass
@@ -92,9 +123,9 @@ class CompressedProblem:
 
     rep_of_node maps every original node to its representative's index in
     the reduct; node_ids maps reduct indices back to original node ids.
-    train_weighted[rep] lists (target, weight) pairs with positive integer
-    weights; the weights of one pair count the training nodes of the
-    original class carrying that target, so weights sum to |T|.
+    ``train`` is the push-forward of the original training set: one row
+    per (representative, target) whose weight counts the training nodes
+    of the original class carrying that target, so weights sum to |T|.
     class_counts[d] is the number of refinement classes after round d
     (None when not recorded).
     """
@@ -102,7 +133,7 @@ class CompressedProblem:
     graph: ColoredMultigraph
     node_ids: np.ndarray
     rep_of_node: np.ndarray
-    train_weighted: dict[int, list[tuple[object, int]]]
+    train: TrainingSet
     depth: float
     grade: float
     policy: str
@@ -112,32 +143,37 @@ class CompressedProblem:
     features: np.ndarray | None = field(default=None, compare=False)
 
     @property
-    def label_vocab(self) -> list[str]:
-        if self.loss_kind != "xent":
-            return []
-        return sorted({t for pairs in self.train_weighted.values() for t, _ in pairs})
+    def train_weighted(self) -> dict[int, list[tuple[object, int]]]:
+        """{rep: [(target, weight), ...]} in row order, built on each
+        access; changing it does not change the problem."""
+        t, view = self.train, {}
+        for v, i, w in zip(t.nodes.tolist(), t.target.tolist(), t.weight.tolist()):
+            view.setdefault(v, []).append((t.palette[i], w))
+        return view
 
 
-def push_forward(train: dict, rep_of_node: np.ndarray) -> dict[int, list[tuple[object, int]]]:
-    """Map a training set through a substitution: per representative,
-    (target, count) pairs of the training nodes it stands for, with
-    representatives ascending and targets in _target_key order."""
-    grouped: dict[int, dict] = {}
-    for v, target in train.items():
-        bucket = grouped.setdefault(int(rep_of_node[v]), {})
-        key = _target_key(target)
-        if key in bucket:
-            bucket[key][1] += 1
-        else:
-            bucket[key] = [target, 1]
-    return {rep: [tuple(bucket[k]) for k in sorted(bucket)]
-            for rep, bucket in sorted(grouped.items())}
+def push_forward(train: TrainingSet, rep_of_node: np.ndarray) -> TrainingSet:
+    """Map a training set through a substitution: one row per
+    (representative, target), weighted by the rows it stands for."""
+    t = len(train.palette)
+    keys, weight = _count_runs(rep_of_node[train.nodes] * t + train.target, train.weight)
+    nodes, target = np.divmod(keys, t)
+    return TrainingSet(nodes, target, weight, train.palette)
 
 
-def _weight_table(train_weighted: dict) -> dict[int, list[tuple[object, int]]]:
-    """Order-free form of a weighted training set, for comparing two."""
-    return {rep: sorted((_target_key(t), w) for t, w in pairs)
-            for rep, pairs in train_weighted.items()}
+def first_difference(a: TrainingSet, b: TrainingSet) -> int | None:
+    """The smallest node whose rows differ between two training sets, or
+    None. Target ids are read in the union of both palettes (labels, or
+    row bytes), whose order keeps each one's rows sorted."""
+    keys = [[k if isinstance(k, str) else k.tobytes() for k in t.palette] for t in (a, b)]
+    index = {k: i for i, k in enumerate(sorted({*keys[0], *keys[1]}))}
+    rows_a, rows_b = (np.stack([t.nodes, t.weight, np.array(
+        [index[k] for k in ks], dtype=np.int64)[t.target]]) for t, ks in zip((a, b), keys))
+    m = min(len(a), len(b))
+    differ = np.flatnonzero((rows_a[:, :m] != rows_b[:, :m]).any(axis=0))
+    i = differ[0] if len(differ) else m
+    nodes = [rows[0, i] for rows in (rows_a, rows_b) if i < rows.shape[1]]
+    return int(min(nodes)) if nodes else None
 
 
 def _check_features_consistent(problem: LearningProblem) -> None:
@@ -159,8 +195,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
 
     Defaults come from the hypothesis (its layer count and width); both
     may be overridden, and inf is allowed for either. The training set
-    maps through the substitution and targets aggregate into
-    (target, count) pairs per representative.
+    is pushed forward through the substitution (``push_forward``).
     """
     if depth is None:
         if problem.hypothesis is None:
@@ -181,7 +216,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         graph=red.graph,
         node_ids=red.node_ids,
         rep_of_node=red.rep_index_of_node,
-        train_weighted=push_forward(problem.train, red.rep_index_of_node),
+        train=push_forward(problem.train, red.rep_index_of_node),
         depth=depth, grade=grade, policy=policy,
         loss_kind=problem.loss_kind,
         rounds=rounds,
@@ -196,54 +231,33 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, a.T)
 
 
-def _weighted_loss(loss_kind: str, entries: list, vocab: list[str]):
-    """The loss of (row, target, weight) entries as a function of a GNN's
-    output: weight * loss summed left to right from 0.0 in entry order.
-
-    The rows, targets (label indices into the sorted vocabulary for xent, a
-    target matrix for sq) and float weights are built once; per GNN only
-    array operations run. xent: softmax cross-entropy; sq: squared
-    euclidean error. Each term equals its row's loss alone, bit for bit.
-    """
-    if not entries:
-        return lambda out: 0.0
-    rows, targets, weights = zip(*entries)
+def _weighted_loss(loss_kind: str, train: TrainingSet, out: np.ndarray) -> float:
+    """The loss of a GNN's output on a training set: weight * loss of each
+    row, summed left to right from 0.0 in row order. xent: softmax
+    cross-entropy against the target id's logit; sq: squared euclidean
+    error against the palette row. Each term equals its row's loss alone,
+    bit for bit."""
+    if not train:
+        return 0.0
+    z = out[train.nodes]
     if loss_kind == "xent":
-        index = {label: i for i, label in enumerate(vocab)}
-        targets = [index[t] for t in targets]
-    rows, targets, weights = np.array(rows), np.array(targets), np.array(weights, dtype=float)
-
-    def loss(out: np.ndarray) -> float:
-        z = out[rows]
-        if loss_kind == "xent":
-            m = _row_max(z)
-            sums = np.exp(z - m[:, None]).sum(axis=1)
-            logs = np.array([math.log(s) for s in sums.tolist()])
-            terms = m + logs - z[np.arange(len(z)), targets]
-        else:
-            d = z - targets
-            # a stacked matmul is the row dot product d @ d; (d * d).sum(axis=1)
-            # and einsum add in other orders
-            terms = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
-        # cumsum adds one term at a time, left to right; np.sum adds pairwise
-        return float(np.cumsum(weights * terms)[-1])
-    return loss
-
-
-def _original_loss(problem: LearningProblem):
-    entries = [(v, problem.train[v], 1) for v in sorted(problem.train)]
-    return _weighted_loss(problem.loss_kind, entries, problem.label_vocab)
-
-
-def _compressed_loss(cp: CompressedProblem, vocab: list[str]):
-    entries = [(rep, target, weight) for rep in sorted(cp.train_weighted)
-               for target, weight in cp.train_weighted[rep]]
-    return _weighted_loss(cp.loss_kind, entries, vocab)
+        m = _row_max(z)
+        sums = np.exp(z - m[:, None]).sum(axis=1)
+        logs = np.array([math.log(s) for s in sums.tolist()])
+        terms = m + logs - z[np.arange(len(z)), train.target]
+    else:
+        d = z - train.palette[train.target]
+        # a stacked matmul is the row dot product d @ d; (d * d).sum(axis=1)
+        # and einsum add in other orders
+        terms = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    # cumsum adds one term at a time, left to right; np.sum adds pairwise
+    return float(np.cumsum(train.weight * terms)[-1])
 
 
 def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
     """Total training loss of a GNN on the original problem."""
-    return _original_loss(problem)(forward(problem.graph, problem.features, gnn))
+    out = forward(problem.graph, problem.features, gnn)
+    return _weighted_loss(problem.loss_kind, problem.train, out)
 
 
 def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
@@ -251,7 +265,7 @@ def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
     per-target losses at each representative."""
     if cp.features is None:
         raise ValueError("compressed problem has no feature matrix")
-    return _compressed_loss(cp, cp.label_vocab)(forward(cp.graph, cp.features, gnn))
+    return _weighted_loss(cp.loss_kind, cp.train, forward(cp.graph, cp.features, gnn))
 
 
 @dataclass
@@ -292,8 +306,6 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
     elif config.depth > cp.depth:
         note = "approximate: hypothesis depth exceeds compression depth"
 
-    loss_of_g = _original_loss(problem)
-    loss_of_h = _compressed_loss(cp, problem.label_vocab)
     max_loss = max_out = 0.0
     for i in range(n_gnns):
         gnn = sample_gnn(config, seed + i)
@@ -303,7 +315,8 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
         scale = 1.0 + _row_max(np.abs(out_g))
         max_out = _worse(max_out, float((_row_max(diff) / scale).max()) if len(diff) else 0.0)
 
-        loss_g, loss_h = loss_of_g(out_g), loss_of_h(out_h)
+        loss_g = _weighted_loss(problem.loss_kind, problem.train, out_g)
+        loss_h = _weighted_loss(problem.loss_kind, cp.train, out_h)
         max_loss = _worse(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
     passed = max_loss <= tolerance and max_out <= tolerance

@@ -170,3 +170,20 @@ def pointwise_loss(loss_kind: str, target, prediction: np.ndarray, vocab: list[s
         return float(logsumexp - z[vocab.index(target)])
     diff = prediction - target
     return float(diff @ diff)
+
+
+def reference_push_forward(train: dict, rep_of_node) -> dict[int, list[tuple[object, int]]]:
+    """A {node: target} training set mapped through a substitution by a
+    dict loop, the reference for ``problem.push_forward``: per
+    representative ascending, (target, count) pairs of the training nodes
+    it stands for, ordered by label (xent) or by the target's bytes (sq)."""
+    grouped: dict[int, dict] = {}
+    for v, target in train.items():
+        bucket = grouped.setdefault(int(rep_of_node[v]), {})
+        key = target.tobytes() if isinstance(target, np.ndarray) else str(target)
+        if key in bucket:
+            bucket[key][1] += 1
+        else:
+            bucket[key] = [target, 1]
+    return {rep: [tuple(bucket[k]) for k in sorted(bucket)]
+            for rep, bucket in sorted(grouped.items())}

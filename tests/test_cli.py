@@ -108,6 +108,42 @@ def test_verify_accepts_reordered_training_lines(fig1_files, capsys, tmp_path):
     assert "verification passed" in out
 
 
+def test_malformed_bundle_train_ends_in_verdict_or_typed_error(capsys, tmp_path):
+    g = tmp_path / "g.tsv"
+    g.write_text("0\t1\n1\t2\n2\t3\n")
+    t = tmp_path / "t.tsv"
+    t.write_text("0\t0.5,1\n1\t1.5,2\n3\t-0.0,0\n2\t0.0,0\n")
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--depth", "3", "--train", t,
+               "--loss", "sq", "--out", bundle)[0] == 0
+    train = bundle / "train.tsv"
+    good = train.read_text()
+    assert good == "0\t0.5,1.0\t1\n1\t1.5,2.0\t1\n2\t0.0,0.0\t1\n3\t-0.0,0.0\t1\n"
+    lines = good.splitlines(keepends=True)
+    cases = [
+        # a repeated line: a verdict
+        (good + lines[0], 4, "FAIL training weights: node 0 "),
+        # 0.0 and -0.0 are different targets
+        (good.replace("\t0.0,0.0", "\tz").replace("\t-0.0,0.0", "\t0.0,0.0")
+         .replace("\tz", "\t-0.0,0.0"), 4, "node 2 "),
+        # the smallest node whose rows differ, though a larger one lost all
+        (lines[0] + lines[1].replace("\t1\n", "\t2\n") + lines[2], 4, "node 1 "),
+        (good.replace("0\t0.5,1.0\t1", f"0\t0.5,1.0\t{2**63 - 1}"), 4, "node 0 "),
+        # a target dimension unlike the others: a typed error naming the line
+        (good + "2\t1.0\t1\n", 3, "train.tsv:5: target dimension 1 != 2"),
+        # a weight past int64, as edge-list multiplicities
+        (good.replace("1\t1.5,2.0\t1", f"1\t1.5,2.0\t{2**63}"), 2,
+         "train.tsv:2: weight must be below 2**63"),
+    ]
+    for text, exit_code, message in cases:
+        train.write_text(text)
+        code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                             "--train", t)
+        assert code == exit_code, text
+        assert message in (out if code == 4 else err), text
+        assert "passed" not in out
+
+
 def test_verify_tampered_multiplicity_exits_4(fig1_files, capsys, tmp_path):
     g, c, t = fig1_files
     bundle = tmp_path / "bundle"

@@ -8,7 +8,6 @@ from gnncompress import (FormatError, LearningProblem, ValidationError,
 from gnncompress.fileio import (load_bundle, load_graph, parse_extent,
                                 read_train, save_bundle)
 from gnncompress.gnn import chain_config, one_hot_features
-from gnncompress.problem import _weight_table
 from conftest import FIG1_COLORS, FIG1_EDGES, random_graph, same_partition, transpose
 
 
@@ -144,11 +143,21 @@ def test_train_dimension_mismatch_rejected(tmp_path):
         read_train(t, 2, "sq")
 
 
+def same_train(a, b) -> bool:
+    """Equal row arrays and palettes; sq palettes bit for bit."""
+    pa, pb = a.palette, b.palette
+    same_palette = (pa.shape == pb.shape and pa.tobytes() == pb.tobytes()
+                    if isinstance(pa, np.ndarray) else pa == pb)
+    return same_palette and all(np.array_equal(x, y) for x, y in
+                                ((a.nodes, b.nodes), (a.target, b.target),
+                                 (a.weight, b.weight)))
+
+
 def same_compressed(a, b) -> bool:
     """Equal graph, maps, weighted training set and settings."""
     return (a.graph == b.graph and np.array_equal(a.node_ids, b.node_ids)
             and np.array_equal(a.rep_of_node, b.rep_of_node)
-            and _weight_table(a.train_weighted) == _weight_table(b.train_weighted)
+            and same_train(a.train, b.train)
             and (a.depth, a.grade, a.policy) == (b.depth, b.grade, b.policy))
 
 

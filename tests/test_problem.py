@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from gnncompress import (LearningProblem, ValidationError, build_graph,
                          evaluate_compressed_loss, evaluate_loss, forward,
                          graph_size, one_hot_features, sample_gnn)
 from gnncompress import problem as problem_module
+from gnncompress.problem import push_forward, training_set
 from conftest import (A1, B1, B2, B3, FIG1_COLORS, FIG1_EDGES, pointwise_loss,
-                      random_graph)
+                      random_graph, reference_push_forward)
 
 
 def fig1_problem(train, loss_kind="xent", dims=(2, 2), width=math.inf, agg="sum"):
@@ -132,19 +134,81 @@ def test_nonfinite_regression_targets_rejected():
             fig1_problem({B1: np.array([0.3, bad])}, loss_kind="sq")
 
 
+def test_regression_targets_must_be_nonempty_vectors():
+    # a scalar target broadcast (k, 1) outputs against (k,) targets into a
+    # (k, k) difference: a wrong loss, without an error
+    g = build_graph([(0, 1, 1), (1, 2, 1), (2, 3, 1)], ["a"] * 4)
+    x = np.ones((4, 1))
+    for train in ({0: 0.5, 2: 1.5, 3: -1.0}, {0: np.float64(0.5)}, {0: [[0.5]]},
+                  {0: np.ones((1, 2))}, {0: []}):
+        for config in (None, chain_config([1, 1])):
+            with pytest.raises(ValidationError, match="must be a non-empty vector"):
+                LearningProblem(g, x, train, "sq", config)
+    p = LearningProblem(g, x, {0: [0.5], 2: [1.5], 3: [-1.0]}, "sq", chain_config([1, 1]))
+    gnn = sample_gnn(p.hypothesis, 0)
+    out = forward(g, x, gnn)[:, 0]
+    want = sum((out[v] - t) ** 2 for v, t in ((0, 0.5), (2, 1.5), (3, -1.0)))
+    assert math.isclose(evaluate_loss(p, gnn), want, rel_tol=1e-12)
+
+
+def test_problem_leaves_train_dict_unchanged():
+    g = build_graph([(0, 1, 1)], ["a", "b"])
+    for train, kind in (({0: [0.5]}, "sq"), ({1: "y", 0: "x"}, "xent")):
+        given = dict(train)
+        p = LearningProblem(g, np.ones((2, 1)), train, kind)
+        assert train == given and list(train) == list(given)
+        assert all(type(train[v]) is type(given[v]) for v in train)
+        assert len(p.train) == len(train)
+
+
+def test_push_forward_matches_reference():
+    # seeded property: the array push-forward's rows, targets read through
+    # the palette, equal the dict loop's rows in order
+    rng = np.random.default_rng(16)
+    signed_zeros = 0
+    for trial in range(60):
+        kind = ("xent", "sq")[trial % 2]
+        n = int(rng.integers(1, 40))
+        rep_of_node = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        if kind == "xent":
+            pool = ["a", "b", "B", "ab", "", "é"]
+        else:
+            dim = int(rng.integers(1, 4))
+            pool = [np.zeros(dim), -np.zeros(dim), np.full(dim, 0.5),
+                    rng.normal(size=dim), np.where(rng.random(dim) < 0.5, 0.0, -0.0)]
+        picked = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        train = {int(v): pool[int(rng.integers(0, len(pool)))] for v in picked}
+
+        def key(t):
+            return t.tobytes() if isinstance(t, np.ndarray) else t
+
+        pushed = push_forward(training_set(train, n, kind), rep_of_node)
+        got = [(rep, key(pushed.palette[t]), w) for rep, t, w in
+               zip(pushed.nodes.tolist(), pushed.target.tolist(), pushed.weight.tolist())]
+        want = [(rep, key(t), w) for rep, pairs in
+                reference_push_forward(train, rep_of_node).items() for t, w in pairs]
+        assert got == want
+        if kind == "sq":
+            keys = {key(t) for t in pushed.palette}
+            signed_zeros += {np.zeros(dim).tobytes(), (-np.zeros(dim)).tobytes()} <= keys
+    assert signed_zeros > 0    # 0.0 and -0.0 met as distinct targets
+
+
 def test_equivalence_report_fails_on_nan_discrepancy():
     # max(0.0, nan) is 0.0: a NaN loss must not read as a zero discrepancy
-    p = fig1_problem({B1: np.array([0.3, -1.0]), B2: np.array([0.3, -1.0])},
-                     loss_kind="sq")
+    train = {B1: np.array([0.3, -1.0]), B2: np.array([0.3, -1.0])}
+    p = fig1_problem(train, loss_kind="sq")
     cp = compress_problem(p)
     assert equivalence_report(p, cp, n_gnns=2, seed=0).passed
     (rep,) = cp.train_weighted
-    cp.train_weighted[rep] = [(np.array([math.nan, -1.0]), 2)]
+    assert cp.train_weighted[rep][0][1] == 2
+    nan = np.array([math.nan, -1.0])
+    cp.train = dataclasses.replace(cp.train, palette=nan[None, :])
     report = equivalence_report(p, cp, n_gnns=2, seed=0)
     assert not report.passed
     assert math.isinf(report.max_loss_discrepancy)
     assert math.isnan(evaluate_compressed_loss(cp, sample_gnn(p.hypothesis, 0)))
-    assert_losses_match_per_term_fold(p, cp, seed=0)
+    assert_losses_match_per_term_fold(p, train, cp, seed=0, train_h={B1: nan, B2: nan})
 
 
 def test_equivalence_report_flags_wider_hypothesis():
@@ -189,27 +253,30 @@ def test_depth_inf_compression():
 real_forward, real_sample_gnn = forward, sample_gnn
 
 
-def reference_losses(problem, cp, gnn):
-    """Both training losses as per-term folds from 0.0: training nodes
-    ascending, then representatives ascending with their pairs in order."""
-    vocab = problem.label_vocab
+def reference_losses(problem, train, cp, gnn, train_h=None):
+    """Both training losses as per-term folds from 0.0, read from the
+    {node: target} dict a test built: its nodes ascending, then the
+    representatives of its reference push-forward (of train_h, if given)
+    ascending with their pairs in order."""
+    vocab = sorted(set(train.values())) if problem.loss_kind == "xent" else []
     out_g = forward(problem.graph, problem.features, gnn)
     out_h = forward(cp.graph, cp.features, gnn)
     loss_g = 0.0
-    for v in sorted(problem.train):
-        loss_g += pointwise_loss(problem.loss_kind, problem.train[v], out_g[v], vocab)
+    for v in sorted(train):
+        loss_g += pointwise_loss(problem.loss_kind, train[v], out_g[v], vocab)
     loss_h = 0.0
-    for rep in sorted(cp.train_weighted):
-        for target, weight in cp.train_weighted[rep]:
+    pushed = reference_push_forward(train if train_h is None else train_h, cp.rep_of_node)
+    for rep, pairs in pushed.items():
+        for target, weight in pairs:
             loss_h += weight * pointwise_loss(cp.loss_kind, target, out_h[rep], vocab)
     return loss_g, loss_h, out_g, out_h
 
 
-def assert_losses_match_per_term_fold(problem, cp, seed):
+def assert_losses_match_per_term_fold(problem, train, cp, seed, train_h=None):
     gnns = [sample_gnn(problem.hypothesis, seed + i) for i in range(2)]
     max_loss = max_out = 0.0
     for gnn in gnns:
-        loss_g, loss_h, out_g, out_h = reference_losses(problem, cp, gnn)
+        loss_g, loss_h, out_g, out_h = reference_losses(problem, train, cp, gnn, train_h)
         a, b = evaluate_loss(problem, gnn), evaluate_compressed_loss(cp, gnn)
         assert type(a) is float and type(b) is float
         assert (a.hex(), b.hex()) == (loss_g.hex(), loss_h.hex())
@@ -226,7 +293,7 @@ def assert_losses_match_per_term_fold(problem, cp, seed):
 def random_problem(seed, loss_kind, dim=3, train_share=0.5):
     """One- or two-colored random multigraph whose training targets come
     from a pool of three, so equivalent training nodes often share one
-    and carry weights above 1."""
+    and carry weights above 1; returns the problem and its training dict."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 40))
     g = random_graph(n, int(rng.integers(n, 3 * n)), n_colors=int(rng.integers(1, 3)),
@@ -237,22 +304,22 @@ def random_problem(seed, loss_kind, dim=3, train_share=0.5):
     q = 3 if loss_kind == "xent" else dim
     train = {int(v): pool[int(rng.integers(0, 3))]
              for v in np.flatnonzero(rng.random(n) < train_share)}
-    return LearningProblem(g, x, train, loss_kind, chain_config([x.shape[1], 4, q]))
+    return LearningProblem(g, x, train, loss_kind, chain_config([x.shape[1], 4, q])), train
 
 
 def test_losses_equal_per_term_fold_bitwise(monkeypatch):
     heavy = 0
     cases = [random_problem(40 + i, "xent") for i in range(10)]
     cases += [random_problem(60 + dim, "sq", dim=dim) for dim in range(1, 21)]
-    for i, problem in enumerate(cases):
+    for i, (problem, train) in enumerate(cases):
         cp = compress_problem(problem)
         heavy += sum(w > 1 for pairs in cp.train_weighted.values() for _, w in pairs)
-        assert_losses_match_per_term_fold(problem, cp, seed=i)
+        assert_losses_match_per_term_fold(problem, train, cp, seed=i)
     assert heavy > 0  # the corpus has weights above 1
     for kind in ("xent", "sq"):
-        problem = random_problem(90, kind, train_share=0.0)
-        assert problem.train == {}
-        assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=0)
+        problem, train = random_problem(90, kind, train_share=0.0)
+        assert train == {} and not problem.train
+        assert_losses_match_per_term_fold(problem, train, compress_problem(problem), seed=0)
 
     # xent logits whose row maximum is a +0.0/-0.0 tie, in both orders. The
     # affine layers never return -0.0, so the outputs are mapped row by row:
@@ -265,8 +332,8 @@ def test_losses_equal_per_term_fold_bitwise(monkeypatch):
     monkeypatch.setattr(problem_module, "forward", tied)
     monkeypatch.setitem(globals(), "forward", tied)
     for i in range(4):
-        problem = random_problem(40 + i, "xent")
-        assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=i)
+        problem, train = random_problem(40 + i, "xent")
+        assert_losses_match_per_term_fold(problem, train, compress_problem(problem), seed=i)
     monkeypatch.undo()
 
     # GNNs whose first output overflows: rows mix finite entries with inf
@@ -281,12 +348,14 @@ def test_losses_equal_per_term_fold_bitwise(monkeypatch):
     monkeypatch.setitem(globals(), "sample_gnn", overflowing)
     inf = nan = mixed = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, problem in enumerate([random_problem(40 + i, "xent") for i in range(4)]
-                                    + [random_problem(61 + i, "sq", dim=1 + i) for i in range(4)]):
+        for i, (problem, train) in enumerate(
+                [random_problem(40 + i, "xent") for i in range(4)]
+                + [random_problem(61 + i, "sq", dim=1 + i) for i in range(4)]):
             z = real_forward(problem.graph, problem.features, overflowing(problem.hypothesis, i))
             finite = np.isfinite(z)
             inf |= np.isinf(z).any()
             nan |= np.isnan(z).any()
             mixed |= (finite.any(axis=1) & ~finite.all(axis=1)).any()
-            assert_losses_match_per_term_fold(problem, compress_problem(problem), seed=i)
+            assert_losses_match_per_term_fold(problem, train, compress_problem(problem),
+                                              seed=i)
     assert inf and nan and mixed

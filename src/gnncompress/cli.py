@@ -11,13 +11,15 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .errors import FormatError, ValidationError
 from .fileio import (_fmt_extent, _write_table, load_bundle, load_graph, parse_extent,
                      read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
 from .graph import graph_size
 from .problem import (LOSS_KINDS, LearningProblem, compress_problem, equivalence_report,
-                      first_difference, push_forward, training_set)
+                      first_difference, push_forward)
 from .reduction import POLICIES, choose_substitution, reduce_graph, verify_reduct
 from .refine import refine
 
@@ -89,6 +91,12 @@ def cmd_verify(args) -> int:
     if len(cp.rep_of_node) != g.node_count:
         raise ValidationError(
             f"bundle maps {len(cp.rep_of_node)} nodes, original has {g.node_count}")
+    ids = [np.arange(g.node_count) if x is None else x
+           for x in (cp.original_ids, loaded.original_ids)]
+    if not np.array_equal(*ids):
+        i = np.flatnonzero(ids[0] != ids[1])[0]
+        raise ValidationError(f"bundle's node ids differ from the original's: node {i} "
+                              f"is {ids[0][i]} in the bundle, {ids[1][i]} in the graph")
 
     if cp.train and not args.train:
         raise ValidationError("bundle carries a training set; pass --train "
@@ -104,8 +112,7 @@ def cmd_verify(args) -> int:
     loss_kind = cp.loss_kind or "xent"
     train = {}
     if args.train:
-        train = training_set(read_train(args.train, g.node_count, loss_kind, loaded.id_map),
-                             g.node_count, loss_kind)
+        train = read_train(args.train, g.node_count, loss_kind, loaded.id_map)
         bad = first_difference(cp.train, push_forward(train, cp.rep_of_node))
         if bad is not None:
             print(f"FAIL training weights: node {bad} has tampered targets or weights")

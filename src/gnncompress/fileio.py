@@ -9,8 +9,9 @@ saving and loading a bundle round-trips the compressed problem exactly.
 Edge lists, color files and the bundle's map.tsv and colors.tsv are read
 in one whole-file pass when their text is plain (``_read_int_table``,
 ``_read_id_tokens``). Anything else, errors included, goes through the
-per-line parsers, which alone name the offending line. Files are written
-as one joined text each.
+per-line parsers, which alone name the offending line. Both training-file
+forms have one parser, ``_train_rows``, which reads lines straight into a
+TrainingSet. Files are written as one joined text each.
 """
 
 from __future__ import annotations
@@ -54,7 +55,15 @@ def parse_extent(token: str, minimum: int = 0):
 class LoadedGraph:
     graph: ColoredMultigraph
     original_ids: np.ndarray | None  # dense id -> id in the input file; None if already dense
-    id_map: dict[int, int] | None     # id in the input file -> dense id; None if already dense
+
+    @property
+    def id_map(self) -> dict[int, int] | None:
+        """id in the input file -> dense id, built on each read; None if already dense."""
+        return _id_map(self.original_ids)
+
+
+def _id_map(ids: np.ndarray | None) -> dict[int, int] | None:
+    return None if ids is None else dict(zip(ids.tolist(), range(len(ids))))
 
 
 def _iter_data_lines(path: Path):
@@ -69,14 +78,15 @@ def _iter_data_lines(path: Path):
 
 
 def _tab_rows(path: Path, what: str):
-    """(lineno, fields) of each data line split at tabs; a line with
-    another field count than ``what`` (as 'a<TAB>b') is a FormatError."""
+    """(lineno, node id, fields) of each data line split at tabs, the first
+    field read as an integer; a line with another field count than
+    ``what`` (as 'a<TAB>b') is a FormatError."""
     count = what.count("<TAB>") + 1
     for lineno, line in _iter_data_lines(path):
         parts = line.split("\t")
         if len(parts) != count:
             raise FormatError(f"{path}:{lineno}: expected '{what}'")
-        yield lineno, parts
+        yield lineno, _int_field(parts[0], path, lineno, "node id"), parts
 
 
 def _is_int(x, minimum=0) -> bool:
@@ -194,7 +204,7 @@ def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return table[:, 0], table[:, 1], np.ones(len(table), dtype=np.int64)
         if table[:, 2].min() >= 1:
             return table[:, 0], table[:, 1], table[:, 2]
-    srcs, dsts, mults = [], [], []
+    rows = []
     for lineno, line in _iter_data_lines(path):
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -210,12 +220,9 @@ def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise FormatError(f"{path}:{lineno}: multiplicity must be >= 1")
         if max(s, d, m) >= 2**63:
             raise FormatError(f"{path}:{lineno}: ids and multiplicity must be below 2**63")
-        srcs.append(s)
-        dsts.append(d)
-        mults.append(m)
-    return (np.array(srcs, dtype=np.int64),
-            np.array(dsts, dtype=np.int64),
-            np.array(mults, dtype=np.int64))
+        rows.append((s, d, m))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def read_colors(path, n: int, original_ids: np.ndarray | None) -> list:
@@ -239,11 +246,10 @@ def read_colors(path, n: int, original_ids: np.ndarray | None) -> list:
             payloads = np.full(n, DEFAULT_COLOR, dtype=object)
             payloads[v] = tokens
             return payloads.tolist()
-    id_map = None if original_ids is None else dict(zip(original_ids.tolist(), range(n)))
+    id_map = _id_map(original_ids)
     payloads = [DEFAULT_COLOR] * n
     seen = set()
-    for lineno, parts in _tab_rows(path, "node<TAB>color_token"):
-        raw = _int_field(parts[0], path, lineno, "node id")
+    for lineno, raw, parts in _tab_rows(path, "node<TAB>color_token"):
         v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
         if v is None:
             raise ValidationError(f"{path}:{lineno}: node {raw} not in the graph")
@@ -268,10 +274,8 @@ def load_graph(edge_path, color_path=None, undirected: bool = False) -> LoadedGr
     n = len(ids)
     if ids[0] == 0 and ids[-1] == n - 1:
         original_ids = None
-        id_map = None
     else:
         original_ids = ids
-        id_map = dict(zip(ids.tolist(), range(n)))
         src, dst = dense[:len(src)], dense[len(src):]
 
     if undirected:
@@ -284,50 +288,57 @@ def load_graph(edge_path, color_path=None, undirected: bool = False) -> LoadedGr
         payloads = [DEFAULT_COLOR] * n
     colors, palette = intern_colors(payloads)
     graph = ColoredMultigraph.from_edge_arrays(n, src, dst, mult, colors, palette)
-    return LoadedGraph(graph, original_ids, id_map)
+    return LoadedGraph(graph, original_ids)
 
 
-def _parse_target(token: str, loss_kind: str, path, lineno: int):
-    if loss_kind == "xent":
-        return token
-    try:
-        target = np.array([float(x) for x in token.split(",")], dtype=np.float64)
-    except ValueError:
-        raise FormatError(f"{path}:{lineno}: bad regression target {token!r}") from None
-    if not np.isfinite(target).all():
-        raise FormatError(f"{path}:{lineno}: regression target {token!r} is not finite")
-    return target
-
-
-def read_train(path, n: int, loss_kind: str, id_map: dict[int, int] | None = None) -> dict:
-    """Parse a training file into node -> target; each node at most once."""
-    path = Path(path)
-    train: dict[int, object] = {}
-    dim = None
-    for lineno, parts in _tab_rows(path, "node<TAB>target"):
-        raw = _int_field(parts[0], path, lineno, "node id")
+def _train_rows(path: Path, loss_kind: str, n: int, id_map: dict[int, int] | None,
+                weighted: bool) -> TrainingSet:
+    """A training file's rows, checked line by line: ``node<TAB>target`` lines
+    of distinct graph nodes, weight 1 (see read_train), or when weighted a
+    bundle's ``node<TAB>target<TAB>weight`` lines of reduct nodes below n."""
+    rows, seen = [], set()
+    for lineno, raw, parts in _tab_rows(path, "node<TAB>target" + "<TAB>weight" * weighted):
         v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
         if v is None:
-            raise ValidationError(f"{path}:{lineno}: node {raw} not in the graph")
-        if v in train:
+            where = "a representative" if weighted else "in the graph"
+            raise ValidationError(f"{path}:{lineno}: node {raw} not {where}")
+        if not weighted and v in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate training node {raw}")
-        target = _parse_target(parts[1], loss_kind, path, lineno)
+        seen.add(v)
+        weight = _int_field(parts[2], path, lineno, "weight") if weighted else 1
+        if weight < 1:
+            raise ValidationError(f"{path}:{lineno}: weight must be a positive integer")
+        if weight >= 2**63:
+            raise FormatError(f"{path}:{lineno}: weight must be below 2**63")
+        target = token = parts[1]
         if loss_kind == "sq":
-            if dim is None:
-                dim = len(target)
-            elif len(target) != dim:
-                raise ValidationError(f"{path}:{lineno}: target dimension {len(target)} != {dim}")
-        train[v] = target
-    return train
+            try:
+                target = np.array([float(x) for x in token.split(",")], dtype=np.float64)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad regression target {token!r}") from None
+            if not np.isfinite(target).all():
+                raise FormatError(f"{path}:{lineno}: regression target {token!r} is not finite")
+            if rows and len(target) != len(rows[0][1]):
+                raise ValidationError(f"{path}:{lineno}: target dimension "
+                                      f"{len(target)} != {len(rows[0][1])}")
+        rows.append((v, target, weight))
+    return TrainingSet.from_rows(rows, loss_kind)
+
+
+def read_train(path, n: int, loss_kind: str, id_map: dict | None = None) -> TrainingSet:
+    """Parse a ``node<TAB>target`` training file into a TrainingSet of weight-1
+    rows, one per node; ids map through id_map, or are dense ids below n."""
+    return _train_rows(Path(path), loss_kind, n, id_map, weighted=False)
 
 
 def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
                 extra_meta: dict | None = None) -> Path:
     """Write a compressed problem as a bundle directory.
 
-    original_node_ids translates the problem's dense node space back to
-    input-file ids; it is also recorded in meta.json when present, as are
-    the per-round class counts of the refinement behind the bundle.
+    original_node_ids (default cp.original_ids, which a loaded bundle
+    carries) translates the problem's dense node space back to input-file
+    ids; it is also recorded in meta.json when present, as are the
+    per-round class counts of the refinement behind the bundle.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,9 +348,8 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
                  h.out_src_flat.tolist(), h.out_dst.tolist(), h.out_mult.tolist())
     _write_table(out / "colors.tsv", "%d\t%s\n", range(h.node_count), h.payload_per_node())
 
-    orig = (np.asarray(original_node_ids, dtype=np.int64)
-            if original_node_ids is not None else None)
-    labels = orig.tolist() if orig is not None else range(len(cp.rep_of_node))
+    ids = cp.original_ids if original_node_ids is None else original_node_ids
+    labels = range(len(cp.rep_of_node)) if ids is None else np.array(ids, dtype=np.int64).tolist()
     _write_table(out / "map.tsv", "%d\t%d\n", labels, cp.rep_of_node.tolist())
 
     train = cp.train
@@ -359,7 +369,7 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
         "reduced_nodes": nodes,
         "reduced_simple_edges": edges,
         "representative_original_ids": [int(x) for x in cp.node_ids],
-        "original_node_ids": labels if orig is not None else None,
+        "original_node_ids": None if ids is None else labels,
     }
     if cp.class_counts is not None:
         meta["class_counts"] = [int(c) for c in cp.class_counts]
@@ -389,8 +399,7 @@ def _bundle_colors(path: Path) -> list[str]:
     if pairs is not None and np.array_equal(pairs[0], np.arange(len(pairs[0]))):
         return pairs[1]
     tokens: dict[int, str] = {}
-    for lineno, parts in _tab_rows(path, "node<TAB>color_token"):
-        v = _int_field(parts[0], path, lineno, "node id")
+    for lineno, v, parts in _tab_rows(path, "node<TAB>color_token"):
         if v in tokens:
             raise ValidationError(f"{path}:{lineno}: duplicate node {v}")
         tokens[v] = parts[1]
@@ -400,30 +409,28 @@ def _bundle_colors(path: Path) -> list[str]:
     return [tokens[v] for v in range(r)]
 
 
-def _bundle_map(path: Path, r: int, order: list[int] | None) -> np.ndarray:
+def _bundle_map(path: Path, r: int, order: np.ndarray | None) -> np.ndarray:
     """rep_of_node from map.tsv: the representative of each original node,
     in the order of ``order`` (meta's original_node_ids; None means the
     node ids 0, 1, ... in turn)."""
     table = _read_int_table(path, (2,), sep="\t")
     if table is not None:
         orig, rep = table[:, 0], table[:, 1]
-        want = np.arange(len(orig)) if order is None else np.array(order, dtype=np.int64)
+        want = np.arange(len(orig)) if order is None else order
         sorter = np.argsort(orig)
         # orig sorted equal to the distinct wanted ids: orig has no
         # duplicates and covers exactly the wanted nodes.
         if rep.max() < r and np.array_equal(orig[sorter], _sorted_distinct(want)):
             return rep[sorter[np.searchsorted(orig, want, sorter=sorter)]]
     pairs: dict[int, int] = {}
-    for lineno, parts in _tab_rows(path, "orig_node<TAB>representative"):
-        o = _int_field(parts[0], path, lineno, "node id")
+    for lineno, o, parts in _tab_rows(path, "orig_node<TAB>representative"):
         rep = _int_field(parts[1], path, lineno, "representative")
         if o in pairs:
             raise ValidationError(f"{path}:{lineno}: duplicate original node {o}")
         if not 0 <= rep < r:
             raise ValidationError(f"{path}:{lineno}: representative {rep} not in graph.tsv")
         pairs[o] = rep
-    if order is None:
-        order = range(len(pairs))
+    order = range(len(pairs)) if order is None else order.tolist()
     if set(pairs) != set(order):
         raise ValidationError(f"{path}: does not cover every original node")
     return np.array([pairs[o] for o in order], dtype=np.int64)
@@ -439,9 +446,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     meta_path = bundle / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"{meta_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: expected a JSON object")
@@ -464,7 +469,9 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     graph = ColoredMultigraph.from_edge_arrays(r, src, dst, mult, color_ids, palette)
 
     map_path = bundle / "map.tsv"
-    rep_of_node = _bundle_map(map_path, r, meta.get("original_node_ids"))
+    order = meta.get("original_node_ids")
+    original_ids = None if order is None else np.array(order, dtype=np.int64)
+    rep_of_node = _bundle_map(map_path, r, original_ids)
     unreached = np.flatnonzero(np.bincount(rep_of_node, minlength=r) == 0)
     if len(unreached):
         raise ValidationError(f"{map_path}: no original node maps to reduct node "
@@ -475,32 +482,16 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         raise ValidationError(f"{meta_path}: representative_original_ids must list one "
                               f"node per reduct node, each mapping to its own entry")
 
-    train_path = bundle / "train.tsv"
-    kind = loss_kind if loss_kind else "xent"
-    rows = []
-    if train_path.exists():
-        for lineno, parts in _tab_rows(train_path, "node<TAB>target<TAB>weight"):
-            v = _int_field(parts[0], train_path, lineno, "node id")
-            if not 0 <= v < r:
-                raise ValidationError(f"{train_path}:{lineno}: node {v} not a representative")
-            weight = _int_field(parts[2], train_path, lineno, "weight")
-            if weight < 1:
-                raise ValidationError(f"{train_path}:{lineno}: weight must be a positive integer")
-            if weight >= 2**63:
-                raise FormatError(f"{train_path}:{lineno}: weight must be below 2**63")
-            target = _parse_target(parts[1], kind, train_path, lineno)
-            if kind == "sq" and rows and len(target) != len(rows[0][1]):
-                raise ValidationError(f"{train_path}:{lineno}: target dimension "
-                                      f"{len(target)} != {len(rows[0][1])}")
-            rows.append((v, target, weight))
-
+    train_path, kind = bundle / "train.tsv", loss_kind or "xent"
     return CompressedProblem(
         graph=graph,
         node_ids=node_ids,
         rep_of_node=rep_of_node,
-        train=TrainingSet.from_rows(rows, kind),
+        train=(_train_rows(train_path, kind, r, None, weighted=True) if train_path.exists()
+               else TrainingSet.from_rows([], kind)),
         depth=depth, grade=grade, policy=meta["policy"],
         loss_kind=loss_kind,
         rounds=meta["rounds"],
         class_counts=meta.get("class_counts"),
+        original_ids=original_ids,
     )

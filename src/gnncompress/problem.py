@@ -71,8 +71,7 @@ def training_set(train, n: int, loss_kind: str) -> TrainingSet:
         if loss_kind == "sq":
             target = np.asarray(target, dtype=np.float64)
             if target.ndim != 1 or not len(target):
-                raise ValidationError(
-                    f"regression target of node {v} must be a non-empty vector")
+                raise ValidationError(f"regression target of node {v} must be a non-empty vector")
             if not np.isfinite(target).all():
                 raise ValidationError(f"regression target of node {v} is not finite")
             if rows and len(target) != len(rows[0][1]):
@@ -127,7 +126,8 @@ class CompressedProblem:
     per (representative, target) whose weight counts the training nodes
     of the original class carrying that target, so weights sum to |T|.
     class_counts[d] is the number of refinement classes after round d
-    (None when not recorded).
+    (None when not recorded). original_ids, read from a bundle, is the
+    input-file id of each original node (None: the ids 0, 1, ...).
     """
 
     graph: ColoredMultigraph
@@ -141,6 +141,7 @@ class CompressedProblem:
     rounds: int = 0
     class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)
+    original_ids: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def train_weighted(self) -> dict[int, list[tuple[object, int]]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -356,6 +357,57 @@ def test_bench_tracer_runs_compress_and_verify(fig1_files, capsys, tmp_path, mon
                                           "load_graph", "save_bundle", "load_bundle")} <= names
     for count in ("fileio.bytes_read", "fileio.bytes_written"):
         assert sum(v for (_, name), v in tracer.counts.items() if name == count) > 0
+
+
+def test_verify_rejects_bundle_of_other_node_ids(capsys, tmp_path):
+    g, other = tmp_path / "g.txt", tmp_path / "other.txt"
+    g.write_text("10 20\n20 30\n")
+    other.write_text("1 2\n2 3\n")
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--depth", "1", "--out", bundle)[0] == 0
+    assert run(capsys, "verify", "--bundle", bundle, "--original", g)[0] == 0
+    # the same shape under other ids
+    code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", other)
+    assert code == 3 and "passed" not in out
+    assert "node 0 is 10 in the bundle, 1 in the graph" in err
+    # map.tsv lines of ids 10 and 20 swapped, and meta listing them swapped:
+    # the same rep_of_node, but node 10, which has no in-edges, in 20's class
+    map_path, meta_path = bundle / "map.tsv", bundle / "meta.json"
+    reps = dict(line.split("\t") for line in map_path.read_text().splitlines())
+    map_path.write_text(f"10\t{reps['20']}\n20\t{reps['10']}\n30\t{reps['30']}\n")
+    meta = json.loads(meta_path.read_text())
+    assert meta["original_node_ids"] == [10, 20, 30]
+    meta_path.write_text(json.dumps({**meta, "original_node_ids": [20, 10, 30]}))
+    code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", g)
+    assert code == 3 and "passed" not in out
+    assert "node 0 is 20 in the bundle, 10 in the graph" in err
+
+
+def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
+    # the benchmark's output check: compress writes the oracle's bundle on
+    # every workload, and verify passes it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from oracle import BUNDLE_FILES, expected_bundle
+    from workloads import WORKLOADS, generate
+
+    for name, wl in WORKLOADS.items():
+        inputs = generate(wl, 1, tmp_path / name)
+        bundle = tmp_path / name / "bundle"
+        graph = ["--graph", inputs.graph_path, "--colors", inputs.colors_path]
+        flags = ["--undirected"] if wl.undirected else []
+        assert run(capsys, "compress", *graph, *flags, "--train", inputs.train_path,
+                   "--loss", wl.loss, "--depth", wl.depth, "--grade", wl.grade,
+                   "--out", bundle)[0] == 0, name
+        digests = expected_bundle(inputs, wl)["digests"]
+        for file in BUNDLE_FILES:
+            assert hashlib.sha256((bundle / file).read_bytes()).hexdigest() == digests[file], \
+                (name, file)
+        if wl.verify_width:
+            flags += ["--width", wl.verify_width]
+        code, out, _ = run(capsys, "verify", "--bundle", bundle, "--original",
+                           inputs.graph_path, "--colors", inputs.colors_path,
+                           "--train", inputs.train_path, "--gnns", "1", *flags)
+        assert code == 0 and "verification passed" in out, name
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

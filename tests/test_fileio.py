@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gnncompress import (FormatError, LearningProblem, ValidationError,
                          build_graph, compress_problem, graph_size, refine)
+from gnncompress.cli import main
 from gnncompress.fileio import (load_bundle, load_graph, parse_extent,
                                 read_train, save_bundle)
 from gnncompress.gnn import chain_config, one_hot_features
@@ -192,6 +194,18 @@ def test_bundle_round_trip(tmp_path, seed, loss):
     # second hop is bit-stable too
     save_bundle(back, tmp_path / "b2")
     assert same_compressed(load_bundle(tmp_path / "b2"), cp)
+
+
+def test_resaved_bundle_keeps_original_ids(tmp_path):
+    # a loaded bundle carries its file ids, so saving it again writes the
+    # same map.tsv and meta.json
+    cp = make_compressed()
+    save_bundle(cp, tmp_path / "b", original_node_ids=np.arange(len(cp.rep_of_node)) * 3 + 1)
+    back = load_bundle(tmp_path / "b")
+    assert back.original_ids.tolist() == (np.arange(len(cp.rep_of_node)) * 3 + 1).tolist()
+    save_bundle(back, tmp_path / "b2")
+    for name in ("map.tsv", "meta.json"):
+        assert (tmp_path / "b2" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_fig1_rho2_bundle_round_trip(tmp_path):
@@ -430,3 +444,131 @@ def test_meta_text_matches_json_dumps(tmp_path):
     for meta in metas:
         assert _meta_text(meta) == json.dumps(meta, indent=1) + "\n"
     assert _meta_text(metas[0]) == text
+
+
+# Training files: the input form (`--train`, node<TAB>target) and the bundle
+# form (train.tsv, node<TAB>target<TAB>weight). The graph's file ids are
+# 0, 1, 2, 5, so input ids map through id_map; "dense" reads them on 0..3.
+TRAIN_GRAPHS = {"input": "0 1\n1 2\n2 5\n", "dense": "0 1\n1 2\n2 3\n",
+                "bundle": "0 1\n1 2\n2 5\n"}
+GOOD_TRAIN = {"xent": "1\ta\n2\tb\n", "sq": "1\t0.5,1\n2\t-0.0,2\n"}
+FAIL_WEIGHTS = "FAIL training weights: node {} has tampered targets or weights"
+# (form, loss kind, text, error type, message after the path, exit code). The
+# bundles are compressed at depth 1 and have two reduct nodes, 0 and 1. An
+# error type of None marks a train.tsv that loads: verify then prints the
+# message on stdout.
+TRAIN_FILE_CASES = [
+    ("input", "xent", "1\ta\tb\n", FormatError, ":1: expected 'node<TAB>target'", 2),
+    ("input", "xent", "1\ta\n2\n", FormatError, ":2: expected 'node<TAB>target'", 2),
+    ("input", "xent", "x\ta\n", FormatError, ":1: node id must be an integer", 2),
+    ("input", "xent", "1\ta\n3\tb\n", ValidationError, ":2: node 3 not in the graph", 3),
+    ("input", "xent", "-1\ta\n", ValidationError, ":1: node -1 not in the graph", 3),
+    ("input", "xent", "# header\n1\ta\n\n3\tb\n", ValidationError,
+     ":4: node 3 not in the graph", 3),
+    ("input", "xent", "5\ta\n1\tb\n5\ta\n", ValidationError,
+     ":3: duplicate training node 5", 3),
+    ("input", "sq", "1\t1,x\n", FormatError, ":1: bad regression target '1,x'", 2),
+    ("input", "sq", "1\t\n", FormatError, ":1: bad regression target ''", 2),
+    ("input", "sq", "1\t1,2\n2\tinf,2\n", FormatError,
+     ":2: regression target 'inf,2' is not finite", 2),
+    ("input", "sq", "1\tnan\n", FormatError, ":1: regression target 'nan' is not finite", 2),
+    ("input", "sq", "1\t1,2\n2\t1\n", ValidationError, ":2: target dimension 1 != 2", 3),
+    # two faults on a line, or in a file: the first check, the first line
+    ("input", "sq", "1\t1\n1\tx\n", ValidationError, ":2: duplicate training node 1", 3),
+    ("input", "sq", "3\tx\n", ValidationError, ":1: node 3 not in the graph", 3),
+    ("input", "sq", "1\t1,2\n2\tnan\n", FormatError,
+     ":2: regression target 'nan' is not finite", 2),
+    ("input", "sq", "1\tx\n4\t1\n", FormatError, ":1: bad regression target 'x'", 2),
+    ("dense", "xent", "1\ta\n4\tb\n", ValidationError, ":2: node 4 not in the graph", 3),
+    ("dense", "xent", "2\ta\n2\tb\n", ValidationError, ":2: duplicate training node 2", 3),
+    ("bundle", "xent", "0\ta\n", FormatError, ":1: expected 'node<TAB>target<TAB>weight'", 2),
+    ("bundle", "xent", "x\ta\t1\n", FormatError, ":1: node id must be an integer", 2),
+    ("bundle", "xent", "0\ta\t1\n2\ta\t1\n", ValidationError,
+     ":2: node 2 not a representative", 3),
+    ("bundle", "xent", "-1\ta\t1\n", ValidationError, ":1: node -1 not a representative", 3),
+    ("bundle", "xent", "0\ta\tx\n", FormatError, ":1: weight must be an integer", 2),
+    ("bundle", "xent", "0\ta\t0\n", ValidationError,
+     ":1: weight must be a positive integer", 3),
+    ("bundle", "xent", "0\ta\t-3\n", ValidationError,
+     ":1: weight must be a positive integer", 3),
+    ("bundle", "xent", f"1\ta\t{2**63 - 1}\n1\tb\t1\n", None, FAIL_WEIGHTS.format(1), 4),
+    ("bundle", "xent", f"1\ta\t{2**63}\n", FormatError, ":1: weight must be below 2**63", 2),
+    ("bundle", "xent", "1\ta\t1\n1\ta\t1\n1\tb\t1\n", None, FAIL_WEIGHTS.format(1), 4),
+    ("bundle", "sq", "0\t1,x\t1\n", FormatError, ":1: bad regression target '1,x'", 2),
+    ("bundle", "sq", "0\t-inf\t1\n", FormatError,
+     ":1: regression target '-inf' is not finite", 2),
+    ("bundle", "sq", "0\t1,2\t1\n1\t1\t1\n", ValidationError,
+     ":2: target dimension 1 != 2", 3),
+    ("bundle", "xent", "2\ta\t0\n", ValidationError, ":1: node 2 not a representative", 3),
+    ("bundle", "sq", "0\tx\t0\n", ValidationError, ":1: weight must be a positive integer", 3),
+    ("bundle", "sq", "0\t1,2\t1\n1\tnan\t1\n", FormatError,
+     ":2: regression target 'nan' is not finite", 2),
+]
+
+
+@pytest.mark.parametrize("form,loss,text,error,message,code", TRAIN_FILE_CASES)
+def test_training_file_errors(tmp_path, capsys, form, loss, text, error, message, code):
+    g, good, bundle = tmp_path / "g.txt", tmp_path / "good.tsv", tmp_path / "b"
+    g.write_text(TRAIN_GRAPHS[form])
+    good.write_text(GOOD_TRAIN[loss])
+    assert main(["compress", "--graph", str(g), "--depth", "1", "--train", str(good),
+                 "--loss", loss, "--out", str(bundle)]) == 0
+    if form == "bundle":
+        path = bundle / "train.tsv"
+        runs = [["verify", "--bundle", bundle, "--original", g, "--train", good]]
+        load = functools.partial(load_bundle, bundle)
+    else:
+        path = tmp_path / "t.tsv"
+        runs = [["compress", "--graph", g, "--depth", "1", "--train", path, "--loss", loss,
+                 "--out", tmp_path / "b2"],
+                ["verify", "--bundle", bundle, "--original", g, "--train", path]]
+        loaded = load_graph(g)
+        load = functools.partial(read_train, path, loaded.graph.node_count, loss,
+                                 loaded.id_map)
+    path.write_text(text)
+    if error is None:
+        load()
+    else:
+        with pytest.raises(error) as info:
+            load()
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}{message}"
+    capsys.readouterr()
+    for argv in runs:
+        assert main([str(a) for a in argv]) == code, argv[0]
+        out = capsys.readouterr()
+        if error is None:
+            assert out.out.endswith(f"{message}\n") and out.err == ""
+        else:
+            assert out.err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_read_train_matches_training_set(tmp_path, seed):
+    # read_train must give what training_set gives for the {node: target}
+    # dict the file spells out, array for array, sq palettes bit for bit
+    from gnncompress.problem import training_set
+    rng = np.random.default_rng(seed)
+    n = 40
+    ids = np.arange(n) if seed % 2 else np.sort(rng.choice(10**12, size=n, replace=False))
+    g = tmp_path / "g.txt"
+    g.write_text("".join(f"{ids[v]} {ids[(v + 1) % n]}\n" for v in range(n)))
+    loaded = load_graph(g)
+    assert (loaded.original_ids is None) == bool(seed % 2)
+    picked = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+    labels = ["a", "b c", "é", "0", "", "-0.0"]
+    values = [0.0, -0.0, 1.5, -2.25, 1e-300, 3.0]
+    dim = 1 + seed % 3
+    for loss in ("xent", "sq"):
+        if loss == "xent":
+            reference = {int(v): labels[rng.integers(len(labels))] for v in picked}
+            tokens = reference
+        else:
+            reference = {int(v): [values[i] for i in rng.integers(len(values), size=dim)]
+                         for v in picked}
+            tokens = {v: ",".join(map(repr, t)) for v, t in reference.items()}
+        path = tmp_path / f"{loss}.tsv"
+        path.write_text("# node\ttarget\n" + "".join(
+            f"{ids[v]}\t{tokens[v]}\n" for v in rng.permutation(list(reference))))
+        got = read_train(path, n, loss, loaded.id_map)
+        assert same_train(got, training_set(reference, n, loss)), loss

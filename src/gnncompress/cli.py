@@ -1,8 +1,8 @@
 """Command-line surface: refine, compress, verify, stats.
 
-Exit codes: 0 success, 2 parse/format error, 3 invariant violation,
-4 a failed check, which `cmd_verify` returns. Every command is
-deterministic given its flags and seed.
+Exit codes: 0 success, 2 parse/format error or a file that cannot be read
+or written, 3 invariant violation, 4 a failed check, which `cmd_verify`
+returns. Every command is deterministic given its flags and seed.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ def cmd_refine(args) -> int:
     result = refine(loaded.graph, depth=depth, grade=grade)
     print(_refinement_summary(result))
     if args.out:
-        class_of = result.final.class_of
-        ids = loaded.original_ids
-        labels = ids.tolist() if ids is not None else range(len(class_of))
-        _write_table(args.out, "%d\t%d\n", labels, class_of.tolist())
+        _write_table(args.out, "%d\t%d\n", loaded.original_ids.tolist(),
+                     result.final.class_of.tolist())
         print(f"wrote {args.out}")
     return 0
 
@@ -70,8 +68,8 @@ def cmd_compress(args) -> int:
     n1, m1 = graph_size(cp.graph)
     print(f"nodes {100.0 * n1 / n0:.2f}% ({n1}/{n0}), "
           f"edges {100.0 * m1 / m0:.2f}% ({m1}/{m0})")
-    save_bundle(cp, args.out, original_node_ids=loaded.original_ids,
-                extra_meta={"original_simple_edges": m0})
+    cp.original_ids = loaded.original_ids
+    save_bundle(cp, args.out, extra_meta={"original_simple_edges": m0})
     print(f"wrote bundle {args.out} (depth={_fmt_extent(depth)}, "
           f"grade={_fmt_extent(grade)}, policy={args.policy}, rounds={cp.rounds})")
     return 0
@@ -91,12 +89,11 @@ def cmd_verify(args) -> int:
     if len(cp.rep_of_node) != g.node_count:
         raise ValidationError(
             f"bundle maps {len(cp.rep_of_node)} nodes, original has {g.node_count}")
-    ids = [np.arange(g.node_count) if x is None else x
-           for x in (cp.original_ids, loaded.original_ids)]
-    if not np.array_equal(*ids):
-        i = np.flatnonzero(ids[0] != ids[1])[0]
+    bundle_ids, graph_ids = cp.original_ids, loaded.original_ids
+    if not np.array_equal(bundle_ids, graph_ids):
+        i = np.flatnonzero(bundle_ids != graph_ids)[0]
         raise ValidationError(f"bundle's node ids differ from the original's: node {i} "
-                              f"is {ids[0][i]} in the bundle, {ids[1][i]} in the graph")
+                              f"is {bundle_ids[i]} in the bundle, {graph_ids[i]} in the graph")
 
     if cp.train and not args.train:
         raise ValidationError("bundle carries a training set; pass --train "
@@ -126,9 +123,6 @@ def cmd_verify(args) -> int:
 
     # Equivalence over sampled GNNs.
     features, vocab = one_hot_features(g)
-    # verify_reduct compared each node's initial color with its
-    # representative's, so these are the reduct's one-hot rows
-    cp.features = features[cp.node_ids]
     p_dim = len(vocab)
     depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)
     if width is None:
@@ -223,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:   # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -54,22 +54,23 @@ def parse_extent(token: str, minimum: int = 0):
 @dataclass
 class LoadedGraph:
     graph: ColoredMultigraph
-    original_ids: np.ndarray | None  # dense id -> id in the input file; None if already dense
+    original_ids: np.ndarray  # dense id -> id in the input file, ascending
 
     @property
     def id_map(self) -> dict[int, int] | None:
-        """id in the input file -> dense id, built on each read; None if already dense."""
+        """id in the input file -> dense id, built on each read; None for ids 0..n-1."""
         return _id_map(self.original_ids)
 
 
-def _id_map(ids: np.ndarray | None) -> dict[int, int] | None:
-    return None if ids is None else dict(zip(ids.tolist(), range(len(ids))))
+def _id_map(ids: np.ndarray) -> dict[int, int] | None:
+    # sorted distinct non-negative ids end in n - 1 only when they are 0..n-1
+    return None if ids[-1] == len(ids) - 1 else dict(zip(ids.tolist(), range(len(ids))))
 
 
 def _iter_data_lines(path: Path):
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#"):
@@ -122,30 +123,45 @@ def _int_field(token: str, path, lineno: int, what: str) -> int:
 
 _DIGITS = b"0123456789"
 _BLANK_LINE = re.compile(rb"\n[ \t]+(?:\n|$)")
+_HEADER = re.compile(rb"(?:#[^\n]*(?:\n|$))*")
 # Line breaks of str.splitlines besides "\n": single bytes, then characters
 # that take several bytes in UTF-8.
 _OTHER_BREAK_BYTES = b"\r\x0b\x0c\x1c\x1d\x1e"
 _OTHER_BREAK_CHARS = "\x85\u2028\u2029"
 
 
+def _newline_text(data: bytes) -> str | None:
+    """data as text if it is UTF-8 with no line break of str.splitlines but "\n"."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    plain = (len(data.translate(None, _OTHER_BREAK_BYTES)) == len(data)
+             and (text.isascii() or not any(c in text for c in _OTHER_BREAK_CHARS)))
+    return text if plain else None
+
+
 def _read_int_table(path: Path, columns: tuple[int, ...], sep: str | None = None):
     """Whole-file fast path for a table of non-negative integers.
 
     Returns an int64 array of shape (rows, k) with k in ``columns``, or
-    None; on None the caller's per-line parser decides. The path is taken
-    only when every byte is a digit, a newline or a separator (``sep``, or
-    space and tab when None) and no line holds separators alone. On such
-    text np.loadtxt reads the same lines, fields and values as the
-    per-line parsers; without the guard it would skip a line of blanks,
-    split fields at "\x1c" and read signs.
+    None; on None the caller's per-line parser decides. Past a leading
+    block of ``#`` lines (a SNAP header) with no line break but "\n", every
+    byte must be a digit, a newline or a separator (``sep``, or space and
+    tab when None) and no line may hold separators alone. On such text
+    np.loadtxt reads the same lines, fields and values as the per-line
+    parsers; without the guard it would skip a line of blanks, split
+    fields at "\x1c" and read signs.
     """
     try:
         data = path.read_bytes()
     except OSError:
         return None
+    end = _HEADER.match(data).end()
+    head, data = data[:end], data[end:]
     seps = b" \t" if sep is None else sep.encode()
-    if (not data.strip() or data.translate(None, _DIGITS + seps + b"\n")
-            or _BLANK_LINE.search(b"\n" + data)):
+    if (_newline_text(head) is None or not data.strip()
+            or data.translate(None, _DIGITS + seps + b"\n") or _BLANK_LINE.search(b"\n" + data)):
         return None
     # Lines, not the path: loadtxt then parses the bytes checked here, and
     # does not import gzip to open the file.
@@ -168,15 +184,13 @@ def _read_id_tokens(path: Path):
     """
     try:
         data = path.read_bytes()
-        text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError):
+    except OSError:
         return None
     codes = np.frombuffer(data, dtype=np.uint8)
     tabs, ends = np.flatnonzero(codes == 9), np.flatnonzero(codes == 10)
     if (len(tabs) != len(ends) or not data.endswith(b"\n")
             or (tabs > ends).any() or (tabs[1:] < ends[:-1]).any()
-            or len(data.translate(None, _OTHER_BREAK_BYTES)) != len(data)
-            or not text.isascii() and any(c in text for c in _OTHER_BREAK_CHARS)):
+            or (text := _newline_text(data)) is None):
         return None
     fields = text.replace("\t", "\n").split("\n")   # id, token, id, ..., token, ""
     try:
@@ -225,23 +239,19 @@ def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1], table[:, 2]
 
 
-def read_colors(path, n: int, original_ids: np.ndarray | None) -> list:
+def read_colors(path, original_ids: np.ndarray) -> list:
     """Parse a color file into per-node payload tokens.
 
-    original_ids lists the file id of each dense node, ascending (None if
-    the file ids are already dense). Nodes absent from the file get the
-    shared default color; duplicate node lines are rejected.
+    original_ids lists the file id of each dense node, ascending. Nodes
+    absent from the file get the shared default color; duplicate node
+    lines are rejected.
     """
-    path = Path(path)
+    path, n = Path(path), len(original_ids)
     pairs = _read_id_tokens(path)
     if pairs is not None:
         raw, tokens = pairs
-        if original_ids is None:
-            v = raw
-            known = (raw >= 0) & (raw < n)
-        else:
-            v = np.searchsorted(original_ids, raw)
-            known = original_ids[np.minimum(v, n - 1)] == raw
+        v = np.searchsorted(original_ids, raw)
+        known = original_ids[np.minimum(v, n - 1)] == raw
         if known.all() and np.bincount(v, minlength=n).max() <= 1:
             payloads = np.full(n, DEFAULT_COLOR, dtype=object)
             payloads[v] = tokens
@@ -270,20 +280,16 @@ def load_graph(edge_path, color_path=None, undirected: bool = False) -> LoadedGr
     src, dst, mult = read_edges(edge_path)
     if len(src) == 0:
         raise FormatError(f"{edge_path}: no edges")
-    ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
-    n = len(ids)
-    if ids[0] == 0 and ids[-1] == n - 1:
-        original_ids = None
-    else:
-        original_ids = ids
-        src, dst = dense[:len(src)], dense[len(src):]
+    original_ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    n = len(original_ids)
+    src, dst = dense[:len(src)], dense[len(src):]
 
     if undirected:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         mult = np.concatenate([mult, mult])
 
     if color_path is not None:
-        payloads = read_colors(color_path, n, original_ids)
+        payloads = read_colors(color_path, original_ids)
     else:
         payloads = [DEFAULT_COLOR] * n
     colors, palette = intern_colors(payloads)
@@ -331,13 +337,11 @@ def read_train(path, n: int, loss_kind: str, id_map: dict | None = None) -> Trai
     return _train_rows(Path(path), loss_kind, n, id_map, weighted=False)
 
 
-def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
-                extra_meta: dict | None = None) -> Path:
+def save_bundle(cp: CompressedProblem, out_dir, extra_meta: dict | None = None) -> Path:
     """Write a compressed problem as a bundle directory.
 
-    original_node_ids (default cp.original_ids, which a loaded bundle
-    carries) translates the problem's dense node space back to input-file
-    ids; it is also recorded in meta.json when present, as are the
+    map.tsv names each original node by its input-file id, cp.original_ids;
+    meta.json records those ids (null when they are 0, 1, ...) and the
     per-round class counts of the refinement behind the bundle.
     """
     out = Path(out_dir)
@@ -348,8 +352,8 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
                  h.out_src_flat.tolist(), h.out_dst.tolist(), h.out_mult.tolist())
     _write_table(out / "colors.tsv", "%d\t%s\n", range(h.node_count), h.payload_per_node())
 
-    ids = cp.original_ids if original_node_ids is None else original_node_ids
-    labels = range(len(cp.rep_of_node)) if ids is None else np.array(ids, dtype=np.int64).tolist()
+    ids = cp.original_ids
+    labels = ids.tolist()
     _write_table(out / "map.tsv", "%d\t%d\n", labels, cp.rep_of_node.tolist())
 
     train = cp.train
@@ -369,7 +373,7 @@ def save_bundle(cp: CompressedProblem, out_dir, original_node_ids=None,
         "reduced_nodes": nodes,
         "reduced_simple_edges": edges,
         "representative_original_ids": [int(x) for x in cp.node_ids],
-        "original_node_ids": None if ids is None else labels,
+        "original_node_ids": None if np.array_equal(ids, np.arange(len(ids))) else labels,
     }
     if cp.class_counts is not None:
         meta["class_counts"] = [int(c) for c in cp.class_counts]
@@ -409,19 +413,19 @@ def _bundle_colors(path: Path) -> list[str]:
     return [tokens[v] for v in range(r)]
 
 
-def _bundle_map(path: Path, r: int, order: np.ndarray | None) -> np.ndarray:
-    """rep_of_node from map.tsv: the representative of each original node,
-    in the order of ``order`` (meta's original_node_ids; None means the
-    node ids 0, 1, ... in turn)."""
+def _bundle_map(path: Path, r: int, order: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """(original_ids, rep_of_node) from map.tsv: the file id of each original
+    node, as meta's original_node_ids ``order`` lists them (None: 0, 1, ...
+    for as many as map.tsv holds), and the representative of each."""
     table = _read_int_table(path, (2,), sep="\t")
     if table is not None:
         orig, rep = table[:, 0], table[:, 1]
-        want = np.arange(len(orig)) if order is None else order
+        want = np.arange(len(orig)) if order is None else np.array(order, dtype=np.int64)
         sorter = np.argsort(orig)
         # orig sorted equal to the distinct wanted ids: orig has no
         # duplicates and covers exactly the wanted nodes.
         if rep.max() < r and np.array_equal(orig[sorter], _sorted_distinct(want)):
-            return rep[sorter[np.searchsorted(orig, want, sorter=sorter)]]
+            return want, rep[sorter[np.searchsorted(orig, want, sorter=sorter)]]
     pairs: dict[int, int] = {}
     for lineno, o, parts in _tab_rows(path, "orig_node<TAB>representative"):
         rep = _int_field(parts[1], path, lineno, "representative")
@@ -430,10 +434,10 @@ def _bundle_map(path: Path, r: int, order: np.ndarray | None) -> np.ndarray:
         if not 0 <= rep < r:
             raise ValidationError(f"{path}:{lineno}: representative {rep} not in graph.tsv")
         pairs[o] = rep
-    order = range(len(pairs)) if order is None else order.tolist()
-    if set(pairs) != set(order):
+    want = np.arange(len(pairs)) if order is None else np.array(order, dtype=np.int64)
+    if set(pairs) != set(want.tolist()):
         raise ValidationError(f"{path}: does not cover every original node")
-    return np.array([pairs[o] for o in order], dtype=np.int64)
+    return want, np.array([pairs[o] for o in want.tolist()], dtype=np.int64)
 
 
 def load_bundle(bundle_dir) -> CompressedProblem:
@@ -446,7 +450,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     meta_path = bundle / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: expected a JSON object")
@@ -469,9 +473,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     graph = ColoredMultigraph.from_edge_arrays(r, src, dst, mult, color_ids, palette)
 
     map_path = bundle / "map.tsv"
-    order = meta.get("original_node_ids")
-    original_ids = None if order is None else np.array(order, dtype=np.int64)
-    rep_of_node = _bundle_map(map_path, r, original_ids)
+    original_ids, rep_of_node = _bundle_map(map_path, r, meta.get("original_node_ids"))
     unreached = np.flatnonzero(np.bincount(rep_of_node, minlength=r) == 0)
     if len(unreached):
         raise ValidationError(f"{map_path}: no original node maps to reduct node "

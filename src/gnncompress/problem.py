@@ -126,8 +126,8 @@ class CompressedProblem:
     per (representative, target) whose weight counts the training nodes
     of the original class carrying that target, so weights sum to |T|.
     class_counts[d] is the number of refinement classes after round d
-    (None when not recorded). original_ids, read from a bundle, is the
-    input-file id of each original node (None: the ids 0, 1, ...).
+    (None when not recorded). original_ids is the input-file id of each
+    original node; compress_problem records 0, 1, ...
     """
 
     graph: ColoredMultigraph
@@ -137,11 +137,11 @@ class CompressedProblem:
     depth: float
     grade: float
     policy: str
+    original_ids: np.ndarray = field(compare=False)
     loss_kind: str | None = None
     rounds: int = 0
     class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)
-    original_ids: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def train_weighted(self) -> dict[int, list[tuple[object, int]]]:
@@ -223,6 +223,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         rounds=rounds,
         class_counts=list(result.class_counts),
         features=problem.features[red.node_ids],
+        original_ids=np.arange(g.node_count),
     )
 
 
@@ -307,11 +308,12 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
     elif config.depth > cp.depth:
         note = "approximate: hypothesis depth exceeds compression depth"
 
+    features_h = problem.features[cp.node_ids]
     max_loss = max_out = 0.0
     for i in range(n_gnns):
         gnn = sample_gnn(config, seed + i)
         out_g = forward(problem.graph, problem.features, gnn)
-        out_h = forward(cp.graph, cp.features, gnn)
+        out_h = forward(cp.graph, features_h, gnn)
         diff = np.abs(out_g - out_h[cp.rep_of_node])
         scale = 1.0 + _row_max(np.abs(out_g))
         max_out = _worse(max_out, float((_row_max(diff) / scale).max()) if len(diff) else 0.0)

@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnncompress.cli import main
@@ -382,6 +383,94 @@ def test_verify_rejects_bundle_of_other_node_ids(capsys, tmp_path):
     assert code == 3 and "passed" not in out
     assert "node 0 is 20 in the bundle, 10 in the graph" in err
 
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_and_sparse_ids_give_one_bundle(capsys, tmp_path, seed):
+    # the same problem written with file ids 0..n-1 and with 7 + 3i: the
+    # bundles differ only in the ids they name original nodes by
+    rng = np.random.default_rng(seed)
+    n = 40
+    src = np.concatenate([np.arange(n), rng.integers(0, n, 60)])
+    dst = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, 60)])
+    colors = rng.integers(0, 3, n)
+    train = rng.choice(n, 12, replace=False)
+    labels = rng.integers(0, 3, 12)
+    spaces = {"dense": np.arange(n), "sparse": 7 + 3 * np.arange(n)}
+    files = {}
+    for name, ids in spaces.items():
+        d = tmp_path / name
+        d.mkdir()
+        files[name] = g, c, t = d / "g.txt", d / "c.tsv", d / "t.tsv"
+        g.write_text("".join(f"{ids[s]} {ids[t]}\n" for s, t in zip(src, dst)))
+        c.write_text("".join(f"{ids[v]}\tk{k}\n" for v, k in enumerate(colors)))
+        t.write_text("".join(f"{ids[v]}\tc{k}\n" for v, k in zip(train, labels)))
+        graph = ["--graph", g, "--colors", c]
+        assert run(capsys, "compress", *graph, "--train", t, "--loss", "xent",
+                   "--depth", "2", "--out", d / "bundle")[0] == 0
+        assert run(capsys, "refine", *graph, "--depth", "2", "--out", d / "refine.tsv")[0] == 0
+    dense, sparse = tmp_path / "dense", tmp_path / "sparse"
+
+    def relabelled(path):
+        return "".join(f"{7 + 3 * int(a)}\t{b}\n" for a, b in
+                       (line.split("\t") for line in path.read_text().splitlines()))
+
+    for name in ("graph.tsv", "colors.tsv", "train.tsv"):
+        assert (dense / "bundle" / name).read_bytes() == (sparse / "bundle" / name).read_bytes()
+    for name in ("bundle/map.tsv", "refine.tsv"):
+        assert relabelled(dense / name) == (sparse / name).read_text()
+    metas = [json.loads((d / "bundle" / "meta.json").read_text()) for d in (dense, sparse)]
+    assert metas[0].pop("original_node_ids") is None
+    assert metas[1].pop("original_node_ids") == spaces["sparse"].tolist()
+    assert metas[0] == metas[1]
+
+    def verify(bundle_space, graph_space):
+        g, c, t = files[graph_space]
+        return run(capsys, "verify", "--bundle", tmp_path / bundle_space / "bundle",
+                   "--original", g, "--colors", c, "--train", t, "--gnns", "1")
+
+    for name in spaces:
+        code, out, _ = verify(name, name)
+        assert code == 0 and "verification passed" in out
+    code, out, err = verify("dense", "sparse")
+    assert code == 3 and "node 0 is 0 in the bundle, 7 in the graph" in err
+    code, out, err = verify("sparse", "dense")
+    assert code == 3 and "node 0 is 7 in the bundle, 0 in the graph" in err
+
+
+def test_undecodable_files_are_format_errors(fig1_files, capsys, tmp_path):
+    # a byte that is not UTF-8, in any file a command reads, is a format
+    # error naming the file (exit 2), not an exception out of main
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    compress = ["compress", "--graph", g, "--colors", c, "--train", t, "--loss", "xent",
+                "--depth", "1", "--out", bundle]
+    assert run(capsys, *compress)[0] == 0
+    verify = ["verify", "--bundle", bundle, "--original", g, "--colors", c, "--train", t]
+    cases = [(g, compress), (c, compress), (t, compress)] + [
+        (bundle / name, verify)
+        for name in ("meta.json", "colors.tsv", "graph.tsv", "map.tsv", "train.tsv")]
+    for path, argv in cases:
+        text = path.read_bytes()
+        path.write_bytes(text + b"\xff\n")
+        code, out, err = run(capsys, *argv)
+        path.write_bytes(text)
+        assert code == 2, path
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff"), err
+        assert "Traceback" not in err
+
+
+def test_unwritable_outputs_are_errors(fig1_files, capsys, tmp_path):
+    g, c, _ = fig1_files
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, out, err = run(capsys, "compress", "--graph", g, "--depth", "1",
+                         "--out", afile / "b")
+    assert code == 2 and "wrote" not in out
+    assert err.startswith("error: ") and str(afile / "b") in err
+    missing = tmp_path / "nodir" / "x.tsv"
+    code, out, err = run(capsys, "refine", "--graph", g, "--depth", "1", "--out", missing)
+    assert code == 2 and "wrote" not in out
+    assert err.startswith("error: ") and str(missing) in err
 
 def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
     # the benchmark's output check: compress writes the oracle's bundle on

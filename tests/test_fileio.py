@@ -200,7 +200,8 @@ def test_resaved_bundle_keeps_original_ids(tmp_path):
     # a loaded bundle carries its file ids, so saving it again writes the
     # same map.tsv and meta.json
     cp = make_compressed()
-    save_bundle(cp, tmp_path / "b", original_node_ids=np.arange(len(cp.rep_of_node)) * 3 + 1)
+    cp.original_ids = np.arange(len(cp.rep_of_node)) * 3 + 1
+    save_bundle(cp, tmp_path / "b")
     back = load_bundle(tmp_path / "b")
     assert back.original_ids.tolist() == (np.arange(len(cp.rep_of_node)) * 3 + 1).tolist()
     save_bundle(back, tmp_path / "b2")
@@ -319,6 +320,10 @@ EDGE_CORPUS = [
     "+5 1\n", "1_0 1\n", "١ 1\n", "0\x0c1\n", "0\x1c1\n", "0 1\u20282 3\n",
     "0 1\x852 3\n", "0 1\n1 2 3\n", "0 1 2 3\n", "0\n", "0 1 9223372036854775808\n",
     "9223372036854775807 1\n", "0 -1\n", "0 1 0\n", "", "\n\n", "0 x\n",
+    # leading '#' headers: SNAP's, one holding other line breaks, one alone
+    "# Nodes: 3 Edges: 2\n# FromNodeId\tToNodeId\n0 1\n1 2\n", "# é\n0 1\n", "#\n0 1",
+    "# a\rb\n0 1\n", "# a\u2028b\n0 1\n", "# a\x85b\n0 1\n", "# a\n# b\n", "# a",
+    "# a\n0 1\n# b\n1 2\n", "# a\n\n0 1\n", "0 1\n# a\n",
 ]
 COLOR_CORPUS = [
     "0\ta\n1\tb\n", "2\tred car\n0\t\n", " 1\ta\n", "0\ta", "0\ta\n1\tb\t\n",
@@ -354,8 +359,8 @@ def test_fast_paths_match_per_line_parser(tmp_path, monkeypatch):
     for text in EDGE_CORPUS:
         cases.append((text, read_edges, (p,)))
     for text in COLOR_CORPUS:
-        cases.append((text, read_colors, (p, 11, None)))
-        cases.append((text.replace("1", "10"), read_colors, (p, 3, np.array([0, 2, 10]))))
+        cases.append((text, read_colors, (p, np.arange(11))))
+        cases.append((text.replace("1", "10"), read_colors, (p, np.array([0, 2, 10]))))
     fast = []
     for text, fn, args in cases:
         p.write_bytes(text.encode("utf-8"))
@@ -365,6 +370,9 @@ def test_fast_paths_match_per_line_parser(tmp_path, monkeypatch):
         p.write_bytes(text.encode("utf-8"))
         assert got == outcome(fn, *args), (fn.__name__, text)
     assert ("FormatError", f"{p}:1: ids and multiplicity must be below 2**63") in fast
+    # the second line of a header split at "\r" is data
+    assert fast[EDGE_CORPUS.index("# a\rb\n0 1\n")] == (
+        "FormatError", f"{p}:2: expected 'src dst [mult]'")
 
 
 def bundle_variants(lines):
@@ -387,8 +395,9 @@ def bundle_variants(lines):
 def test_bundle_fast_paths_match_per_line_parser(tmp_path, monkeypatch, name, sparse):
     cp = make_compressed()
     n = len(cp.rep_of_node)
-    ids = np.arange(n) * 3 + 1 if sparse else None
-    save_bundle(cp, tmp_path / "b", original_node_ids=ids)
+    if sparse:
+        cp.original_ids = np.arange(n) * 3 + 1
+    save_bundle(cp, tmp_path / "b")
     path = tmp_path / "b" / name
     variants = bundle_variants(path.read_text().splitlines())
 
@@ -412,13 +421,18 @@ def test_clean_files_take_the_fast_paths(tmp_path, monkeypatch):
     # a silent return to the per-line parsers would lose the whole-file speed
     import gnncompress.fileio as fileio
     cp = make_compressed()
-    save_bundle(cp, tmp_path / "b", original_node_ids=np.arange(len(cp.rep_of_node)) + 5)
+    cp.original_ids = np.arange(len(cp.rep_of_node)) + 5
+    save_bundle(cp, tmp_path / "b")
     gp, cp_ = tmp_path / "g.tsv", tmp_path / "c.tsv"
     sparse_gp, sparse_cp = tmp_path / "sg.tsv", tmp_path / "sc.tsv"
     gp.write_text("".join(f"{s} {d}\n" for s, d, _ in FIG1_EDGES))
     cp_.write_text("".join(f"{v}\t{c}\n" for v, c in enumerate(FIG1_COLORS)))
     sparse_gp.write_text("".join(f"{10 * s}\t{10 * d}\t1\n" for s, d, _ in FIG1_EDGES))
     sparse_cp.write_text("".join(f"{10 * v}\t{c}\n" for v, c in enumerate(FIG1_COLORS)))
+    snap_gp = tmp_path / "snap.txt"
+    snap_gp.write_text("# Directed graph (each unordered pair of nodes is saved once)\n"
+                       "# Nodes: 6 Edges: 11\n# FromNodeId\tToNodeId\n"
+                       + "".join(f"{s}\t{d}\n" for s, d, _ in FIG1_EDGES))
     per_line = fileio._iter_data_lines
 
     def refuse(path):
@@ -429,6 +443,7 @@ def test_clean_files_take_the_fast_paths(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "_iter_data_lines", refuse)
     assert load_graph(gp, cp_).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
     assert load_graph(sparse_gp, sparse_cp).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
+    assert load_graph(snap_gp, cp_).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
     assert same_compressed(load_bundle(tmp_path / "b"), cp)
 
 
@@ -436,8 +451,8 @@ def test_meta_text_matches_json_dumps(tmp_path):
     import json
     from gnncompress.fileio import _meta_text
     cp = make_compressed()
-    save_bundle(cp, tmp_path / "b", original_node_ids=np.arange(len(cp.rep_of_node)) + 5,
-                extra_meta={"original_simple_edges": 50})
+    cp.original_ids = np.arange(len(cp.rep_of_node)) + 5
+    save_bundle(cp, tmp_path / "b", extra_meta={"original_simple_edges": 50})
     text = (tmp_path / "b" / "meta.json").read_text()
     metas = [json.loads(text), {"a": []}, {"a": [True, 1]}, {"a": [1.5, 2], "b": None},
              {"é\n": ["x", "ü"]}, {"n": {"k": [1, 2], "m": {"z": []}}, "l": [[1], [2, 3]]}]
@@ -554,7 +569,7 @@ def test_read_train_matches_training_set(tmp_path, seed):
     g = tmp_path / "g.txt"
     g.write_text("".join(f"{ids[v]} {ids[(v + 1) % n]}\n" for v in range(n)))
     loaded = load_graph(g)
-    assert (loaded.original_ids is None) == bool(seed % 2)
+    assert (loaded.id_map is None) == bool(seed % 2)
     picked = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
     labels = ["a", "b c", "é", "0", "", "-0.0"]
     values = [0.0, -0.0, 1.5, -2.25, 1e-300, 3.0]

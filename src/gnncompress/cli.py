@@ -94,6 +94,12 @@ def cmd_verify(args) -> int:
         i = np.flatnonzero(bundle_ids != graph_ids)[0]
         raise ValidationError(f"bundle's node ids differ from the original's: node {i} "
                               f"is {bundle_ids[i]} in the bundle, {graph_ids[i]} in the graph")
+    # Refinement stabilizes within n - 1 rounds, and stops at the depth.
+    last = min(cp.depth, max(g.node_count - 1, 0))
+    if cp.rounds > last:
+        raise ValidationError(f"bundle claims {cp.rounds} rounds; refinement of "
+                              f"{g.node_count} nodes to depth {_fmt_extent(cp.depth)} "
+                              f"ends by round {last}")
 
     if cp.train and not args.train:
         raise ValidationError("bundle carries a training set; pass --train "
@@ -124,12 +130,14 @@ def cmd_verify(args) -> int:
     # Equivalence over sampled GNNs.
     features, vocab = one_hot_features(g)
     p_dim = len(vocab)
-    depth = int(cp.depth) if not math.isinf(cp.depth) else max(1, cp.rounds)
+    # Fewer rounds than the depth: a stable partition, which GNNs of that
+    # many layers already test exactly.
+    layers = max(1, cp.rounds) if cp.rounds < cp.depth else int(cp.depth)
     if width is None:
         width = cp.grade
     palette = cp.train.palette
     q = (len(palette) if loss_kind == "xent" else palette.shape[1]) if cp.train else p_dim
-    config = chain_config([p_dim] * depth + [q], width=width, agg="sum")
+    config = chain_config([p_dim] * layers + [q], width=width, agg="sum")
 
     problem = LearningProblem(g, features, train, loss_kind, config)
     report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed,

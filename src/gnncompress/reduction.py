@@ -9,12 +9,13 @@ incidence yields a reduct of minimal size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColoredMultigraph, _sorted_distinct, intern_colors
-from .refine import INF, Partition, refine
+from .graph import _MULT_LIMIT, ColoredMultigraph, _count_runs, _sorted_distinct, intern_colors
+from .refine import INF, Partition, _check_extent, _ranges, refine
 
 POLICIES = ("min-incidence", "first-node")
 
@@ -123,28 +124,50 @@ def _disjoint_union(g: ColoredMultigraph, h: ColoredMultigraph) -> ColoredMultig
     return ColoredMultigraph(n + h.node_count, *stacked, colors, palette)
 
 
-def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
-                  rep_index_of_node: np.ndarray, depth=INF, grade=INF) -> VerifyResult:
-    """Check that every node of g shares its refinement color with its
-    representative in h, at every round up to depth (up to stability for
-    depth = inf).
+def _certificate(g: ColoredMultigraph, h: ColoredMultigraph, rep: np.ndarray,
+                 grade) -> bool:
+    """Whether h is a capped fibration image of g under rep: every node
+    has its representative's color payload, and for every node v the
+    in-edge multiplicities of v, summed per representative of their source
+    and capped at the grade, are h's in-row of rep[v], sources and
+    multiplicities alike.
 
-    Runs refinement on the disjoint union of g and h, their CSR arrays
-    stacked with no sort; refinement never mixes information across union
-    components, so union classes restrict to per-graph classes. Partitions
-    are nested, so it is enough to compare class membership in the last
-    computed round. A failed check carries the earliest violating (node,
-    round), the round found by bisecting the split history.
+    When it holds, v and rep[v] share their color at every refinement
+    round. By induction on the round: a round-r class of sources is a union
+    of rep classes, and capping a sum of counts each capped at the grade
+    gives the capped plain sum. Runs no rounds. Graphs whose counts could
+    sum to 2**62 fail it, so that refinement decides how they overflow.
     """
-    n, r = g.node_count, h.node_count
-    rep_index_of_node = np.asarray(rep_index_of_node, dtype=np.int64)
-    if len(rep_index_of_node) != n:
-        raise ValueError("rep map must cover every original node")
-    if len(rep_index_of_node) and (rep_index_of_node.min() < 0 or rep_index_of_node.max() >= r):
-        raise ValueError("rep map points outside the reduct")
+    if any(int(x.in_mult.max()) * len(x.in_mult) >= _MULT_LIMIT for x in (g, h)
+           if len(x.in_mult)):
+        return False
+    index = {payload: i for i, payload in enumerate(g.palette)}
+    as_g = np.array([index.get(payload, -1) for payload in h.palette], dtype=np.int64)
+    if not np.array_equal(g.colors, as_g[h.colors[rep]]):
+        return False
+    r = h.node_count
+    keys, sums = _count_runs(g.in_dst_flat * r + rep[g.in_src], g.in_mult, grade)
+    node, source = np.divmod(keys, r)
+    lo = h.in_indptr[rep]
+    degree = h.in_indptr[rep + 1] - lo
+    if not np.array_equal(np.bincount(node, minlength=g.node_count), degree):
+        return False
+    row = _ranges(lo, degree)
+    return np.array_equal(h.in_src[row], source) and np.array_equal(h.in_mult[row], sums)
 
+
+def _union_check(g: ColoredMultigraph, h: ColoredMultigraph, rep: np.ndarray,
+                 depth, grade) -> VerifyResult:
+    """verify_reduct by refinement of the disjoint union of g and h, their
+    CSR arrays stacked with no sort; refinement never mixes information
+    across union components, so union classes restrict to per-graph
+    classes. Partitions are nested, so it is enough to compare class
+    membership in the last computed round. A failed check carries the
+    earliest violating (node, round), the round found by bisecting the
+    split history."""
+    n = g.node_count
     result = refine(_disjoint_union(g, h), depth=depth, grade=grade)
-    rep_pos = rep_index_of_node + n
+    rep_pos = rep + n
 
     def apart(d) -> np.ndarray:
         ids = result.labels(d)
@@ -160,3 +183,30 @@ def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
         else:
             lo = mid + 1
     return VerifyResult(False, int(np.flatnonzero(apart(lo))[0]), lo)
+
+
+def verify_reduct(g: ColoredMultigraph, h: ColoredMultigraph,
+                  rep_index_of_node: np.ndarray, depth=INF, grade=INF) -> VerifyResult:
+    """Check that every node of g shares its refinement color with its
+    representative in h, at every round up to depth (up to stability for
+    depth = inf).
+
+    A reduct whose classes are stable, which a correct one is at depth inf
+    or with one node per original node, passes on the local certificate
+    of _certificate, which runs no rounds and implies agreement at every
+    round. Otherwise, also when the certificate fails, refinement of the
+    disjoint union of g and h decides (_union_check), and a failed check
+    carries the earliest violating (node, round). The certificate holds
+    only where the union check passes, so both give the same result.
+    """
+    n, r = g.node_count, h.node_count
+    rep_index_of_node = np.asarray(rep_index_of_node, dtype=np.int64)
+    if len(rep_index_of_node) != n:
+        raise ValueError("rep map must cover every original node")
+    if len(rep_index_of_node) and (rep_index_of_node.min() < 0 or rep_index_of_node.max() >= r):
+        raise ValueError("rep map points outside the reduct")
+    _check_extent(depth, "depth", 0)
+    _check_extent(grade, "grade", 1)
+    if (math.isinf(depth) or r == n) and _certificate(g, h, rep_index_of_node, grade):
+        return VerifyResult(True)
+    return _union_check(g, h, rep_index_of_node, depth, grade)

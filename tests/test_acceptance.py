@@ -20,7 +20,7 @@ from gnncompress import (LearningProblem, build_graph, chain_config,
                          reduce_graph, refine, sample_gnn, verify_reduct,
                          evaluate_compressed_loss, evaluate_loss)
 from gnncompress.fileio import load_graph
-from gnncompress.reduction import Substitution
+from gnncompress.reduction import Substitution, _union_check
 from conftest import (A1, A2, A3, B1, B2, B3, FIG1_COLORS, FIG1_EDGES,
                       bench_graph, bisimulation_partition, make_corpus,
                       partition_blocks, random_graph, random_substitution,
@@ -118,6 +118,9 @@ def test_criterion_3_reduct_color_invariance(corpus):
                         red = reduce_graph(g, sub)
                         res = verify_reduct(g, red.graph, red.rep_index_of_node, d, c)
                         assert res.ok, (d, c, policy, res)
+                        if math.isinf(d):   # passed on the certificate: refine as well
+                            res = _union_check(g, red.graph, red.rep_index_of_node, d, c)
+                            assert res.ok, (d, c, policy, res)
 
 
 def _random_problem(i: int):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnncompress import chain_config
 from gnncompress.cli import main
 from conftest import FIG1_COLORS, FIG1_EDGES
 
@@ -312,6 +313,40 @@ def test_representative_ids_must_map_to_themselves(fig1_files, capsys, tmp_path)
                            "--colors", c, "--train", t)
         assert code == 3
         assert "meta.json: representative_original_ids" in err
+
+
+def test_verify_samples_gnns_as_deep_as_the_stable_round(fig1_files, capsys, tmp_path,
+                                                         monkeypatch):
+    # fig1 is stable at round 2: its depth-10**6 bundle is checked with
+    # 2-layer GNNs, and a bundle claiming more rounds than its depth or than
+    # 5 (6 nodes) allow is refused before any feature or GNN is built
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    verify = ("verify", "--bundle", bundle, "--original", g, "--colors", c, "--train", t)
+    layers = []
+
+    def config(dims, **kwargs):
+        layers.append(len(dims) - 1)
+        return chain_config(dims, **kwargs)
+
+    monkeypatch.setattr("gnncompress.cli.chain_config", config)
+    for depth, want in (("1", 1), ("2", 2), ("1000000", 2), ("inf", 2)):
+        assert run(capsys, "compress", "--graph", g, "--colors", c, "--depth", depth,
+                   "--train", t, "--loss", "xent", "--out", bundle)[0] == 0
+        code, out, _ = run(capsys, *verify)
+        assert code == 0 and "verification passed" in out
+        assert layers.pop() == want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an impossible bundle must be refused first")
+
+    monkeypatch.setattr("gnncompress.cli.one_hot_features", refuse)
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    for depth, rounds in (("inf", 6), (1000000, 3000000), (1, 2), (0, 1)):
+        meta_path.write_text(json.dumps({**meta, "depth": depth, "rounds": rounds}))
+        code, out, err = run(capsys, *verify)
+        assert code == 3 and f"bundle claims {rounds} rounds" in err and out == ""
 
 
 def test_compress_builds_no_feature_matrix(fig1_files, capsys, tmp_path, monkeypatch):

@@ -5,8 +5,10 @@ import pytest
 
 from gnncompress import (build_graph, choose_substitution, graph_size,
                          reduce_graph, refine, verify_reduct)
+from gnncompress.errors import ValidationError
 from gnncompress.graph import ColoredMultigraph, intern_colors
-from gnncompress.reduction import Substitution, _disjoint_union, incidence_all
+from gnncompress.reduction import (POLICIES, Substitution, _certificate, _disjoint_union,
+                                   incidence_all)
 from conftest import (A1, A2, B1, B3, class_members, iterated_partitions, random_graph,
                       random_substitution, star_of_stars)
 
@@ -346,3 +348,78 @@ def test_verify_reduct_witness_matches_reference_scan():
             g, red.graph, wrong, math.inf, math.inf)
         rounds.add(res.witness_round)
     assert rounds == {4, 18, 39, 1}
+
+
+def test_certificate_never_holds_where_refinement_fails():
+    # the certificate against the plain-Python scan of the union, on correct
+    # bundles and on the three tampers, at depths 1, 2, 3, inf and grades 1, 2, inf
+    rng = np.random.default_rng(29)
+    stable, held = 0, 0
+    for i in range(48):
+        g = random_graph(int(rng.integers(6, 30)), int(rng.integers(8, 70)),
+                         n_colors=int(rng.integers(1, 3)), max_mult=3, seed=1300 + i)
+        depth, grade = (1, 2, 3, math.inf)[i % 4], (1, 2, math.inf)[i % 3]
+        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
+                                                  grade=grade))
+        h, rep_index = red.graph, red.rep_index_of_node
+        if math.isinf(depth) or h.node_count == g.node_count:
+            assert _certificate(g, h, rep_index, grade), i
+            stable += not math.isinf(depth)
+        cases = [(h, rep_index)]
+        if len(h.out_dst):
+            cases += [(tampered(h, rng, "drop"), rep_index), (tampered(h, rng, "bump"), rep_index)]
+        if h.node_count > 1:
+            wrong = rep_index.copy()
+            v = int(rng.integers(0, g.node_count))
+            wrong[v] = (wrong[v] + 1 + int(rng.integers(0, h.node_count - 1))) % h.node_count
+            cases.append((h, wrong))
+        for h2, reps in cases:
+            if _certificate(g, h2, reps, grade):
+                held += 1
+                assert reference_witness(g, h2, reps, depth, grade)[0], i
+    assert stable >= 3 and held >= 20
+
+
+def test_certificate_rejects_an_under_split_reduct():
+    # a refine that stopped one round short of stability would keep the last
+    # two nodes of a path together; their reduct must fail both checks
+    n = 12
+    g = build_graph([(v, v + 1, 1) for v in range(n - 1)], ["x"] * n)
+    result = refine(g)
+    short = result.at(result.stable_round - 1)
+    assert short.num_classes == n - 1
+    for policy in POLICIES:
+        red = reduce_graph(g, choose_substitution(g, short, policy))
+        assert not _certificate(g, red.graph, red.rep_index_of_node, math.inf)
+        res = verify_reduct(g, red.graph, red.rep_index_of_node)
+        assert not res.ok
+        assert (res.ok, res.witness_node, res.witness_round) == reference_witness(
+            g, red.graph, red.rep_index_of_node, math.inf, math.inf)
+
+
+def test_stable_reducts_verify_without_refinement(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stable reduct needs no union refinement")
+
+    graphs = [build_graph([(v, v + 1, 1) for v in range(39)], ["x"] * 40),
+              random_graph(30, 80, n_colors=2, max_mult=3, seed=5)]
+    reducts = [(g, reduce_graph(g, choose_substitution(g, refine(g, grade=c).final, grade=c)), c)
+               for g in graphs for c in (1, 2, math.inf)]
+    monkeypatch.setattr("gnncompress.reduction.refine", refuse)
+    for g, red, c in reducts:
+        assert verify_reduct(g, red.graph, red.rep_index_of_node, grade=c).ok
+
+
+def test_certificate_leaves_errors_to_refinement():
+    # g as its own reduct, whose in-edges sum past 2**62 at grade inf: the
+    # certificate does not hold, and the union refinement raises as it
+    # always has; so do a bad depth and grade
+    g = build_graph([(i, 3, 2**61) for i in range(3)], ["a"] * 3 + ["b"])
+    rep = np.arange(4)
+    assert not _certificate(g, g, rep, math.inf)
+    with pytest.raises(ValidationError, match="overflow"):
+        verify_reduct(g, g, rep)
+    assert verify_reduct(g, g, rep, grade=2**61).ok
+    for depth, grade in ((-1, math.inf), (1.5, math.inf), (math.inf, 0)):
+        with pytest.raises(ValueError):
+            verify_reduct(g, g, rep, depth, grade)

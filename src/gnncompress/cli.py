@@ -8,6 +8,7 @@ returns. Every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -175,7 +176,12 @@ def cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. main looks the
+    handler of a command up in this module, as ``cmd_<command>``, when the
+    command runs, so a handler rebound after the first build is the one
+    called."""
     parser = argparse.ArgumentParser(
         prog="gnncompress",
         description="Exact compression of GNN learning problems by color refinement")
@@ -186,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", required=True, help="rounds to run, or 'inf' for stability")
     p.add_argument("--grade", default="inf", help="multiplicity cap c, or 'inf'")
     p.add_argument("--out", default=None, help="write node<TAB>class_id here")
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("compress", help="build a compressed bundle")
     _add_graph_args(p)
@@ -196,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.add_argument("--policy", choices=POLICIES, default="min-incidence")
     p.add_argument("--out", required=True, help="bundle output directory")
-    p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("verify", help="check a bundle against its original")
     p.add_argument("--bundle", required=True)
@@ -209,22 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--width", default=None,
                    help="GNN width for the equivalence check (default: bundle grade)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="compression ratios over several depths")
     _add_graph_args(p)
     p.add_argument("--depths", default="1,2,3,inf", help="comma-separated depths")
     p.add_argument("--grade", default="inf")
-    p.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (FormatError, OSError) as exc:   # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

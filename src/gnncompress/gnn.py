@@ -192,18 +192,29 @@ def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,
     return out
 
 
-def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn) -> np.ndarray:
+def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn,
+            first: np.ndarray | None = None) -> np.ndarray:
     """Compose all layers over the graph; returns the final feature matrix.
 
     Each layer computes activation(W_self·x[v] + W_agg·agg(in-neighbors)
     + bias). Empty in-neighborhoods aggregate to the zero vector for all
     three aggregation kinds.
+
+    ``first``, when given, is layer 0's aggregate of x,
+    ``_aggregate(g, x, agg, width)`` with the first layer's kind and the
+    config's width, and layer 0 uses it instead of aggregating. x takes no
+    parameter, so a caller that evaluates many GNNs on one problem can
+    compute it once; forward checks only its shape.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
     if x.shape != (g.node_count, gnn.config.input_dim):
         raise ValueError(f"feature shape {x.shape} != {(g.node_count, gnn.config.input_dim)}")
+    if first is not None:
+        first = np.ascontiguousarray(first, dtype=np.float64)
+        if first.shape != x.shape:
+            raise ValueError(f"first-layer aggregate shape {first.shape} != {x.shape}")
     # Every array the layers write, except the returned output, lives in
     # one block per call (see the module docstring): the float
     # multiplicities and a work buffer, one float per in-edge each, then
@@ -219,9 +230,14 @@ def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn) -> np.ndarray:
     for i, (layer, w_self, w_agg, bias) in enumerate(
             zip(gnn.config.layers, gnn.w_self, gnn.w_agg, gnn.bias)):
         p, q = layer.in_dim, layer.out_dim
-        agg = _aggregate(g, x, layer.agg, gnn.config.width, edges,
-                         slots[0, :n * p].reshape(n, p))
-        # Slot 0 holds agg; the layer's output and its second product take
+        if i == 0 and first is not None:
+            agg = first
+        else:
+            agg = _aggregate(g, x, layer.agg, gnn.config.width, edges,
+                             slots[0, :n * p].reshape(n, p))
+        # Slot 0 holds agg, unless it is first; the block keeps its size
+        # either way, as allocator thresholds depend on it (see the module
+        # docstring). The layer's output and its second product take
         # turns in slots 1 and 2, so the product lands where the layer's
         # input was. np.dot gives matmul's bits on C-ordered float64
         # operands and skips its overhead at inner dimension 1; the caller's

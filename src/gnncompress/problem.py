@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gnn import Gnn, GnnConfig, forward, sample_gnn
+from .gnn import Gnn, GnnConfig, _aggregate, forward, sample_gnn
 from .graph import ColoredMultigraph, _count_runs
 from .refine import INF, refine
 from .reduction import choose_substitution, reduce_graph
@@ -86,17 +86,24 @@ def training_set(train, n: int, loss_kind: str) -> TrainingSet:
 @dataclass
 class LearningProblem:
     """Original (uncompressed) node-labelling problem. A {node: target}
-    ``train`` is held as the TrainingSet it converts to."""
+    ``train`` is held as the TrainingSet it converts to.
+
+    ``features`` is held as a read-only view of the float64 array passed
+    in, not a copy: a write through the problem raises, and the array
+    itself must not change afterwards, as the graph must not. Losses reuse
+    layer 0's aggregate of the features (``_first_aggregate``)."""
 
     graph: ColoredMultigraph
     features: np.ndarray
     train: dict[int, object] | TrainingSet
     loss_kind: str
     hypothesis: GnnConfig | None = None
+    _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph.node_count
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=np.float64).view()
+        self.features.flags.writeable = False
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValidationError(f"feature matrix must be ({n}, p)")
         if not np.isfinite(self.features).all():
@@ -127,7 +134,10 @@ class CompressedProblem:
     of the original class carrying that target, so weights sum to |T|.
     class_counts[d] is the number of refinement classes after round d
     (None when not recorded). original_ids is the input-file id of each
-    original node; compress_problem records 0, 1, ...
+    original node; compress_problem records 0, 1, ... features holds the
+    original rows of the representatives, read-only when compress_problem
+    made them; a read-only array set here must not change afterwards, as
+    losses reuse its layer-0 aggregate.
     """
 
     graph: ColoredMultigraph
@@ -142,6 +152,7 @@ class CompressedProblem:
     rounds: int = 0
     class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)
+    _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def train_weighted(self) -> dict[int, list[tuple[object, int]]]:
@@ -213,6 +224,8 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     red = reduce_graph(g, sub)
 
     rounds = result.stable_round if result.stable_round is not None else int(depth)
+    features = problem.features[red.node_ids]
+    features.flags.writeable = False
     return CompressedProblem(
         graph=red.graph,
         node_ids=red.node_ids,
@@ -222,7 +235,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         loss_kind=problem.loss_kind,
         rounds=rounds,
         class_counts=list(result.class_counts),
-        features=problem.features[red.node_ids],
+        features=features,
         original_ids=np.arange(g.node_count),
     )
 
@@ -256,9 +269,32 @@ def _weighted_loss(loss_kind: str, train: TrainingSet, out: np.ndarray) -> float
     return float(np.cumsum(train.weight * terms)[-1])
 
 
+def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np.ndarray | None:
+    """Layer 0's aggregate of owner's features for gnn, computed once per
+    (aggregation kind, width) and kept on owner; the bits forward computes.
+
+    The entries belong to the graph and feature array they were computed
+    from, and go when either is no longer owner's. Writeable features, or
+    ones that are not a float64 array, are never cached: this returns None,
+    and forward aggregates them itself."""
+    g, x = owner.graph, np.asarray(owner.features, dtype=np.float64)
+    if x.flags.writeable:
+        owner._first = None
+        return None
+    if owner._first is None or owner._first[0] is not g or owner._first[1] is not x:
+        owner._first = g, x, {}
+    aggs = owner._first[2]
+    key = gnn.config.layers[0].agg, gnn.config.width
+    if key not in aggs:
+        agg = _aggregate(g, x, *key)
+        agg.flags.writeable = False
+        aggs[key] = agg
+    return aggs[key]
+
+
 def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
     """Total training loss of a GNN on the original problem."""
-    out = forward(problem.graph, problem.features, gnn)
+    out = forward(problem.graph, problem.features, gnn, first=_first_aggregate(problem, gnn))
     return _weighted_loss(problem.loss_kind, problem.train, out)
 
 
@@ -267,7 +303,8 @@ def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
     per-target losses at each representative."""
     if cp.features is None:
         raise ValueError("compressed problem has no feature matrix")
-    return _weighted_loss(cp.loss_kind, cp.train, forward(cp.graph, cp.features, gnn))
+    out = forward(cp.graph, cp.features, gnn, first=_first_aggregate(cp, gnn))
+    return _weighted_loss(cp.loss_kind, cp.train, out)
 
 
 @dataclass

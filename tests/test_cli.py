@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gnncompress import chain_config
+from gnncompress import cli
 from gnncompress.cli import main
 from conftest import FIG1_COLORS, FIG1_EDGES
 
@@ -359,6 +360,17 @@ def test_compress_builds_no_feature_matrix(fig1_files, capsys, tmp_path, monkeyp
                        "--train", t, "--loss", "xent", "--out", tmp_path / "bundle")
     assert code == 0
     assert "nodes 50.00% (3/6)" in out
+
+
+def test_parser_is_built_once_and_finds_handlers_when_run(fig1_files, capsys, monkeypatch):
+    g, c, _ = fig1_files
+    assert run(capsys, "stats", "--graph", g, "--depths", "1")[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    # a handler rebound after the parser was built is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: seen.append(args.depths) or 7)
+    assert run(capsys, "stats", "--graph", g, "--depths", "2,inf")[0] == 7
+    assert seen == ["2,inf"]
 
 
 def test_bench_tracer_runs_compress_and_verify(fig1_files, capsys, tmp_path, monkeypatch):

@@ -361,6 +361,23 @@ def test_aggregate_into_out_matches_fresh_array(agg, width):
         assert out.tobytes() == _aggregate(g, x, agg, width).tobytes()
 
 
+@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+@pytest.mark.parametrize("width", [1, 2, math.inf])
+def test_forward_with_first_layer_aggregate_matches_bitwise(agg, width):
+    rng = np.random.default_rng(1550)
+    g = random_graph(25, 70, n_colors=3, max_mult=4, seed=1550)
+    x = rng.choice([-0.0, 0.0, 1.0, -2.5], size=(g.node_count, 3))
+    for dims in ([3, 2], [3, 4, 2]):
+        gnn = sample_gnn(chain_config(dims, width=width, agg=agg), seed=len(dims))
+        first = _aggregate(g, x, agg, width)
+        assert forward(g, x, gnn, first=first).tobytes() == forward(g, x, gnn).tobytes()
+        # a strided first is read as its values
+        strided = np.asfortranarray(first)
+        assert forward(g, x, gnn, first=strided).tobytes() == forward(g, x, gnn).tobytes()
+    with pytest.raises(ValueError, match="first-layer aggregate shape"):
+        forward(g, x, gnn, first=first[:, :2])
+
+
 @pytest.mark.parametrize("dims", [[3, 2], [3, 8, 1], [3, 1, 16, 4]])
 def test_forward_output_owns_its_memory(dims):
     # forward's per-call block must not stay alive through the output

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gnncompress import (LearningProblem, ValidationError, build_graph,
                          chain_config, compress_problem, equivalence_report,
                          evaluate_compressed_loss, evaluate_loss, forward,
                          graph_size, one_hot_features, sample_gnn)
+from gnncompress import gnn as gnn_module
 from gnncompress import problem as problem_module
 from gnncompress.problem import push_forward, training_set
 from conftest import (A1, B1, B2, B3, FIG1_COLORS, FIG1_EDGES, pointwise_loss,
@@ -324,10 +326,10 @@ def test_losses_equal_per_term_fold_bitwise(monkeypatch):
     # xent logits whose row maximum is a +0.0/-0.0 tie, in both orders. The
     # affine layers never return -0.0, so the outputs are mapped row by row:
     # equal rows stay equal, and the orders pin the folded row maxima.
-    def tied(g, x, gnn):
-        z = real_forward(g, x, gnn)
-        first = np.where(z[:, 0] > 0, -0.0, 0.0)
-        return np.column_stack([first, -first, -1.0 - np.abs(z[:, 2:])])
+    def tied(g, x, gnn, first=None):
+        z = real_forward(g, x, gnn, first=first)
+        zero = np.where(z[:, 0] > 0, -0.0, 0.0)
+        return np.column_stack([zero, -zero, -1.0 - np.abs(z[:, 2:])])
 
     monkeypatch.setattr(problem_module, "forward", tied)
     monkeypatch.setitem(globals(), "forward", tied)
@@ -359,3 +361,156 @@ def test_losses_equal_per_term_fold_bitwise(monkeypatch):
             assert_losses_match_per_term_fold(problem, train, compress_problem(problem),
                                               seed=i)
     assert inf and nan and mixed
+
+
+WIDTHS = (1, 2, math.inf)
+
+
+def count_aggregates(monkeypatch):
+    """Count _aggregate calls: the problems' layer-0 fills, and the layers
+    forward aggregates itself."""
+    calls = {"fill": [], "layer": 0}
+    real = gnn_module._aggregate
+
+    def fill(g, x, kind, width, *rest, **kw):
+        calls["fill"].append((kind, width))
+        return real(g, x, kind, width, *rest, **kw)
+
+    def layer(*args, **kw):
+        calls["layer"] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(problem_module, "_aggregate", fill)
+    monkeypatch.setattr(gnn_module, "_aggregate", layer)
+    return calls
+
+
+def problems_with(seed, kind, agg, width):
+    """A random problem under a two-layer hypothesis of the given first-layer
+    aggregation and width, and its compression at that depth and width."""
+    base, _ = random_problem(seed, kind)
+    q = base.hypothesis.output_dim
+    config = chain_config([base.features.shape[1], 4, q], width=width, agg=agg)
+    problem = LearningProblem(base.graph, base.features, base.train, kind, config)
+    return problem, compress_problem(problem)
+
+
+def read_only_normal(rng, shape):
+    a = rng.normal(size=shape)
+    a.flags.writeable = False
+    return a
+
+
+def plain_loss(owner, gnn):
+    """The loss of a forward that aggregates every layer itself."""
+    return problem_module._weighted_loss(owner.loss_kind, owner.train,
+                                         real_forward(owner.graph, owner.features, gnn))
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_losses_reuse_the_first_layer_aggregate(monkeypatch, agg, width):
+    calls = count_aggregates(monkeypatch)
+    for seed, kind in ((40, "xent"), (61, "sq")):
+        problem, cp = problems_with(seed, kind, agg, width)
+        for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+            calls["fill"].clear()
+            for gnn in [sample_gnn(problem.hypothesis, s) for s in range(3)]:
+                expected = plain_loss(owner, gnn)
+                for _ in range(2):
+                    before = calls["layer"]
+                    assert evaluate(owner, gnn).hex() == expected.hex()
+                    assert calls["layer"] - before == 1     # layer 1 only
+            # one fill per problem, however many GNNs of this shape
+            assert calls["fill"] == [(agg, width)]
+
+
+def test_first_layer_aggregates_are_kept_per_kind_and_width(monkeypatch):
+    calls = count_aggregates(monkeypatch)
+    for seed, kind in ((41, "xent"), (62, "sq")):
+        problem, cp = problems_with(seed, kind, "sum", math.inf)
+        configs = [chain_config([problem.features.shape[1], 4, problem.hypothesis.output_dim],
+                                width=width, agg=agg)
+                   for agg in ("sum", "mean", "max") for width in WIDTHS]
+        for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+            calls["fill"].clear()
+            for _ in range(2):
+                for i, config in enumerate(configs):
+                    gnn = sample_gnn(config, i)
+                    assert evaluate(owner, gnn).hex() == plain_loss(owner, gnn).hex()
+            assert calls["fill"] == [(c.layers[0].agg, c.width) for c in configs]
+
+
+def test_problem_features_are_read_only_views():
+    g = build_graph(FIG1_EDGES, FIG1_COLORS)
+    x = np.ones((6, 2))
+    p = LearningProblem(g, x, {B1: "y"}, "xent", chain_config([2, 2]))
+    assert x.flags.writeable and np.shares_memory(p.features, x)
+    assert p.features.strides == x.strides
+    cp = compress_problem(p)
+    for features in (p.features, cp.features):
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 2.0
+    x[:] = 1.0      # the caller's array stays writeable
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean", "max"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_first_layer_aggregate_follows_new_features_and_graphs(monkeypatch, agg, width):
+    calls = count_aggregates(monkeypatch)
+    problem, cp = problems_with(42, "xent", agg, width)
+    gnn = sample_gnn(problem.hypothesis, 0)
+    n, p = problem.features.shape
+    rng = np.random.default_rng(7)
+    other = random_graph(n, 2 * n, n_colors=2, max_mult=2, seed=8)
+
+    def fresh_problem():
+        return LearningProblem(problem.graph, problem.features, problem.train, "xent",
+                               problem.hypothesis)
+
+    for change in ({"features": read_only_normal(rng, (n, p))}, {"graph": other},
+                   {"features": rng.normal(size=(n, p))}):
+        before = evaluate_loss(problem, gnn)
+        for name, value in change.items():
+            setattr(problem, name, value)
+        expected = evaluate_loss(fresh_problem(), gnn)
+        assert expected != before
+        for _ in range(2):
+            assert evaluate_loss(problem, gnn).hex() == expected.hex()
+
+    m = cp.graph.node_count
+    reduct = random_graph(m, 2 * m, n_colors=2, max_mult=2, seed=9)
+    for change in ({"features": read_only_normal(rng, (m, p))}, {"graph": reduct},
+                   {"features": rng.normal(size=(m, p))}):
+        before = evaluate_compressed_loss(cp, gnn)
+        for name, value in change.items():
+            setattr(cp, name, value)
+        expected = evaluate_compressed_loss(dataclasses.replace(cp), gnn)
+        assert expected != before
+        for _ in range(2):
+            assert evaluate_compressed_loss(cp, gnn).hex() == expected.hex()
+    # a writeable feature array is aggregated afresh on every call
+    cp.features = rng.normal(size=(m, p))
+    calls["fill"].clear()
+    before = calls["layer"]
+    for _ in range(3):
+        evaluate_compressed_loss(cp, gnn)
+    assert calls["fill"] == [] and calls["layer"] - before == 6
+
+
+def test_first_layer_aggregates_go_with_their_features():
+    problem, cp = problems_with(43, "xent", "sum", 2)
+    gnns = [sample_gnn(dataclasses.replace(problem.hypothesis, width=width), 0)
+            for width in (2, math.inf)]
+    rng = np.random.default_rng(11)
+
+    for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+        for writeable in (False, True, False):
+            for gnn in gnns:
+                evaluate(owner, gnn)
+            # no entry keeps the replaced features alive
+            gone = weakref.ref(owner.features)
+            shape = owner.features.shape
+            owner.features = rng.normal(size=shape) if writeable else read_only_normal(rng, shape)
+            evaluate(owner, gnns[0])
+            assert gone() is None

@@ -59,7 +59,8 @@ def cmd_compress(args) -> int:
     if args.train and not args.loss:
         raise ValidationError("--train requires --loss")
     g = loaded.graph
-    train = read_train(args.train, g.node_count, args.loss, loaded.id_map) if args.train else {}
+    train = (read_train(args.train, g.node_count, args.loss, loaded.original_ids)
+             if args.train else {})
     # Color ids as the one feature: constant on every color class, which
     # is all compression needs. Bundles store no features.
     problem = LearningProblem(g, g.colors[:, None], train, args.loss or "xent")
@@ -116,7 +117,7 @@ def cmd_verify(args) -> int:
     loss_kind = cp.loss_kind or "xent"
     train = {}
     if args.train:
-        train = read_train(args.train, g.node_count, loss_kind, loaded.id_map)
+        train = read_train(args.train, g.node_count, loss_kind, loaded.original_ids)
         bad = first_difference(cp.train, push_forward(train, cp.rep_of_node))
         if bad is not None:
             print(f"FAIL training weights: node {bad} has tampered targets or weights")

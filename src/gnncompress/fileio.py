@@ -6,16 +6,19 @@ tab-separated so tokens may contain spaces. A compressed bundle is a
 directory with graph.tsv / colors.tsv / map.tsv / train.tsv / meta.json;
 saving and loading a bundle round-trips the compressed problem exactly.
 
-Edge lists, color files and the bundle's map.tsv and colors.tsv are read
-in one whole-file pass when their text is plain (``_read_int_table``,
-``_read_id_tokens``). Anything else, errors included, goes through the
-per-line parsers, which alone name the offending line. Both training-file
-forms have one parser, ``_train_rows``, which reads lines straight into a
-TrainingSet. Files are written as one joined text each.
+Edge lists, color files, both training-file forms and the bundle's
+map.tsv and colors.tsv are read in one whole-file pass when their text is
+plain and every check passes (``_read_int_table``, ``_read_id_tokens``).
+Anything else, errors included, goes through the per-line parsers, which
+alone name the offending line. Node ids map to dense ids by a binary
+search of the graph's ascending file ids, on either path. Training files
+become a TrainingSet straight from their columns. Files are written as
+one joined text each.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -65,6 +68,19 @@ class LoadedGraph:
 def _id_map(ids: np.ndarray) -> dict[int, int] | None:
     # sorted distinct non-negative ids end in n - 1 only when they are 0..n-1
     return None if ids[-1] == len(ids) - 1 else dict(zip(ids.tolist(), range(len(ids))))
+
+
+def _dense_id(ids: np.ndarray, raw: int) -> int | None:
+    """The dense id of file id raw, its index in the ascending ids, or None
+    when ids does not hold it."""
+    v = int(np.searchsorted(ids, raw))
+    return v if v < len(ids) and ids[v] == raw else None
+
+
+def _dense_ids(ids: np.ndarray, raw: np.ndarray) -> np.ndarray | None:
+    """_dense_id of every file id in raw, or None when ids lacks one."""
+    v = np.searchsorted(ids, raw)
+    return v if len(ids) and (ids[np.minimum(v, len(ids) - 1)] == raw).all() else None
 
 
 def _iter_data_lines(path: Path):
@@ -173,14 +189,15 @@ def _read_int_table(path: Path, columns: tuple[int, ...], sep: str | None = None
     return table if table.shape[1] in columns else None
 
 
-def _read_id_tokens(path: Path):
-    """Whole-file fast path for ``id<TAB>token`` lines.
+def _read_id_tokens(path: Path, k: int = 2):
+    """Whole-file fast path for lines of k tab-separated fields, an id and
+    k - 1 tokens: ``id<TAB>token``, or a bundle's ``id<TAB>target<TAB>weight``.
 
-    Returns (ids as int64, tokens), or None; on None the caller's per-line
-    parser decides. The path is taken only when the text ends in a
-    newline, every line holds exactly one tab, no other line break of
-    str.splitlines occurs, and every id reads as an int64 (np.array
-    parses str with int(), as the per-line parser does).
+    Returns (ids as int64, then a list of str per token column), or None;
+    on None the caller's per-line parser decides. The path is taken only
+    when the text ends in a newline, every line holds exactly k - 1 tabs,
+    no other line break of str.splitlines occurs, and every id reads as an
+    int64 (_int64s).
     """
     try:
         data = path.read_bytes()
@@ -188,16 +205,23 @@ def _read_id_tokens(path: Path):
         return None
     codes = np.frombuffer(data, dtype=np.uint8)
     tabs, ends = np.flatnonzero(codes == 9), np.flatnonzero(codes == 10)
-    if (len(tabs) != len(ends) or not data.endswith(b"\n")
-            or (tabs > ends).any() or (tabs[1:] < ends[:-1]).any()
+    # line i holds tabs (k-1)i ... (k-1)(i+1) - 1
+    if (len(tabs) != (k - 1) * len(ends) or not data.endswith(b"\n")
+            or (tabs[k - 2::k - 1] > ends).any() or (tabs[k - 1::k - 1] < ends[:-1]).any()
             or (text := _newline_text(data)) is None):
         return None
-    fields = text.replace("\t", "\n").split("\n")   # id, token, id, ..., token, ""
+    fields = text.replace("\t", "\n").split("\n")   # id, token, ..., id, token, ""
+    ids = _int64s(fields[0:-1:k])
+    return None if ids is None else (ids, *(fields[i::k] for i in range(1, k)))
+
+
+def _int64s(tokens: list[str]) -> np.ndarray | None:
+    """The tokens as int64, or None when one does not read or does not fit
+    (np.array parses str with int(), as the per-line parsers do)."""
     try:
-        ids = np.array(fields[0:-1:2], dtype=np.int64)
+        return np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
-    return ids, fields[1::2]
 
 
 def _write_table(path, line: str, *columns) -> None:
@@ -249,18 +273,15 @@ def read_colors(path, original_ids: np.ndarray) -> list:
     path, n = Path(path), len(original_ids)
     pairs = _read_id_tokens(path)
     if pairs is not None:
-        raw, tokens = pairs
-        v = np.searchsorted(original_ids, raw)
-        known = original_ids[np.minimum(v, n - 1)] == raw
-        if known.all() and np.bincount(v, minlength=n).max() <= 1:
+        v, tokens = _dense_ids(original_ids, pairs[0]), pairs[1]
+        if v is not None and np.bincount(v, minlength=n).max() <= 1:
             payloads = np.full(n, DEFAULT_COLOR, dtype=object)
             payloads[v] = tokens
             return payloads.tolist()
-    id_map = _id_map(original_ids)
     payloads = [DEFAULT_COLOR] * n
     seen = set()
     for lineno, raw, parts in _tab_rows(path, "node<TAB>color_token"):
-        v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
+        v = _dense_id(original_ids, raw)
         if v is None:
             raise ValidationError(f"{path}:{lineno}: node {raw} not in the graph")
         if v in seen:
@@ -297,14 +318,57 @@ def load_graph(edge_path, color_path=None, undirected: bool = False) -> LoadedGr
     return LoadedGraph(graph, original_ids)
 
 
-def _train_rows(path: Path, loss_kind: str, n: int, id_map: dict[int, int] | None,
-                weighted: bool) -> TrainingSet:
-    """A training file's rows, checked line by line: ``node<TAB>target`` lines
-    of distinct graph nodes, weight 1 (see read_train), or when weighted a
-    bundle's ``node<TAB>target<TAB>weight`` lines of reduct nodes below n."""
+def _read_training(path: Path, loss_kind: str, ids: np.ndarray,
+                   weighted: bool) -> TrainingSet:
+    """A training file as a TrainingSet: ``node<TAB>target`` lines of
+    distinct graph nodes, weight 1, or when weighted a bundle's
+    ``node<TAB>target<TAB>weight`` lines of reduct nodes, kept when
+    repeated. ids lists the file id of each dense node, ascending.
+
+    A plain file is read in one whole-file pass that checks whole columns:
+    every node known, no repeated node (unweighted), weights from 1 to
+    2**63 - 1, and for sq finite targets of one dimension. Any failed
+    check sends the file to _train_rows, which alone names the bad line.
+    """
+    train = _train_columns(path, loss_kind, ids, weighted)
+    return train if train is not None else _train_rows(path, loss_kind, ids, weighted)
+
+
+def _train_columns(path: Path, loss_kind: str, ids: np.ndarray,
+                   weighted: bool) -> TrainingSet | None:
+    """The whole-file pass of _read_training, or None."""
+    table = _read_id_tokens(path, 2 + weighted)
+    if table is None or (v := _dense_ids(ids, table[0])) is None:
+        return None
+    targets = table[1]
+    weight = _int64s(table[2]) if weighted else np.ones(len(v), dtype=np.int64)
+    if (weight is None or weight.min() < 1
+            or not weighted and np.bincount(v).max() > 1
+            or loss_kind == "sq" and (targets := _sq_targets(targets)) is None):
+        return None
+    return TrainingSet.from_columns(v, targets, weight, loss_kind)
+
+
+def _sq_targets(tokens: list[str]) -> np.ndarray | None:
+    """The comma-separated vectors as a float64 matrix, one row per token,
+    or None unless every entry parses and is finite and every token has
+    the same number of entries (np.array parses str with float(), as
+    _train_rows does)."""
+    if len(set(map(str.count, tokens, itertools.repeat(",")))) != 1:
+        return None
+    try:
+        values = np.array(",".join(tokens).split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    return values.reshape(len(tokens), -1) if np.isfinite(values).all() else None
+
+
+def _train_rows(path: Path, loss_kind: str, ids: np.ndarray, weighted: bool) -> TrainingSet:
+    """The per-line parser of _read_training's two forms: each line is
+    checked in turn, and the first bad one raises an error naming it."""
     rows, seen = [], set()
     for lineno, raw, parts in _tab_rows(path, "node<TAB>target" + "<TAB>weight" * weighted):
-        v = id_map.get(raw) if id_map is not None else (raw if 0 <= raw < n else None)
+        v = _dense_id(ids, raw)
         if v is None:
             where = "a representative" if weighted else "in the graph"
             raise ValidationError(f"{path}:{lineno}: node {raw} not {where}")
@@ -331,10 +395,20 @@ def _train_rows(path: Path, loss_kind: str, n: int, id_map: dict[int, int] | Non
     return TrainingSet.from_rows(rows, loss_kind)
 
 
-def read_train(path, n: int, loss_kind: str, id_map: dict | None = None) -> TrainingSet:
+def read_train(path, n: int, loss_kind: str, ids=None) -> TrainingSet:
     """Parse a ``node<TAB>target`` training file into a TrainingSet of weight-1
-    rows, one per node; ids map through id_map, or are dense ids below n."""
-    return _train_rows(Path(path), loss_kind, n, id_map, weighted=False)
+    rows, one per node. ids is the graph's original_ids, the file id of
+    each dense node, ascending; None reads dense ids below n. A
+    {file id: dense id} dict of ascending ids to 0, 1, ..., the form of
+    LoadedGraph.id_map, is read as the ids it lists."""
+    if ids is None:
+        ids = np.arange(n)
+    elif isinstance(ids, dict):
+        file_ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        if list(ids.values()) != list(range(len(ids))) or (np.diff(file_ids) <= 0).any():
+            raise ValueError("an id dict must map ascending file ids to 0, 1, ...")
+        ids = file_ids
+    return _read_training(Path(path), loss_kind, ids, weighted=False)
 
 
 def save_bundle(cp: CompressedProblem, out_dir, extra_meta: dict | None = None) -> Path:
@@ -489,8 +563,8 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         graph=graph,
         node_ids=node_ids,
         rep_of_node=rep_of_node,
-        train=(_train_rows(train_path, kind, r, None, weighted=True) if train_path.exists()
-               else TrainingSet.from_rows([], kind)),
+        train=(_read_training(train_path, kind, np.arange(r), weighted=True)
+               if train_path.exists() else TrainingSet.from_rows([], kind)),
         depth=depth, grade=grade, policy=meta["policy"],
         loss_kind=loss_kind,
         rounds=meta["rounds"],

@@ -45,20 +45,30 @@ class TrainingSet:
         return len(self.nodes)
 
     @classmethod
-    def from_rows(cls, rows: list, loss_kind: str) -> TrainingSet:
-        """The (node, target, weight) rows sorted, over the palette of their
-        targets (sq: 1-D float64 arrays of one length)."""
-        nodes, targets, weights = zip(*rows) if rows else ((), (), ())
+    def from_columns(cls, nodes: np.ndarray, targets, weights: np.ndarray,
+                     loss_kind: str) -> TrainingSet:
+        """Row i (nodes[i], targets[i], weights[i]) of int64 node and weight
+        arrays, sorted, over the palette of the targets: a sequence of
+        labels for xent, a float64 matrix with one row per target for sq."""
         keys = targets if loss_kind == "xent" else [t.tobytes() for t in targets]
         distinct = sorted(set(keys))
         index = dict(zip(distinct, range(len(distinct))))
         ids = np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
-        dim = len(targets[0]) if rows and loss_kind == "sq" else 0
         palette = tuple(distinct) if loss_kind == "xent" else np.frombuffer(
-            b"".join(distinct), dtype=np.float64).reshape(len(distinct), dim)
-        nodes, weights = np.array(nodes, dtype=np.int64), np.array(weights, dtype=np.int64)
+            b"".join(distinct), dtype=np.float64).reshape(len(distinct), targets.shape[1])
         order = np.lexsort((weights, ids, nodes))
         return cls(nodes[order], ids[order], weights[order], palette)
+
+    @classmethod
+    def from_rows(cls, rows: list, loss_kind: str) -> TrainingSet:
+        """The (node, target, weight) rows as a training set (sq: targets are
+        1-D float64 arrays of one length); see from_columns."""
+        nodes, targets, weights = zip(*rows) if rows else ((), (), ())
+        if loss_kind == "sq":
+            dim = len(targets[0]) if rows else 0
+            targets = np.array(targets, dtype=np.float64).reshape(len(rows), dim)
+        return cls.from_columns(np.array(nodes, dtype=np.int64), targets,
+                                np.array(weights, dtype=np.int64), loss_kind)
 
 
 def training_set(train, n: int, loss_kind: str) -> TrainingSet:
@@ -136,8 +146,9 @@ class CompressedProblem:
     (None when not recorded). original_ids is the input-file id of each
     original node; compress_problem records 0, 1, ... features holds the
     original rows of the representatives, read-only when compress_problem
-    made them; a read-only array set here must not change afterwards, as
-    losses reuse its layer-0 aggregate.
+    made them, and the original problem's own read-only array when the
+    reduct keeps every node; a read-only array set here must not change
+    afterwards, as losses reuse its layer-0 aggregate.
     """
 
     graph: ColoredMultigraph
@@ -201,6 +212,15 @@ def _check_features_consistent(problem: LearningProblem) -> None:
             "feature vectors; colors must separate differing features")
 
 
+def _rep_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
+    """features[node_ids]; read-only features themselves when node_ids is
+    0, 1, ..., n - 1, a reduct that merged nothing, so that no second copy
+    is held. A writeable array may still change, so its rows are copied."""
+    if not features.flags.writeable and np.array_equal(node_ids, np.arange(len(features))):
+        return features
+    return features[node_ids]
+
+
 def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
                      depth=None, grade=None) -> CompressedProblem:
     """Compress a learning problem at (grade, depth).
@@ -224,7 +244,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     red = reduce_graph(g, sub)
 
     rounds = result.stable_round if result.stable_round is not None else int(depth)
-    features = problem.features[red.node_ids]
+    features = _rep_rows(problem.features, red.node_ids)
     features.flags.writeable = False
     return CompressedProblem(
         graph=red.graph,
@@ -345,7 +365,7 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
     elif config.depth > cp.depth:
         note = "approximate: hypothesis depth exceeds compression depth"
 
-    features_h = problem.features[cp.node_ids]
+    features_h = _rep_rows(problem.features, cp.node_ids)
     max_loss = max_out = 0.0
     for i in range(n_gnns):
         gnn = sample_gnn(config, seed + i)

@@ -484,6 +484,32 @@ def test_dense_and_sparse_ids_give_one_bundle(capsys, tmp_path, seed):
     assert code == 3 and "node 0 is 7 in the bundle, 0 in the graph" in err
 
 
+@pytest.mark.parametrize("header", ["", "# node\ttarget\n"])
+def test_compress_and_verify_build_no_id_dict(capsys, tmp_path, monkeypatch, header):
+    # --train and color files name nodes by sparse file ids, which map by a
+    # binary search of the graph's ids on the whole-file and per-line
+    # paths alike: no {file id: dense id} dict is built
+    from gnncompress import fileio
+
+    def refuse(ids):
+        raise AssertionError("an id dict was built")
+
+    monkeypatch.setattr(fileio, "_id_map", refuse)
+    g, c, t = tmp_path / "g.txt", tmp_path / "c.tsv", tmp_path / "t.tsv"
+    g.write_text("".join(f"{10 * s + 3} {10 * d + 3}\n" for s, d, _ in FIG1_EDGES))
+    c.write_text(header.replace("target", "color") + "".join(
+        f"{10 * v + 3}\t{tok}\n" for v, tok in enumerate(FIG1_COLORS)))
+    t.write_text(header + "33\ty\n43\ty\n")
+    bundle = tmp_path / "bundle"
+    graph = ["--graph", g, "--colors", c]
+    code, out, err = run(capsys, "compress", *graph, "--train", t, "--loss", "xent",
+                         "--depth", "2", "--out", bundle)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                         "--colors", c, "--train", t)
+    assert code == 0 and "verification passed" in out
+
+
 def test_undecodable_files_are_format_errors(fig1_files, capsys, tmp_path):
     # a byte that is not UTF-8, in any file a command reads, is a format
     # error naming the file (exit 2), not an exception out of main

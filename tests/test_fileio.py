@@ -10,6 +10,7 @@ from gnncompress.cli import main
 from gnncompress.fileio import (load_bundle, load_graph, parse_extent,
                                 read_train, save_bundle)
 from gnncompress.gnn import chain_config, one_hot_features
+from gnncompress.problem import LOSS_KINDS, TrainingSet
 from conftest import FIG1_COLORS, FIG1_EDGES, random_graph, same_partition, transpose
 
 
@@ -333,6 +334,19 @@ COLOR_CORPUS = [
     "0\ta\n0\tb\n", "99\ta\n",
     "-1\ta\n", "9223372036854775808\ta\n", "", "x\ta\n",
 ]
+# Training files, read by both parsers as --train files of a graph with
+# file ids 0, 2, 10 and as a bundle's train.tsv of 3 reduct nodes.
+TRAIN_CORPUS = [
+    "0\ta\n2\tb\n", "+2\ta\n", "002\ta\n", "1_0\ta\n", " 2\ta\n", "-0\ta\n", "1\ta\n",
+    "0\ta\n0\tb\n", "0\ta\n0\ta\n", "5\ta\n", "9223372036854775808\ta\n", "x\ta\n",
+    "0\t1,2\n2\t3\n", "0\t1,2\n2\t3,4\n", "0\tnan\n", "0\t1e400\n", "0\t\n",
+    "0\t1,,2\n", "0\t 1 , 2\n", "0\t1_0\n", "0\t١\n", "0\t-0.0,1e-300\n2\t1e5,0\n",
+    "# h\n0\ta\n", "0\ta\r\n", "0\ta\x85\n", "0\ta\n\n2\tb\n", "0\ta", "", "0\ta\tb\n",
+    "0\ta\t1\n", "0\ta\t0\n", "0\ta\t+1\n", "0\ta\t1_0\n", "0\ta\t-1\n", "0\ta\tx\n",
+    "0\ta\t9223372036854775807\n", "0\ta\t9223372036854775808\n",
+    "0\ta\t1\n0\ta\t1\n", "3\ta\t1\n", "0\t1,2\t1\n1\t3\t1\n", "0\ta\t1\t\n",
+    "# h\tt\tw\n0\ta\t1\n",
+]
 
 
 def outcome(fn, *args):
@@ -343,6 +357,10 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
     if isinstance(result, tuple):
         return [a.tolist() for a in result]
+    if isinstance(result, TrainingSet):
+        palette = result.palette
+        return (result.nodes.tolist(), result.target.tolist(), result.weight.tolist(),
+                palette if isinstance(palette, tuple) else (palette.shape, palette.tobytes()))
     return result
 
 
@@ -353,7 +371,7 @@ def per_line_only(monkeypatch):
 
 
 def test_fast_paths_match_per_line_parser(tmp_path, monkeypatch):
-    from gnncompress.fileio import read_colors, read_edges
+    from gnncompress.fileio import _read_training, read_colors, read_edges
     p = tmp_path / "f.tsv"
     cases = []
     for text in EDGE_CORPUS:
@@ -361,6 +379,10 @@ def test_fast_paths_match_per_line_parser(tmp_path, monkeypatch):
     for text in COLOR_CORPUS:
         cases.append((text, read_colors, (p, np.arange(11))))
         cases.append((text.replace("1", "10"), read_colors, (p, np.array([0, 2, 10]))))
+    for text in TRAIN_CORPUS:
+        for loss in LOSS_KINDS:
+            cases.append((text, read_train, (p, 3, loss, np.array([0, 2, 10]))))
+            cases.append((text, _read_training, (p, loss, np.arange(3), True)))
     fast = []
     for text, fn, args in cases:
         p.write_bytes(text.encode("utf-8"))
@@ -433,18 +455,23 @@ def test_clean_files_take_the_fast_paths(tmp_path, monkeypatch):
     snap_gp.write_text("# Directed graph (each unordered pair of nodes is saved once)\n"
                        "# Nodes: 6 Edges: 11\n# FromNodeId\tToNodeId\n"
                        + "".join(f"{s}\t{d}\n" for s, d, _ in FIG1_EDGES))
-    per_line = fileio._iter_data_lines
+    train = tmp_path / "t.tsv"
+    train.write_text("50\ty1\n0\tb c\n")
+    sq_cp = make_compressed(seed=2, loss="sq")
+    save_bundle(sq_cp, tmp_path / "sq")
 
     def refuse(path):
-        if path.name != "train.tsv":
-            raise AssertionError(f"{path.name} was parsed line by line")
-        return per_line(path)
+        raise AssertionError(f"{path.name} was parsed line by line")
 
     monkeypatch.setattr(fileio, "_iter_data_lines", refuse)
     assert load_graph(gp, cp_).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
-    assert load_graph(sparse_gp, sparse_cp).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
+    sparse = load_graph(sparse_gp, sparse_cp)
+    assert sparse.graph == build_graph(FIG1_EDGES, FIG1_COLORS)
     assert load_graph(snap_gp, cp_).graph == build_graph(FIG1_EDGES, FIG1_COLORS)
     assert same_compressed(load_bundle(tmp_path / "b"), cp)
+    assert same_compressed(load_bundle(tmp_path / "sq"), sq_cp)
+    got = read_train(train, 6, "xent", sparse.original_ids)
+    assert same_train(got, TrainingSet.from_rows([(0, "b c", 1), (5, "y1", 1)], "xent"))
 
 
 def test_meta_text_matches_json_dumps(tmp_path):
@@ -558,10 +585,21 @@ def test_training_file_errors(tmp_path, capsys, form, loss, text, error, message
             assert out.err == f"error: {path}{message}\n"
 
 
+def refuse_per_line(monkeypatch):
+    """Make the per-line training parser raise, so a read that returns took
+    the whole-file pass."""
+    import gnncompress.fileio as fileio
+
+    def refuse(path, *args):
+        raise AssertionError(f"{path.name} was parsed line by line")
+    monkeypatch.setattr(fileio, "_train_rows", refuse)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_read_train_matches_training_set(tmp_path, seed):
+def test_read_train_matches_training_set(tmp_path, monkeypatch, seed):
     # read_train must give what training_set gives for the {node: target}
-    # dict the file spells out, array for array, sq palettes bit for bit
+    # dict the file spells out, array for array, sq palettes bit for bit:
+    # in one whole-file pass, and line by line after a header
     from gnncompress.problem import training_set
     rng = np.random.default_rng(seed)
     n = 40
@@ -583,7 +621,72 @@ def test_read_train_matches_training_set(tmp_path, seed):
                          for v in picked}
             tokens = {v: ",".join(map(repr, t)) for v, t in reference.items()}
         path = tmp_path / f"{loss}.tsv"
-        path.write_text("# node\ttarget\n" + "".join(
-            f"{ids[v]}\t{tokens[v]}\n" for v in rng.permutation(list(reference))))
-        got = read_train(path, n, loss, loaded.id_map)
-        assert same_train(got, training_set(reference, n, loss)), loss
+        text = "".join(f"{ids[v]}\t{tokens[v]}\n" for v in rng.permutation(list(reference)))
+        expected = training_set(reference, n, loss)
+        for header in ("", "# node\ttarget\n"):
+            path.write_text(header + text)
+            with monkeypatch.context() as m:
+                if text and not header:     # an empty file is read line by line
+                    refuse_per_line(m)
+                got = read_train(path, n, loss, loaded.original_ids)
+                assert same_train(got, expected), (loss, header)
+                # the {file id: dense id} dict form reads the same ids
+                got = read_train(path, n, loss, loaded.id_map)
+                assert same_train(got, expected), (loss, header)
+
+
+def spell_id(rng, v: int) -> str:
+    """One of the spellings int() reads as v."""
+    digits = str(v)
+    spellings = [digits, "+" + digits, "00" + digits, " " + digits, digits + " "]
+    if len(digits) > 1:
+        spellings.append(digits[0] + "_" + digits[1:])
+    return spellings[rng.integers(len(spellings))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_training_file_passes_agree(tmp_path, monkeypatch, seed):
+    # Seeded random training files of both forms and losses: the whole-file
+    # pass must give what the per-line parser gives for the same file with
+    # one blank line added, which the whole-file pass declines. Equal arrays,
+    # and palettes equal bit for bit.
+    from gnncompress.fileio import _read_training
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(np.arange(11, 200), size=30, replace=False))
+    ids[:2] = 7, 10
+    ids.sort()
+    labels = ["a", "b c", " é ", "#x", "-0.0", "", "c\x00"]
+    values = ["-0.0", "0.0", "1e-300", "1e5", "1.5", " -2.25", "+3", "1_0", "٣"]
+    path = tmp_path / "t.tsv"
+    for weighted in (False, True):
+        r = 1 + int(rng.integers(len(ids)))
+        for loss in LOSS_KINDS:
+            dim = 1 + int(rng.integers(3))
+            count = 1 + int(rng.integers(2 * r if weighted else r))
+            if weighted:    # reduct nodes, repeats kept
+                nodes = rng.integers(r, size=count)
+            else:           # distinct graph nodes by their file ids
+                nodes = ids[rng.choice(len(ids), size=min(count, len(ids)), replace=False)]
+            lines = []
+            for v in nodes.tolist():
+                target = (labels[rng.integers(len(labels))] if loss == "xent" else
+                          ",".join(values[i] for i in rng.integers(len(values), size=dim)))
+                weight = f"\t{spell_id(rng, int(rng.integers(1, 2**62)))}" * weighted
+                lines.append(f"{spell_id(rng, v)}\t{target}{weight}\n")
+            if weighted:
+                lines.append(lines[rng.integers(len(lines))])
+
+            def read():
+                if weighted:
+                    return _read_training(path, loss, np.arange(r), True)
+                return read_train(path, len(ids), loss, ids)
+
+            path.write_text("".join(lines), encoding="utf-8")
+            with monkeypatch.context() as m:
+                refuse_per_line(m)
+                whole = read()
+            lines.insert(rng.integers(len(lines) + 1), "\n")
+            path.write_text("".join(lines), encoding="utf-8")
+            per_line = read()
+            assert same_train(whole, per_line), (weighted, loss)
+            assert len(whole) == (len(lines) - 1 if weighted else len(nodes))

@@ -47,6 +47,41 @@ def test_discrete_partition_weights_all_one():
     assert all(w == 1 for pairs in cp.train_weighted.values() for _, w in pairs)
 
 
+@pytest.mark.parametrize("loss_kind", ["xent", "sq"])
+def test_reduct_keeping_every_node_shares_the_features(loss_kind):
+    # a reduct that merges nothing holds the original's read-only feature
+    # array, not a copy, with the losses a copy gives; one that merges
+    # holds its own rows
+    g = build_graph([(0, 1, 1), (1, 2, 2), (2, 3, 1)], ["a", "b", "a", "c"])
+    x = np.eye(3)[[0, 1, 0, 2]]
+    train = ({0: "u", 2: "w", 3: "u"} if loss_kind == "xent"
+             else {0: [1.0, 2.0], 2: [0.5, -0.0], 3: [-1.5, 3.0]})
+    config = chain_config([3, 4, 2])
+    problem = LearningProblem(g, x, train, loss_kind, config)
+    cp = compress_problem(problem)
+    assert cp.graph == g and np.array_equal(cp.node_ids, np.arange(4))
+    assert np.shares_memory(cp.features, problem.features)
+    assert not cp.features.flags.writeable
+    copied = dataclasses.replace(cp, features=np.array(problem.features))
+    copied.features.flags.writeable = False
+    fresh = LearningProblem(g, x.copy(), train, loss_kind, config)
+    for seed in range(3):
+        gnn = sample_gnn(config, seed)
+        assert evaluate_compressed_loss(cp, gnn) == evaluate_compressed_loss(copied, gnn)
+        assert evaluate_loss(problem, gnn) == evaluate_loss(fresh, gnn)
+    report = equivalence_report(problem, cp, n_gnns=3)
+    assert report.passed and report.max_loss_discrepancy == 0.0
+    # writeable features set after construction may still change: copied
+    problem.features = x
+    cp = compress_problem(problem)
+    assert not np.shares_memory(cp.features, x) and x.flags.writeable
+
+    fig1 = fig1_problem({B1: "y"})
+    merged = compress_problem(fig1, depth=1)
+    assert len(merged.node_ids) < 6
+    assert not np.shares_memory(merged.features, fig1.features)
+
+
 def test_mixed_features_within_color_rejected():
     g = build_graph([(0, 1, 1)], ["a", "a"])
     feats = np.array([[0.0], [1.0]])

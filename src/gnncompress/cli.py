@@ -11,11 +11,12 @@ import argparse
 import functools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .fileio import (_fmt_extent, _write_table, load_bundle, load_graph, parse_extent,
+from .fileio import (_fmt_extent, _format_ints, load_bundle, load_graph, parse_extent,
                      read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
 from .graph import graph_size
@@ -46,8 +47,7 @@ def cmd_refine(args) -> int:
     result = refine(loaded.graph, depth=depth, grade=grade)
     print(_refinement_summary(result))
     if args.out:
-        _write_table(args.out, "%d\t%d\n", loaded.original_ids.tolist(),
-                     result.final.class_of.tolist())
+        Path(args.out).write_bytes(_format_ints((loaded.original_ids, result.final.class_of)))
         print(f"wrote {args.out}")
     return 0
 

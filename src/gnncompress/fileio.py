@@ -12,8 +12,13 @@ plain and every check passes (``_read_int_table``, ``_read_id_tokens``).
 Anything else, errors included, goes through the per-line parsers, which
 alone name the offending line. Node ids map to dense ids by a binary
 search of the graph's ascending file ids, on either path. Training files
-become a TrainingSet straight from their columns. Files are written as
-one joined text each.
+become a TrainingSet straight from their columns.
+
+The integer tables (graph.tsv, map.tsv, ``refine --out``) and meta.json's
+id lists are formatted by numpy, a fixed-size block of rows at a time,
+with no Python int per cell (``_format_ints``); colors.tsv and train.tsv,
+which hold string columns, by one ``%`` per file (``_write_table``).
+Every file is written as bytes, so no newline is translated.
 """
 
 from __future__ import annotations
@@ -225,12 +230,61 @@ def _int64s(tokens: list[str]) -> np.ndarray | None:
 
 
 def _write_table(path, line: str, *columns) -> None:
-    """Write equal-length columns, one ``line % row`` per row, as one text."""
+    """Write equal-length columns, one ``line % row`` per row, as one text;
+    for the tables with a string column (integer tables: _format_ints)."""
     k, rows = len(columns), len(columns[0])
     cells = [None] * (k * rows)
     for i, column in enumerate(columns):
         cells[i::k] = column
-    Path(path).write_text((line * rows) % tuple(cells), encoding="utf-8")
+    Path(path).write_bytes(((line * rows) % tuple(cells)).encode("utf-8"))
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)   # 1, 10, ..., 10**18
+_BLOCK_ROWS = 16384
+
+
+def _format_ints(columns, sep: bytes = b"\t", end: bytes = b"\n") -> bytes:
+    """The text of equal-length columns of non-negative integers below
+    2**63, ``sep`` between the columns of a row and ``end`` after it:
+    b"".join(sep.join(b"%d" % x for x in row) + end for row in rows).
+
+    Each block of _BLOCK_ROWS rows is a uint8 array with one fixed-width
+    field per column, as wide as the column's largest value, filled with
+    digits from the right; leading places stay 0 (NUL), and dropping
+    every 0 byte of the block leaves its text, as no digit or separator
+    byte is 0. No Python int is made per cell.
+    """
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    rows = len(columns[0])
+    if rows == 0:
+        return b""
+    widths = []
+    for c in columns:
+        if c.min() < 0:
+            raise ValueError("_format_ints takes non-negative integers only")
+        widths.append(max(1, int(np.searchsorted(_POW10, c.max(), side="right"))))
+    seps = [np.frombuffer(s, dtype=np.uint8) for s in [sep] * (len(columns) - 1) + [end]]
+    width = sum(widths) + sum(map(len, seps))
+    blocks = []
+    for a in range(0, rows, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, rows)
+        block = np.zeros((b - a, width), dtype=np.uint8)
+        at = 0
+        for c, w, s in zip(columns, widths, seps):
+            # int32 where the values fit: half the bytes for each pass
+            v = c[a:b].astype(np.int32) if w <= 9 else c[a:b]
+            at += w
+            for place in range(1, w + 1):
+                q = v // 10
+                digit = v - q * 10 + 48
+                if place > 1:
+                    digit *= v != 0     # a leading place: NUL
+                block[:, at - place] = digit
+                v = q
+            block[:, at:at + len(s)] = s
+            at += len(s)
+        blocks.append(block[block != 0].tobytes())
+    return b"".join(blocks)
 
 
 def read_edges(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,13 +476,11 @@ def save_bundle(cp: CompressedProblem, out_dir, extra_meta: dict | None = None) 
     out.mkdir(parents=True, exist_ok=True)
     h = cp.graph
 
-    _write_table(out / "graph.tsv", "%d\t%d\t%d\n",
-                 h.out_src_flat.tolist(), h.out_dst.tolist(), h.out_mult.tolist())
+    (out / "graph.tsv").write_bytes(_format_ints((h.out_src_flat, h.out_dst, h.out_mult)))
     _write_table(out / "colors.tsv", "%d\t%s\n", range(h.node_count), h.payload_per_node())
 
     ids = cp.original_ids
-    labels = ids.tolist()
-    _write_table(out / "map.tsv", "%d\t%d\n", labels, cp.rep_of_node.tolist())
+    (out / "map.tsv").write_bytes(_format_ints((ids, cp.rep_of_node)))
 
     train = cp.train
     tokens = [t if isinstance(t, str) else ",".join(map(repr, t.tolist())) for t in train.palette]
@@ -446,25 +498,30 @@ def save_bundle(cp: CompressedProblem, out_dir, extra_meta: dict | None = None) 
         "original_nodes": int(len(cp.rep_of_node)),
         "reduced_nodes": nodes,
         "reduced_simple_edges": edges,
-        "representative_original_ids": [int(x) for x in cp.node_ids],
-        "original_node_ids": None if np.array_equal(ids, np.arange(len(ids))) else labels,
+        "representative_original_ids": cp.node_ids,
+        "original_node_ids": None if np.array_equal(ids, np.arange(len(ids))) else ids,
     }
     if cp.class_counts is not None:
-        meta["class_counts"] = [int(c) for c in cp.class_counts]
+        meta["class_counts"] = np.asarray(cp.class_counts, dtype=np.int64)
     if extra_meta:
         meta.update(extra_meta)
-    (out / "meta.json").write_text(_meta_text(meta), encoding="utf-8")
+    (out / "meta.json").write_bytes(_meta_text(meta).encode("utf-8"))
     return out
 
 
+_ENTRY_END = b",\n  "   # after each entry of a list in meta.json
+
+
 def _meta_text(meta: dict) -> str:
-    """json.dumps(meta, indent=1) plus a newline, with each non-empty list
-    of ints joined in one go: the indenting encoder is pure Python and
-    takes a call per list entry."""
+    """json.dumps(meta, indent=1) plus a newline, where a value may also be
+    an array of non-negative integers, written as the list of its entries
+    by _format_ints: the indenting encoder is pure Python and takes a call
+    per list entry."""
     fields = []
     for key, value in meta.items():
-        if isinstance(value, list) and value and set(map(type, value)) == {int}:
-            text = "[\n  " + ",\n  ".join(map(str, value)) + "\n ]"
+        if isinstance(value, np.ndarray):
+            body = _format_ints([value], end=_ENTRY_END)[:-len(_ENTRY_END)].decode("ascii")
+            text = f"[\n  {body}\n ]" if len(value) else "[]"
         else:
             text = json.dumps(value, indent=1).replace("\n", "\n ")
         fields.append(f"\n {json.dumps(key)}: {text}")

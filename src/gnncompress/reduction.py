@@ -86,11 +86,15 @@ def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
     Edge rule: for representatives v, w the multiplicity of v -> w is the
     sum of g(v' -> w) over all v' in v's class, capped at the
     substitution's grade when finite. Only edges into representatives
-    survive; colors are preserved.
+    survive; colors are preserved. When every node is its own
+    representative and no multiplicity exceeds the grade, the reduct is
+    g itself.
     """
     rep_of_node = substitution.rep_of_node
     node_ids = np.sort(substitution.rep_of_class)        # distinct: one node per class
     rep_index = np.searchsorted(node_ids, rep_of_node)
+    if len(node_ids) == g.node_count and g.out_mult.max(initial=0) <= substitution.grade:
+        return Reduct(g, node_ids, rep_index)
 
     is_rep = np.zeros(g.node_count, dtype=bool)
     is_rep[node_ids] = True

@@ -40,6 +40,25 @@ def test_refine_fig1_summary(fig1_files, capsys, tmp_path):
     assert [r[1] for r in rows] == ["0", "1", "1", "2", "2", "3"]
 
 
+def test_refine_out_matches_percent_d_on_sparse_ids(tmp_path, capsys):
+    # file ids on both sides of every power of ten, up to 2**63 - 1
+    from gnncompress.fileio import load_graph
+    from gnncompress.refine import refine
+    ids = sorted({0, 2**63 - 1, *(10**k + d for k in range(1, 19) for d in (-1, 0))})
+    rng = np.random.default_rng(5)
+    edges = [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
+    edges += [(ids[a], ids[b]) for a, b in rng.integers(0, len(ids), (40, 2))]
+    g = tmp_path / "g.txt"
+    g.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    out_file = tmp_path / "part.tsv"
+    assert run(capsys, "refine", "--graph", g, "--depth", "2", "--out", out_file)[0] == 0
+    loaded = load_graph(g)
+    classes = refine(loaded.graph, depth=2).final.class_of
+    want = "".join("%d\t%d\n" % row for row in zip(loaded.original_ids.tolist(),
+                                                   classes.tolist()))
+    assert out_file.read_bytes() == want.encode()
+
+
 def test_refine_depth_zero_counts_initial_colors(fig1_files, capsys):
     g, c, _ = fig1_files
     code, out, _ = run(capsys, "refine", "--graph", g, "--colors", c, "--depth", "0")

@@ -1,5 +1,7 @@
 import functools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ import pytest
 from gnncompress import (FormatError, LearningProblem, ValidationError,
                          build_graph, compress_problem, graph_size, refine)
 from gnncompress.cli import main
-from gnncompress.fileio import (load_bundle, load_graph, parse_extent,
-                                read_train, save_bundle)
+from gnncompress.fileio import (_BLOCK_ROWS, _format_ints, load_bundle, load_graph,
+                                parse_extent, read_train, save_bundle)
 from gnncompress.gnn import chain_config, one_hot_features
 from gnncompress.problem import LOSS_KINDS, TrainingSet
 from conftest import FIG1_COLORS, FIG1_EDGES, random_graph, same_partition, transpose
@@ -486,6 +488,67 @@ def test_meta_text_matches_json_dumps(tmp_path):
     for meta in metas:
         assert _meta_text(meta) == json.dumps(meta, indent=1) + "\n"
     assert _meta_text(metas[0]) == text
+    # arrays are written as the lists of their entries
+    arrays = {"a": np.array([0, 9, 10, 2**63 - 1]), "b": np.arange(0), "c": [1, 2],
+              "d": np.arange(3, dtype=np.int32), "e": "x"}
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in arrays.items()}
+    assert _meta_text(arrays) == json.dumps(lists, indent=1) + "\n"
+
+
+FORMAT_VALUES = [0, 9, 10, 10**18, 2**63 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_format_ints_matches_percent_d(rows):
+    # the oracle is Python's %d; each column draws from the edge values
+    # (powers of ten, one below them, 0, 2**63 - 1) and random magnitudes,
+    # so fields of every width meet in one block
+    rng = np.random.default_rng(rows)
+    edge = rng.choice(np.array(FORMAT_VALUES, dtype=np.int64), rows)
+    spread = rng.integers(0, 10 ** rng.integers(1, 19, rows), dtype=np.int64)
+    columns = [edge, np.where(rng.random(rows) < 0.5, edge, spread),
+               rng.integers(0, 10, rows), np.zeros(rows, dtype=np.int64), spread // 10**9]
+    lists = [c.tolist() for c in columns]
+    for k, sep, end in ((1, b"\t", b"\n"), (2, b"\t", b"\n"), (5, b"\t", b"\n"),
+                        (3, b" ", b",\n  ")):
+        want = b"".join(sep.join(b"%d" % x for x in row) + end for row in zip(*lists[:k]))
+        assert _format_ints(columns[:k], sep, end) == want
+    if rows:
+        with pytest.raises(ValueError, match="non-negative"):
+            _format_ints([edge, -1 - spread])
+
+
+def test_bundle_files_are_written_as_bytes(tmp_path, monkeypatch):
+    # no bundle file goes through text-mode newline translation
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"{path.name} was written as text")
+
+    cp = make_compressed(loss="sq")
+    monkeypatch.setattr(Path, "write_text", refuse)
+    save_bundle(cp, tmp_path / "b")
+    assert same_compressed(load_bundle(tmp_path / "b"), cp)
+
+
+def test_save_bundle_memory_per_edge(tmp_path):
+    # tracemalloc peak of save_bundle above the memory held before it, on
+    # a bundle of about 100k edges that keeps nearly every node. Measured:
+    # 26.1 bytes per edge (158 when every cell was a Python int).
+    g = random_graph(20000, 100000, n_colors=4, max_mult=3, seed=1)
+    x, _ = one_hot_features(g)
+    rng = np.random.default_rng(1)
+    train = {int(v): f"y{rng.integers(0, 3)}" for v in rng.choice(20000, 2000, replace=False)}
+    cp = compress_problem(LearningProblem(g, x, train, "xent"), depth=2)
+    save_bundle(cp, tmp_path / "warm")    # caches and lazy imports
+    edges = cp.graph.simple_edge_count
+    assert edges > 99000
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        save_bundle(cp, tmp_path / "b")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / edges < 30
 
 
 # Training files: the input form (`--train`, node<TAB>target) and the bundle

@@ -49,9 +49,9 @@ def test_discrete_partition_weights_all_one():
 
 @pytest.mark.parametrize("loss_kind", ["xent", "sq"])
 def test_reduct_keeping_every_node_shares_the_features(loss_kind):
-    # a reduct that merges nothing holds the original's read-only feature
-    # array, not a copy, with the losses a copy gives; one that merges
-    # holds its own rows
+    # a reduct that merges nothing holds the original's graph and its
+    # read-only feature array, not copies, with the losses a copy gives;
+    # one that merges holds its own rows
     g = build_graph([(0, 1, 1), (1, 2, 2), (2, 3, 1)], ["a", "b", "a", "c"])
     x = np.eye(3)[[0, 1, 0, 2]]
     train = ({0: "u", 2: "w", 3: "u"} if loss_kind == "xent"
@@ -59,7 +59,7 @@ def test_reduct_keeping_every_node_shares_the_features(loss_kind):
     config = chain_config([3, 4, 2])
     problem = LearningProblem(g, x, train, loss_kind, config)
     cp = compress_problem(problem)
-    assert cp.graph == g and np.array_equal(cp.node_ids, np.arange(4))
+    assert cp.graph is g and np.array_equal(cp.node_ids, np.arange(4))
     assert np.shares_memory(cp.features, problem.features)
     assert not cp.features.flags.writeable
     copied = dataclasses.replace(cp, features=np.array(problem.features))

@@ -199,12 +199,21 @@ def test_reduct_idempotent_at_stability(fig1):
 
 
 def test_discrete_partition_reduces_to_self():
+    # every node its own representative: the reduct is g itself, unless a
+    # multiplicity above a finite grade is capped
     g = build_graph([(0, 1, 1), (1, 2, 2)], ["a", "b", "c"])
     part = refine(g).final
     assert part.num_classes == 3
-    red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
-    assert red.graph == g
-    assert np.array_equal(red.node_ids, np.arange(3))
+    capped = build_graph([(0, 1, 1), (1, 2, 1)], ["a", "b", "c"])
+    for grade, want in ((math.inf, g), (2, g), (1, capped)):
+        red = reduce_graph(g, choose_substitution(g, part, "min-incidence", grade=grade))
+        assert (red.graph is g) == (want is g)
+        assert red.graph == want
+        assert np.array_equal(red.node_ids, np.arange(3))
+        assert np.array_equal(red.rep_index_of_node, np.arange(3))
+    edgeless = build_graph([], ["a", "b"])
+    part = refine(edgeless).final
+    assert reduce_graph(edgeless, choose_substitution(edgeless, part, grade=1)).graph is edgeless
 
 
 def test_graded_reduct_caps_multiplicity():

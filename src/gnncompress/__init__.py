@@ -10,10 +10,10 @@ loss-equivalent to the original.
 from .errors import FormatError, GnnCompressError, ValidationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
                   one_hot_features, sample_gnn)
-from .graph import ColoredMultigraph, build_graph, graph_size
+from .graph import ColoredMultigraph, build_graph
 from .problem import (CompressedProblem, LearningProblem, compress_problem,
                       equivalence_report, evaluate_compressed_loss, evaluate_loss)
-from .reduction import Substitution, choose_substitution, reduce_graph, verify_reduct
+from .reduction import choose_substitution, reduce_graph, verify_reduct
 from .refine import INF, Partition, RefinementResult, naive_partition, refine
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "LearningProblem",
     "Partition",
     "RefinementResult",
-    "Substitution",
     "ValidationError",
     "build_graph",
     "chain_config",
@@ -40,7 +39,6 @@ __all__ = [
     "evaluate_compressed_loss",
     "evaluate_loss",
     "forward",
-    "graph_size",
     "naive_partition",
     "one_hot_features",
     "reduce_graph",

@@ -19,7 +19,6 @@ from .errors import FormatError, ValidationError
 from .fileio import (_fmt_extent, _format_ints, load_bundle, load_graph, parse_extent,
                      read_train, save_bundle)
 from .gnn import chain_config, one_hot_features
-from .graph import graph_size
 from .problem import (LOSS_KINDS, LearningProblem, compress_problem, equivalence_report,
                       first_difference, push_forward)
 from .reduction import POLICIES, choose_substitution, reduce_graph, verify_reduct
@@ -66,8 +65,8 @@ def cmd_compress(args) -> int:
     problem = LearningProblem(g, g.colors[:, None], train, args.loss or "xent")
     cp = compress_problem(problem, policy=args.policy, depth=depth, grade=grade)
 
-    n0, m0 = graph_size(g)
-    n1, m1 = graph_size(cp.graph)
+    n0, m0 = g.node_count, g.simple_edge_count
+    n1, m1 = cp.graph.node_count, cp.graph.simple_edge_count
     print(f"nodes {100.0 * n1 / n0:.2f}% ({n1}/{n0}), "
           f"edges {100.0 * m1 / m0:.2f}% ({m1}/{m0})")
     cp.original_ids = loaded.original_ids
@@ -162,18 +161,16 @@ def cmd_stats(args) -> int:
     depths = [parse_extent(tok) for tok in args.depths.split(",")]
     loaded = load_graph(args.graph, args.colors, args.undirected)
     g = loaded.graph
-    n0, m0 = graph_size(g)
+    n0, m0 = g.node_count, g.simple_edge_count
     finite = [int(d) for d in depths if not math.isinf(d)]
     max_depth = math.inf if any(math.isinf(d) for d in depths) else max(finite, default=0)
     result = refine(g, depth=max_depth, grade=grade)
     print("depth\tnodes\tnodes_pct\tedges\tedges_pct")
     for d in depths:
         partition = result.at(d) if not math.isinf(d) else result.final
-        sub = choose_substitution(g, partition, "min-incidence", grade=grade)
-        red = reduce_graph(g, sub)
-        n1, m1 = graph_size(red.graph)
-        edge_pct = 100.0 * m1 / m0 if m0 else 100.0
-        print(f"{_fmt_extent(d)}\t{n1}\t{100.0 * n1 / n0:.2f}\t{m1}\t{edge_pct:.2f}")
+        h = reduce_graph(g, choose_substitution(g, partition, "min-incidence"), grade).graph
+        n1, m1 = h.node_count, h.simple_edge_count
+        print(f"{_fmt_extent(d)}\t{n1}\t{100.0 * n1 / n0:.2f}\t{m1}\t{100.0 * m1 / m0:.2f}")
     return 0
 
 

@@ -11,7 +11,8 @@ map.tsv and colors.tsv are read in one whole-file pass when their text is
 plain and every check passes (``_read_int_table``, ``_read_id_tokens``).
 Anything else, errors included, goes through the per-line parsers, which
 alone name the offending line. Node ids map to dense ids by a binary
-search of the graph's ascending file ids, on either path. Training files
+search of the graph's ascending file ids (``LoadedGraph.original_ids``),
+on either path; no {file id: dense id} dict is built. Training files
 become a TrainingSet straight from their columns.
 
 The integer tables (graph.tsv, map.tsv, ``refine --out``) and meta.json's
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graph import ColoredMultigraph, _sorted_distinct, graph_size, intern_colors
+from .graph import ColoredMultigraph, _sorted_distinct, intern_colors
 from .problem import LOSS_KINDS, CompressedProblem, TrainingSet
 from .refine import INF
 
@@ -63,16 +64,6 @@ def parse_extent(token: str, minimum: int = 0):
 class LoadedGraph:
     graph: ColoredMultigraph
     original_ids: np.ndarray  # dense id -> id in the input file, ascending
-
-    @property
-    def id_map(self) -> dict[int, int] | None:
-        """id in the input file -> dense id, built on each read; None for ids 0..n-1."""
-        return _id_map(self.original_ids)
-
-
-def _id_map(ids: np.ndarray) -> dict[int, int] | None:
-    # sorted distinct non-negative ids end in n - 1 only when they are 0..n-1
-    return None if ids[-1] == len(ids) - 1 else dict(zip(ids.tolist(), range(len(ids))))
 
 
 def _dense_id(ids: np.ndarray, raw: int) -> int | None:
@@ -453,8 +444,8 @@ def read_train(path, n: int, loss_kind: str, ids=None) -> TrainingSet:
     """Parse a ``node<TAB>target`` training file into a TrainingSet of weight-1
     rows, one per node. ids is the graph's original_ids, the file id of
     each dense node, ascending; None reads dense ids below n. A
-    {file id: dense id} dict of ascending ids to 0, 1, ..., the form of
-    LoadedGraph.id_map, is read as the ids it lists."""
+    {file id: dense id} dict of ascending ids to 0, 1, ... is read as the
+    ids it lists."""
     if ids is None:
         ids = np.arange(n)
     elif isinstance(ids, dict):
@@ -487,7 +478,6 @@ def save_bundle(cp: CompressedProblem, out_dir, extra_meta: dict | None = None) 
     _write_table(out / "train.tsv", "%d\t%s\t%d\n", train.nodes.tolist(),
                  [tokens[i] for i in train.target.tolist()], train.weight.tolist())
 
-    nodes, edges = graph_size(h)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "depth": _fmt_extent(cp.depth),
@@ -496,8 +486,8 @@ def save_bundle(cp: CompressedProblem, out_dir, extra_meta: dict | None = None) 
         "loss_kind": cp.loss_kind,
         "rounds": cp.rounds,
         "original_nodes": int(len(cp.rep_of_node)),
-        "reduced_nodes": nodes,
-        "reduced_simple_edges": edges,
+        "reduced_nodes": h.node_count,
+        "reduced_simple_edges": h.simple_edge_count,
         "representative_original_ids": cp.node_ids,
         "original_node_ids": None if np.array_equal(ids, np.arange(len(ids))) else ids,
     }

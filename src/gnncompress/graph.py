@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -192,22 +192,15 @@ class ColoredMultigraph:
         return f"ColoredMultigraph(nodes={self.node_count}, simple_edges={self.simple_edge_count})"
 
 
-def build_graph(edges: Iterable[tuple], colors) -> ColoredMultigraph:
+def build_graph(edges: Iterable[tuple], colors: Sequence) -> ColoredMultigraph:
     """Build a graph from (src, dst, multiplicity) triples and node colors.
 
-    ``colors`` is either a sequence of payloads indexed by node or a mapping
-    whose keys are exactly 0..n-1. Duplicate edges are merged by summing
-    multiplicities; multiplicity 0 is rejected.
+    ``colors`` is a sequence of payloads indexed by node. Duplicate edges
+    are merged by summing multiplicities; multiplicity 0 is rejected.
     """
-    if isinstance(colors, Mapping):
-        n = len(colors)
-        if set(colors.keys()) != set(range(n)):
-            raise ValidationError("color mapping must cover exactly the node ids 0..n-1")
-        payloads = [colors[v] for v in range(n)]
-    else:
-        payloads = list(colors)
-        n = len(payloads)
-
+    if isinstance(colors, dict):    # list() would read its keys as the colors
+        raise TypeError("colors must be a sequence indexed by node, not a dict")
+    payloads = list(colors)
     color_ids, palette = intern_colors(payloads)
 
     edges = list(edges)
@@ -217,9 +210,4 @@ def build_graph(edges: Iterable[tuple], colors) -> ColoredMultigraph:
         mult = np.array([e[2] for e in edges], dtype=np.int64)
     else:
         src = dst = mult = np.empty(0, dtype=np.int64)
-    return ColoredMultigraph.from_edge_arrays(n, src, dst, mult, color_ids, palette)
-
-
-def graph_size(g: ColoredMultigraph) -> tuple[int, int]:
-    """(number of nodes, number of simple edges): multiplicities ignored."""
-    return g.node_count, g.simple_edge_count
+    return ColoredMultigraph.from_edge_arrays(len(payloads), src, dst, mult, color_ids, palette)

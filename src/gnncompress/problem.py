@@ -147,8 +147,9 @@ class CompressedProblem:
     original node; compress_problem records 0, 1, ... features holds the
     original rows of the representatives, read-only when compress_problem
     made them, and the original problem's own read-only array when the
-    reduct keeps every node; a read-only array set here must not change
-    afterwards, as losses reuse its layer-0 aggregate.
+    reduct keeps every node, whose layer-0 aggregates the two problems then
+    share when the reduct is the original graph; a read-only array set here
+    must not change afterwards, as losses reuse its layer-0 aggregate.
     """
 
     graph: ColoredMultigraph
@@ -240,13 +241,12 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     g = problem.graph
     result = refine(g, depth=depth, grade=grade)
     partition = result.final
-    sub = choose_substitution(g, partition, policy, grade=grade)
-    red = reduce_graph(g, sub)
+    red = reduce_graph(g, choose_substitution(g, partition, policy), grade)
 
     rounds = result.stable_round if result.stable_round is not None else int(depth)
     features = _rep_rows(problem.features, red.node_ids)
     features.flags.writeable = False
-    return CompressedProblem(
+    cp = CompressedProblem(
         graph=red.graph,
         node_ids=red.node_ids,
         rep_of_node=red.rep_index_of_node,
@@ -258,6 +258,9 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         features=features,
         original_ids=np.arange(g.node_count),
     )
+    if red.graph is g and features is problem.features:
+        cp._first = _first_cache(problem)     # one layer-0 aggregate serves both
+    return cp
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -289,21 +292,28 @@ def _weighted_loss(loss_kind: str, train: TrainingSet, out: np.ndarray) -> float
     return float(np.cumsum(train.weight * terms)[-1])
 
 
-def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np.ndarray | None:
-    """Layer 0's aggregate of owner's features for gnn, computed once per
-    (aggregation kind, width) and kept on owner; the bits forward computes.
-
-    The entries belong to the graph and feature array they were computed
-    from, and go when either is no longer owner's. Writeable features, or
-    ones that are not a float64 array, are never cached: this returns None,
-    and forward aggregates them itself."""
+def _first_cache(owner: LearningProblem | CompressedProblem) -> tuple | None:
+    """owner's (graph, features, {(aggregation kind, width): layer-0
+    aggregate}), made afresh when owner's graph or feature array is not the
+    one it was made for; None for writeable features, or ones that are not
+    a float64 array, which are never cached."""
     g, x = owner.graph, np.asarray(owner.features, dtype=np.float64)
     if x.flags.writeable:
         owner._first = None
-        return None
-    if owner._first is None or owner._first[0] is not g or owner._first[1] is not x:
+    elif owner._first is None or owner._first[0] is not g or owner._first[1] is not x:
         owner._first = g, x, {}
-    aggs = owner._first[2]
+    return owner._first
+
+
+def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np.ndarray | None:
+    """Layer 0's aggregate of owner's features for gnn, computed once per
+    (aggregation kind, width) and kept on owner (_first_cache); the bits
+    forward computes. None when the features are not cached, and forward
+    aggregates them itself."""
+    cache = _first_cache(owner)
+    if cache is None:
+        return None
+    g, x, aggs = cache
     key = gnn.config.layers[0].agg, gnn.config.width
     if key not in aggs:
         agg = _aggregate(g, x, *key)

@@ -1,10 +1,12 @@
-"""Substitutions and multigraph reducts.
+"""Representatives and multigraph reducts.
 
-A substitution picks one representative node per refinement class; the
-reduct keeps exactly the representatives, and the multiplicity of edge
-v -> w sums the multiplicities from all members of v's class into w
-(capped at the grade c when finite). Choosing representatives of minimal
-incidence yields a reduct of minimal size.
+A substitution sends each node to its class's representative, and is held
+as that int64 array: reps[v] is the representative of v, so reps[w] == w
+exactly for the representatives w. The reduct keeps exactly the
+representatives, and the multiplicity of edge v -> w sums the
+multiplicities from all members of v's class into w (capped at the grade c
+when finite). Choosing representatives of minimal incidence yields a
+reduct of minimal size.
 """
 
 from __future__ import annotations
@@ -20,20 +22,6 @@ from .refine import INF, Partition, _check_extent, _ranges, refine
 POLICIES = ("min-incidence", "first-node")
 
 
-@dataclass
-class Substitution:
-    """Map from refinement classes to representative nodes.
-
-    rep_of_class[k] is a member of class k; rep_of_node[v] is the
-    representative of v's class, so rep_of_node[w] == w for every
-    representative w.
-    """
-
-    rep_of_class: np.ndarray
-    rep_of_node: np.ndarray
-    grade: float
-
-
 def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
     """Per node, the number of distinct partition classes containing one
     of its in-neighbors."""
@@ -43,9 +31,9 @@ def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
 
 
 def choose_substitution(g: ColoredMultigraph, partition: Partition,
-                        policy: str = "min-incidence", grade=INF) -> Substitution:
-    """Pick one representative per class: the member of least cost, ties
-    going to the smallest node id.
+                        policy: str = "min-incidence") -> np.ndarray:
+    """The representative of every node: per class, the member of least
+    cost, ties going to the smallest node id.
 
     min-incidence: the cost is the number of distinct in-neighbor classes,
     which yields a minimal-size reduct. first-node: every cost is 0, so the
@@ -62,7 +50,7 @@ def choose_substitution(g: ColoredMultigraph, partition: Partition,
     first = np.diff(ordered, prepend=-1) != 0           # the head of each class
     rep_of_class = np.empty(partition.num_classes, dtype=np.int64)
     rep_of_class[ordered[first]] = order[first]
-    return Substitution(rep_of_class, rep_of_class[partition.class_of], grade)
+    return rep_of_class[partition.class_of]
 
 
 @dataclass
@@ -80,29 +68,35 @@ class Reduct:
     rep_index_of_node: np.ndarray
 
 
-def reduce_graph(g: ColoredMultigraph, substitution: Substitution) -> Reduct:
-    """Build the reduct of g under a substitution.
+def reduce_graph(g: ColoredMultigraph, reps: np.ndarray, grade=INF) -> Reduct:
+    """Build the reduct of g under the substitution reps, the representative
+    of every node (choose_substitution).
 
     Edge rule: for representatives v, w the multiplicity of v -> w is the
-    sum of g(v' -> w) over all v' in v's class, capped at the
-    substitution's grade when finite. Only edges into representatives
-    survive; colors are preserved. When every node is its own
-    representative and no multiplicity exceeds the grade, the reduct is
-    g itself.
+    sum of g(v' -> w) over all v' in v's class, capped at the grade when
+    finite. Only edges into representatives survive; colors are preserved.
+    When every node is its own representative and no multiplicity exceeds
+    the grade, the reduct is g itself. A reps that is not one in-range
+    entry per node with reps[reps] == reps is a ValueError, and so is a
+    grade that is not a positive integer or inf.
     """
-    rep_of_node = substitution.rep_of_node
-    node_ids = np.sort(substitution.rep_of_class)        # distinct: one node per class
-    rep_index = np.searchsorted(node_ids, rep_of_node)
-    if len(node_ids) == g.node_count and g.out_mult.max(initial=0) <= substitution.grade:
+    _check_extent(grade, "grade", 1)
+    n = g.node_count
+    reps = np.asarray(reps)
+    if (reps.shape != (n,) or reps.dtype.kind not in "iu"
+            or n and (reps.min() < 0 or reps.max() >= n or (reps[reps] != reps).any())):
+        raise ValueError("a substitution must map every node to a representative "
+                         "that is its own representative")
+    is_rep = reps == np.arange(n)
+    node_ids = np.flatnonzero(is_rep)
+    rep_index = (np.cumsum(is_rep) - 1)[reps]
+    if len(node_ids) == n and g.out_mult.max(initial=0) <= grade:
         return Reduct(g, node_ids, rep_index)
 
-    is_rep = np.zeros(g.node_count, dtype=bool)
-    is_rep[node_ids] = True
     keep = is_rep[g.out_dst]
     h = ColoredMultigraph.from_edge_arrays(
-        len(node_ids), rep_index[g.out_src_flat[keep]],
-        np.searchsorted(node_ids, g.out_dst[keep]), g.out_mult[keep],
-        g.colors[node_ids], g.palette, cap=substitution.grade)
+        len(node_ids), rep_index[g.out_src_flat[keep]], rep_index[g.out_dst[keep]],
+        g.out_mult[keep], g.colors[node_ids], g.palette, cap=grade)
     return Reduct(h, node_ids, rep_index)
 
 

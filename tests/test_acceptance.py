@@ -16,11 +16,10 @@ import pytest
 
 from gnncompress import (LearningProblem, build_graph, chain_config,
                          choose_substitution, compress_problem, forward,
-                         graph_size, naive_partition,
-                         reduce_graph, refine, sample_gnn, verify_reduct,
+                         naive_partition, reduce_graph, refine, sample_gnn, verify_reduct,
                          evaluate_compressed_loss, evaluate_loss)
 from gnncompress.fileio import load_graph
-from gnncompress.reduction import Substitution, _union_check
+from gnncompress.reduction import _union_check
 from conftest import (A1, A2, A3, B1, B2, B3, FIG1_COLORS, FIG1_EDGES,
                       bench_graph, bisimulation_partition, make_corpus,
                       partition_blocks, random_graph, random_substitution,
@@ -84,16 +83,16 @@ def test_criterion_1_worked_example_goldens():
             (A1, A2): 1, (A2, A1): 1, (A2, A2): 1, (A1, B1): 1, (A2, B1): 1}
         assert reduct_edges(red_min) == {
             (A1, A2): 1, (A2, A1): 1, (A2, A2): 1, (A2, B3): 2}
-        assert graph_size(red_first.graph) == (3, 5)
-        assert graph_size(red_min.graph) == (3, 4)
-        assert graph_size(red_min.graph)[1] == graph_size(red_first.graph)[1] - 1
+        assert (red_first.graph.node_count, red_first.graph.simple_edge_count) == (3, 5)
+        assert (red_min.graph.node_count, red_min.graph.simple_edge_count) == (3, 4)
+        assert red_min.graph.simple_edge_count == red_first.graph.simple_edge_count - 1
 
         for m, n in [(3, 4), (2, 2), (10, 10), (1, 7)]:
             sg = star_of_stars(m, n)
             for d in (2, 3):
                 part = refine(sg, depth=d).at(d)
                 red = reduce_graph(sg, choose_substitution(sg, part, "min-incidence"))
-                assert graph_size(red.graph) == (3, 2), (m, n, d)
+                assert (red.graph.node_count, red.graph.simple_edge_count) == (3, 2), (m, n, d)
                 assert sorted(int(x) for x in red.graph.out_mult) == sorted([m, n])
 
 
@@ -114,8 +113,7 @@ def test_criterion_3_reduct_color_invariance(corpus):
                 for c in GRADES:
                     part = partition_at(refine(g, depth=d, grade=c), d)
                     for policy in ("min-incidence", "first-node"):
-                        sub = choose_substitution(g, part, policy, grade=c)
-                        red = reduce_graph(g, sub)
+                        red = reduce_graph(g, choose_substitution(g, part, policy), c)
                         res = verify_reduct(g, red.graph, red.rep_index_of_node, d, c)
                         assert res.ok, (d, c, policy, res)
                         if math.isinf(d):   # passed on the certificate: refine as well
@@ -186,17 +184,16 @@ def test_criterion_5_min_incidence_minimality():
             d = DEPTHS[int(rng.integers(0, 4))]
             c = GRADES[int(rng.integers(0, 4))]
             part = partition_at(refine(g, depth=d, grade=c), d)
-            best = reduce_graph(g, choose_substitution(g, part, "min-incidence", grade=c))
-            best_edges = graph_size(best.graph)[1]
-            other = reduce_graph(g, choose_substitution(g, part, "first-node", grade=c))
-            assert graph_size(other.graph)[0] == graph_size(best.graph)[0]
-            assert best_edges <= graph_size(other.graph)[1]
+            best = reduce_graph(g, choose_substitution(g, part, "min-incidence"), c)
+            best_edges = best.graph.simple_edge_count
+            other = reduce_graph(g, choose_substitution(g, part, "first-node"), c)
+            assert other.graph.node_count == best.graph.node_count
+            assert best_edges <= other.graph.simple_edge_count
             for _ in range(20):
                 reps = random_substitution(part, rng)
-                sub = Substitution(reps, reps[part.class_of], c)
-                red = reduce_graph(g, sub)
-                assert graph_size(red.graph)[0] == graph_size(best.graph)[0]
-                assert best_edges <= graph_size(red.graph)[1], (i, d, c)
+                red = reduce_graph(g, reps[part.class_of], c)
+                assert red.graph.node_count == best.graph.node_count
+                assert best_edges <= red.graph.simple_edge_count, (i, d, c)
 
 
 def test_criterion_6_graded_monotonicity(corpus):
@@ -253,26 +250,26 @@ def test_criterion_8_extended_datasets():
         road = root / "roadNet-CA.txt"
         if road.exists():
             g = load_graph(road, undirected=True).graph
-            n0, m0 = graph_size(g)
+            n0, m0 = g.node_count, g.simple_edge_count
             part = refine(g, depth=3).at(3)
             red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
-            n1, m1 = graph_size(red.graph)
+            n1, m1 = red.graph.node_count, red.graph.simple_edge_count
             assert abs(100 * n1 / n0 - 4) <= 2, f"nodes {100 * n1 / n0:.2f}%"
             assert abs(100 * m1 / m0 - 5) <= 2, f"edges {100 * m1 / m0:.2f}%"
         arxiv = root / "ogbn-arxiv.tsv"
         if arxiv.exists():
             g = load_graph(arxiv).graph
-            n0, m0 = graph_size(g)
+            n0, m0 = g.node_count, g.simple_edge_count
             r3 = refine(g, depth=4)
             part3 = r3.at(3)
             red3 = reduce_graph(g, choose_substitution(g, part3, "min-incidence"))
-            m_pct = 100 * graph_size(red3.graph)[1] / m0
+            m_pct = 100 * red3.graph.simple_edge_count / m0
             assert abs(m_pct - 56) <= 2, f"edges {m_pct:.2f}%"
             stable = refine(g).stable_round
             assert stable == 4
             part_inf = refine(g).final
             red_inf = reduce_graph(g, choose_substitution(g, part_inf, "min-incidence"))
-            n_pct = 100 * graph_size(red_inf.graph)[0] / n0
+            n_pct = 100 * red_inf.graph.node_count / n0
             assert abs(n_pct - 36) <= 2, f"nodes {n_pct:.2f}%"
         if not road.exists() and not arxiv.exists():
             pytest.skip("no recognized dataset files present")

@@ -507,13 +507,23 @@ def test_dense_and_sparse_ids_give_one_bundle(capsys, tmp_path, seed):
 def test_compress_and_verify_build_no_id_dict(capsys, tmp_path, monkeypatch, header):
     # --train and color files name nodes by sparse file ids, which map by a
     # binary search of the graph's ids on the whole-file and per-line
-    # paths alike: no {file id: dense id} dict is built
+    # paths alike: the CLI hands read_train the graph's int64 id array,
+    # never a {file id: dense id} dict
     from gnncompress import fileio
 
-    def refuse(ids):
-        raise AssertionError("an id dict was built")
+    passed, per_line = [], []
+    real_rows = fileio._train_rows
 
-    monkeypatch.setattr(fileio, "_id_map", refuse)
+    def read_train(path, n, loss_kind, ids=None):
+        passed.append(ids)
+        return fileio.read_train(path, n, loss_kind, ids)
+
+    def train_rows(path, *args):
+        per_line.append(path.name)
+        return real_rows(path, *args)
+
+    monkeypatch.setattr(cli, "read_train", read_train)
+    monkeypatch.setattr(fileio, "_train_rows", train_rows)
     g, c, t = tmp_path / "g.txt", tmp_path / "c.tsv", tmp_path / "t.tsv"
     g.write_text("".join(f"{10 * s + 3} {10 * d + 3}\n" for s, d, _ in FIG1_EDGES))
     c.write_text(header.replace("target", "color") + "".join(
@@ -527,6 +537,11 @@ def test_compress_and_verify_build_no_id_dict(capsys, tmp_path, monkeypatch, hea
     code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
                          "--colors", c, "--train", t)
     assert code == 0 and "verification passed" in out
+    assert len(passed) == 2         # compress and verify
+    for ids in passed:
+        assert type(ids) is np.ndarray and ids.dtype == np.int64
+        assert ids.tolist() == [10 * v + 3 for v in range(len(FIG1_COLORS))]
+    assert per_line.count(t.name) == (2 if header else 0)
 
 
 def test_undecodable_files_are_format_errors(fig1_files, capsys, tmp_path):
@@ -566,9 +581,12 @@ def test_unwritable_outputs_are_errors(fig1_files, capsys, tmp_path):
 
 def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
     # the benchmark's output check: compress writes the oracle's bundle on
-    # every workload, and verify passes it
+    # every workload, and verify passes it; then one cycle of the benchmark's
+    # own loop, which also reads the training file through an id dict and
+    # compares the losses of both problems, runs with no failure
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from oracle import BUNDLE_FILES, expected_bundle
+    from workload import Run, _plain
     from workloads import WORKLOADS, generate
 
     for name, wl in WORKLOADS.items():
@@ -579,16 +597,26 @@ def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
         assert run(capsys, "compress", *graph, *flags, "--train", inputs.train_path,
                    "--loss", wl.loss, "--depth", wl.depth, "--grade", wl.grade,
                    "--out", bundle)[0] == 0, name
-        digests = expected_bundle(inputs, wl)["digests"]
+        expected = expected_bundle(inputs, wl)
         for file in BUNDLE_FILES:
-            assert hashlib.sha256((bundle / file).read_bytes()).hexdigest() == digests[file], \
-                (name, file)
+            assert hashlib.sha256((bundle / file).read_bytes()).hexdigest() == \
+                expected["digests"][file], (name, file)
         if wl.verify_width:
             flags += ["--width", wl.verify_width]
         code, out, _ = run(capsys, "verify", "--bundle", bundle, "--original",
                            inputs.graph_path, "--colors", inputs.colors_path,
                            "--train", inputs.train_path, "--gnns", "1", *flags)
         assert code == 0 and "verification passed" in out, name
+
+        paths = {"graph": inputs.graph_path, "colors": inputs.colors_path,
+                 "train": inputs.train_path, "bundle": tmp_path / name / "bench-bundle",
+                 "trace": tmp_path / name / "trace"}
+        bench_run = Run({"workload": name, "seed": 1, "seconds": 0, "trace": False,
+                         "expected": expected,
+                         "paths": {k: str(v) for k, v in paths.items()}})
+        bench_run.cycle(_plain, 1)
+        assert bench_run.failures == [], name
+        assert bench_run.attempted == 4, name   # compress, verify, both epochs
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gnncompress import (FormatError, LearningProblem, ValidationError,
-                         build_graph, compress_problem, graph_size, refine)
+                         build_graph, compress_problem, refine)
 from gnncompress.cli import main
 from gnncompress.fileio import (_BLOCK_ROWS, _format_ints, load_bundle, load_graph,
                                 parse_extent, read_train, save_bundle)
@@ -28,14 +28,14 @@ def test_two_line_file(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("0\t1\n1\t0\n")
     g = load_graph(p).graph
-    assert graph_size(g) == (2, 2)
+    assert (g.node_count, g.simple_edge_count) == (2, 2)
 
 
 def test_undirected_symmetrizes(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("0 1\n")
     g = load_graph(p, undirected=True).graph
-    assert graph_size(g) == (2, 2)
+    assert (g.node_count, g.simple_edge_count) == (2, 2)
     assert transpose(g) == g
 
 
@@ -63,7 +63,7 @@ def test_sparse_ids_remapped(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("10\t400\n400\t7000\n")
     loaded = load_graph(p)
-    assert graph_size(loaded.graph) == (3, 2)
+    assert (loaded.graph.node_count, loaded.graph.simple_edge_count) == (3, 2)
     assert list(loaded.original_ids) == [10, 400, 7000]
 
 
@@ -553,7 +553,8 @@ def test_save_bundle_memory_per_edge(tmp_path):
 
 # Training files: the input form (`--train`, node<TAB>target) and the bundle
 # form (train.tsv, node<TAB>target<TAB>weight). The graph's file ids are
-# 0, 1, 2, 5, so input ids map through id_map; "dense" reads them on 0..3.
+# 0, 1, 2, 5, so input ids map through its original_ids; "dense" reads them
+# on 0..3.
 TRAIN_GRAPHS = {"input": "0 1\n1 2\n2 5\n", "dense": "0 1\n1 2\n2 3\n",
                 "bundle": "0 1\n1 2\n2 5\n"}
 GOOD_TRAIN = {"xent": "1\ta\n2\tb\n", "sq": "1\t0.5,1\n2\t-0.0,2\n"}
@@ -629,7 +630,7 @@ def test_training_file_errors(tmp_path, capsys, form, loss, text, error, message
                 ["verify", "--bundle", bundle, "--original", g, "--train", path]]
         loaded = load_graph(g)
         load = functools.partial(read_train, path, loaded.graph.node_count, loss,
-                                 loaded.id_map)
+                                 loaded.original_ids)
     path.write_text(text)
     if error is None:
         load()
@@ -670,7 +671,8 @@ def test_read_train_matches_training_set(tmp_path, monkeypatch, seed):
     g = tmp_path / "g.txt"
     g.write_text("".join(f"{ids[v]} {ids[(v + 1) % n]}\n" for v in range(n)))
     loaded = load_graph(g)
-    assert (loaded.id_map is None) == bool(seed % 2)
+    assert np.array_equal(loaded.original_ids, np.arange(n)) == bool(seed % 2)
+    id_dict = {int(o): i for i, o in enumerate(loaded.original_ids)}
     picked = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
     labels = ["a", "b c", "é", "0", "", "-0.0"]
     values = [0.0, -0.0, 1.5, -2.25, 1e-300, 3.0]
@@ -694,7 +696,7 @@ def test_read_train_matches_training_set(tmp_path, monkeypatch, seed):
                 got = read_train(path, n, loss, loaded.original_ids)
                 assert same_train(got, expected), (loss, header)
                 # the {file id: dense id} dict form reads the same ids
-                got = read_train(path, n, loss, loaded.id_map)
+                got = read_train(path, n, loss, id_dict)
                 assert same_train(got, expected), (loss, header)
 
 

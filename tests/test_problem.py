@@ -8,7 +8,7 @@ import pytest
 from gnncompress import (LearningProblem, ValidationError, build_graph,
                          chain_config, compress_problem, equivalence_report,
                          evaluate_compressed_loss, evaluate_loss, forward,
-                         graph_size, one_hot_features, sample_gnn)
+                         one_hot_features, sample_gnn)
 from gnncompress import gnn as gnn_module
 from gnncompress import problem as problem_module
 from gnncompress.problem import push_forward, training_set
@@ -35,7 +35,7 @@ def test_compress_empty_train():
     p = fig1_problem({})
     cp = compress_problem(p, depth=1)
     assert cp.train_weighted == {}
-    assert graph_size(cp.graph) == (3, 4)
+    assert (cp.graph.node_count, cp.graph.simple_edge_count) == (3, 4)
 
 
 def test_discrete_partition_weights_all_one():
@@ -277,14 +277,15 @@ def test_compress_twice_same_size():
                          {int(k): v[0][0] for k, v in cp.train_weighted.items()},
                          "xent", p.hypothesis)
     cp2 = compress_problem(p2, depth=1)
-    assert graph_size(cp2.graph) == graph_size(cp.graph)
+    assert cp2.graph.node_count == cp.graph.node_count
+    assert cp2.graph.simple_edge_count == cp.graph.simple_edge_count
 
 
 def test_depth_inf_compression():
     p = fig1_problem({B1: "y"}, dims=(2, 2))
     cp = compress_problem(p, depth=math.inf)
     assert cp.rounds == 2  # stable coloring number of the worked example
-    assert graph_size(cp.graph) == (4, 6)
+    assert (cp.graph.node_count, cp.graph.simple_edge_count) == (4, 6)
 
 
 real_forward, real_sample_gnn = forward, sample_gnn
@@ -467,13 +468,16 @@ def test_first_layer_aggregates_are_kept_per_kind_and_width(monkeypatch):
         configs = [chain_config([problem.features.shape[1], 4, problem.hypothesis.output_dim],
                                 width=width, agg=agg)
                    for agg in ("sum", "mean", "max") for width in WIDTHS]
+        # a problem that does not compress shares the original's aggregates
+        shared = cp.graph is problem.graph
         for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
             calls["fill"].clear()
             for _ in range(2):
                 for i, config in enumerate(configs):
                     gnn = sample_gnn(config, i)
                     assert evaluate(owner, gnn).hex() == plain_loss(owner, gnn).hex()
-            assert calls["fill"] == [(c.layers[0].agg, c.width) for c in configs]
+            filled = [] if shared and owner is cp else configs
+            assert calls["fill"] == [(c.layers[0].agg, c.width) for c in filled]
 
 
 def test_problem_features_are_read_only_views():
@@ -549,3 +553,23 @@ def test_first_layer_aggregates_go_with_their_features():
             owner.features = rng.normal(size=shape) if writeable else read_only_normal(rng, shape)
             evaluate(owner, gnns[0])
             assert gone() is None
+
+
+def test_a_problem_that_does_not_compress_shares_its_first_layer_aggregate(monkeypatch):
+    # every node its own class: the reduct is the graph itself, and both
+    # problems' losses read one layer-0 aggregate, filled once; capping a
+    # multiplicity at width 1 makes another graph, which aggregates apart
+    calls = count_aggregates(monkeypatch)
+    g = build_graph([(0, 1, 1), (1, 2, 2), (2, 0, 1)], ["a", "b", "c"])
+    x, _ = one_hot_features(g)
+    for width, shared in ((math.inf, True), (2, True), (1, False)):
+        problem = LearningProblem(g, x, {0: "a", 1: "b"}, "xent",
+                                  chain_config([3, 4, 3], width=width))
+        cp = compress_problem(problem)
+        assert cp.features is problem.features and (cp.graph is g) == shared
+        gnn = sample_gnn(problem.hypothesis, 0)
+        calls["fill"].clear()
+        assert evaluate_loss(problem, gnn) == evaluate_compressed_loss(cp, gnn)
+        first = problem_module._first_aggregate
+        assert (first(problem, gnn) is first(cp, gnn)) == shared, width
+        assert len(calls["fill"]) == (1 if shared else 2), width

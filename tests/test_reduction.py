@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gnncompress import (build_graph, choose_substitution, graph_size,
+from gnncompress import (build_graph, choose_substitution,
                          reduce_graph, refine, verify_reduct)
 from gnncompress.errors import ValidationError
 from gnncompress.graph import ColoredMultigraph, intern_colors
-from gnncompress.reduction import (POLICIES, Substitution, _certificate, _disjoint_union,
+from gnncompress.reduction import (POLICIES, _certificate, _disjoint_union,
                                    incidence_all)
 from conftest import (A1, A2, B1, B3, class_members, iterated_partitions, random_graph,
                       random_substitution, star_of_stars)
@@ -37,21 +37,21 @@ def test_incidence_no_in_edges():
 
 
 def test_min_incidence_picks_b3(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "min-incidence")
-    assert set(sub.rep_of_class) == {A1, A2, B3}
+    reps = choose_substitution(fig1, fig1_p1, "min-incidence")
+    assert set(reps.tolist()) == {A1, A2, B3}
 
 
 def test_first_node_is_rho1(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "first-node")
-    assert set(sub.rep_of_class) == {A1, A2, B1}
+    reps = choose_substitution(fig1, fig1_p1, "first-node")
+    assert set(reps.tolist()) == {A1, A2, B1}
 
 
 def test_singleton_classes_keep_sole_member(fig1):
     p = refine(fig1).final  # stable: {a1},{a2,a3},{b1,b2},{b3}
     for policy in ("min-incidence", "first-node"):
-        sub = choose_substitution(fig1, p, policy)
-        assert sub.rep_of_node[A1] == A1
-        assert sub.rep_of_node[B3] == B3
+        reps = choose_substitution(fig1, p, policy)
+        assert reps[A1] == A1
+        assert reps[B3] == B3
 
 
 def test_representatives_match_per_class_scan():
@@ -74,15 +74,16 @@ def test_representatives_match_per_class_scan():
         want = {"min-incidence": [min(m, key=lambda v: (inc[v], v)) for m in members],
                 "first-node": [min(m) for m in members]}
         for policy, reps in want.items():
-            sub = choose_substitution(g, part, policy, grade)
-            assert sub.rep_of_class.tolist() == reps, (i, policy)
-            assert sub.rep_of_node.tolist() == [reps[c] for c in cls], (i, policy)
+            got = choose_substitution(g, part, policy)
+            assert got.dtype == np.int64, (i, policy)
+            assert got.tolist() == [reps[c] for c in cls], (i, policy)
 
 
 def test_substitution_fixes_representatives(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "min-incidence")
-    for w in sub.rep_of_class:
-        assert sub.rep_of_node[w] == w
+    reps = choose_substitution(fig1, fig1_p1, "min-incidence")
+    assert len(set(reps.tolist())) == fig1_p1.num_classes
+    for w in reps:
+        assert reps[w] == w
 
 
 def test_reduce_rho1(fig1, fig1_p1):
@@ -93,7 +94,7 @@ def test_reduce_rho1(fig1, fig1_p1):
     # survives, so a2 -> a1 is present alongside the drawn four edges.
     assert edge_multiset(red) == {
         (A1, A2): 1, (A2, A1): 1, (A2, A2): 1, (A1, B1): 1, (A2, B1): 1}
-    assert graph_size(red.graph) == (3, 5)
+    assert (red.graph.node_count, red.graph.simple_edge_count) == (3, 5)
 
 
 def test_reduce_rho2(fig1, fig1_p1):
@@ -102,13 +103,13 @@ def test_reduce_rho2(fig1, fig1_p1):
     assert set(red.node_ids) == {A1, A2, B3}
     assert edge_multiset(red) == {
         (A1, A2): 1, (A2, A1): 1, (A2, A2): 1, (A2, B3): 2}
-    assert graph_size(red.graph) == (3, 4)
+    assert (red.graph.node_count, red.graph.simple_edge_count) == (3, 4)
 
 
 def test_rho2_strictly_smaller_non_isomorphic(fig1, fig1_p1):
     red1 = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "first-node"))
     red2 = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
-    assert graph_size(red2.graph)[1] == graph_size(red1.graph)[1] - 1
+    assert red2.graph.simple_edge_count == red1.graph.simple_edge_count - 1
 
 
 def test_colors_preserved(fig1, fig1_p1):
@@ -123,7 +124,7 @@ def test_star_of_stars_reduct(m, n):
     part = refine(g, depth=2).at(2)
     sub = choose_substitution(g, part, "min-incidence")
     red = reduce_graph(g, sub)
-    assert graph_size(red.graph) == (3, 2)
+    assert (red.graph.node_count, red.graph.simple_edge_count) == (3, 2)
     mults = sorted(int(x) for x in red.graph.out_mult)
     assert mults == sorted([m, n])
 
@@ -153,8 +154,7 @@ def test_verify_reduct_matches_colors_by_payload():
     # one node given a payload the original lacks fails at round 0
     for i, (depth, grade) in enumerate([(1, math.inf), (2, 2), (math.inf, math.inf)]):
         g = random_graph(30, 70, n_colors=4, max_mult=2, seed=700 + i)
-        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
-                                                  grade=grade))
+        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final), grade)
         h, rep_index = red.graph, red.rep_index_of_node
         k, v = len(h.palette), h.node_count // 2
         palette = h.palette[::-1] + ("absent",)
@@ -186,7 +186,7 @@ def test_policies_agree_in_size_at_stability(fig1):
         sizes = set()
         for policy in ("min-incidence", "first-node"):
             red = reduce_graph(g, choose_substitution(g, part, policy))
-            sizes.add(graph_size(red.graph))
+            sizes.add((red.graph.node_count, red.graph.simple_edge_count))
         assert len(sizes) == 1
 
 
@@ -195,7 +195,8 @@ def test_reduct_idempotent_at_stability(fig1):
     red = reduce_graph(fig1, choose_substitution(fig1, part, "min-incidence"))
     part2 = refine(red.graph).final
     red2 = reduce_graph(red.graph, choose_substitution(red.graph, part2, "min-incidence"))
-    assert graph_size(red2.graph) == graph_size(red.graph)
+    assert red2.graph.node_count == red.graph.node_count
+    assert red2.graph.simple_edge_count == red.graph.simple_edge_count
 
 
 def test_discrete_partition_reduces_to_self():
@@ -206,22 +207,21 @@ def test_discrete_partition_reduces_to_self():
     assert part.num_classes == 3
     capped = build_graph([(0, 1, 1), (1, 2, 1)], ["a", "b", "c"])
     for grade, want in ((math.inf, g), (2, g), (1, capped)):
-        red = reduce_graph(g, choose_substitution(g, part, "min-incidence", grade=grade))
+        red = reduce_graph(g, choose_substitution(g, part, "min-incidence"), grade)
         assert (red.graph is g) == (want is g)
         assert red.graph == want
         assert np.array_equal(red.node_ids, np.arange(3))
         assert np.array_equal(red.rep_index_of_node, np.arange(3))
     edgeless = build_graph([], ["a", "b"])
     part = refine(edgeless).final
-    assert reduce_graph(edgeless, choose_substitution(edgeless, part, grade=1)).graph is edgeless
+    assert reduce_graph(edgeless, choose_substitution(edgeless, part), 1).graph is edgeless
 
 
 def test_graded_reduct_caps_multiplicity():
     g = build_graph([(0, 2, 1), (1, 2, 1)], ["a", "a", "b"])
     part = refine(g, depth=1, grade=1).at(1)
     assert part.num_classes == 2  # {0,1}, {2}
-    sub = choose_substitution(g, part, "min-incidence", grade=1)
-    red = reduce_graph(g, sub)
+    red = reduce_graph(g, choose_substitution(g, part, "min-incidence"), 1)
     assert list(red.graph.out_mult) == [1]  # 1+1 capped at grade 1
     assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=1).ok
 
@@ -233,8 +233,7 @@ def test_graded_reduct_caps_before_overflow():
         k = len(mults)
         g = build_graph([(i, k, m) for i, m in enumerate(mults)], ["a"] * k + ["b"])
         part = refine(g, depth=1, grade=2).at(1)
-        sub = choose_substitution(g, part, "min-incidence", grade=2)
-        red = reduce_graph(g, sub)
+        red = reduce_graph(g, choose_substitution(g, part, "min-incidence"), 2)
         assert edge_multiset(red) == {(0, k): 2}
         assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=2).ok
 
@@ -242,9 +241,26 @@ def test_graded_reduct_caps_before_overflow():
 def test_random_substitution_construction(fig1, fig1_p1):
     rng = np.random.default_rng(3)
     reps = random_substitution(fig1_p1, rng)
-    sub = Substitution(reps, reps[fig1_p1.class_of], grade=math.inf)
-    red = reduce_graph(fig1, sub)
+    red = reduce_graph(fig1, reps[fig1_p1.class_of])
     assert verify_reduct(fig1, red.graph, red.rep_index_of_node, depth=1).ok
+
+
+def test_reduce_graph_rejects_a_bad_substitution_or_grade(fig1, fig1_p1):
+    reps = choose_substitution(fig1, fig1_p1, "min-incidence")
+    assert reduce_graph(fig1, reps).graph.node_count == 3
+    negative = reps.copy()
+    negative[A1] = -1
+    # B3 sent to B1: B1's representative B3 is then not its own representative
+    not_fixed = reps.copy()
+    not_fixed[B3] = B1
+    for bad in (negative, not_fixed, reps[:-1], np.append(reps, A1), reps + len(reps),
+                reps.astype(np.float64)):
+        with pytest.raises(ValueError, match="its own representative"):
+            reduce_graph(fig1, bad)
+    # a grade below 1 would give edges of multiplicity 0 or less
+    for grade in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="grade must be a positive integer"):
+            reduce_graph(fig1, reps, grade)
 
 
 def sorted_union(g, h):
@@ -327,8 +343,7 @@ def test_verify_reduct_witness_matches_reference_scan():
                          n_colors=2, max_mult=2, seed=600 + i)
         depth = (1, 2, 3, math.inf)[i % 4]
         grade = (math.inf, 1, 2)[i % 3]
-        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
-                                                  grade=grade))
+        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final), grade)
         h, rep_index = red.graph, red.rep_index_of_node
         cases = [("drop", tampered(h, rng, "drop"), rep_index),
                  ("bump", tampered(h, rng, "bump"), rep_index)]
@@ -368,8 +383,7 @@ def test_certificate_never_holds_where_refinement_fails():
         g = random_graph(int(rng.integers(6, 30)), int(rng.integers(8, 70)),
                          n_colors=int(rng.integers(1, 3)), max_mult=3, seed=1300 + i)
         depth, grade = (1, 2, 3, math.inf)[i % 4], (1, 2, math.inf)[i % 3]
-        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final,
-                                                  grade=grade))
+        red = reduce_graph(g, choose_substitution(g, refine(g, depth, grade).final), grade)
         h, rep_index = red.graph, red.rep_index_of_node
         if math.isinf(depth) or h.node_count == g.node_count:
             assert _certificate(g, h, rep_index, grade), i
@@ -412,7 +426,7 @@ def test_stable_reducts_verify_without_refinement(monkeypatch):
 
     graphs = [build_graph([(v, v + 1, 1) for v in range(39)], ["x"] * 40),
               random_graph(30, 80, n_colors=2, max_mult=3, seed=5)]
-    reducts = [(g, reduce_graph(g, choose_substitution(g, refine(g, grade=c).final, grade=c)), c)
+    reducts = [(g, reduce_graph(g, choose_substitution(g, refine(g, grade=c).final), c), c)
                for g in graphs for c in (1, 2, math.inf)]
     monkeypatch.setattr("gnncompress.reduction.refine", refuse)
     for g, red, c in reducts:

@@ -8,6 +8,7 @@ returns. Every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -69,7 +70,7 @@ def cmd_compress(args) -> int:
     n1, m1 = cp.graph.node_count, cp.graph.simple_edge_count
     print(f"nodes {100.0 * n1 / n0:.2f}% ({n1}/{n0}), "
           f"edges {100.0 * m1 / m0:.2f}% ({m1}/{m0})")
-    cp.original_ids = loaded.original_ids
+    cp = dataclasses.replace(cp, original_ids=loaded.original_ids)
     save_bundle(cp, args.out, extra_meta={"original_simple_edges": m0})
     print(f"wrote bundle {args.out} (depth={_fmt_extent(depth)}, "
           f"grade={_fmt_extent(grade)}, policy={args.policy}, rounds={cp.rounds})")

@@ -5,7 +5,8 @@ loss kind, and a GNN hypothesis. Compressing refines the graph at the
 hypothesis depth and width, collapses each refinement class onto one
 representative, and pushes the training set forward as integer weights
 on the representatives: the total loss of any GNN from the hypothesis
-space is identical on both problems.
+space is identical on both problems. Problems and training sets are
+frozen: a changed one is a new one, made with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .reduction import choose_substitution, reduce_graph
 LOSS_KINDS = ("xent", "sq")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingSet:
     """Training rows: node ``nodes[i]`` carries the target
     ``palette[target[i]]`` with integer weight ``weight[i]``.
@@ -93,27 +94,36 @@ def training_set(train, n: int, loss_kind: str) -> TrainingSet:
     return TrainingSet.from_rows(rows, loss_kind)
 
 
-@dataclass
+def _read_only(x) -> np.ndarray:
+    """x as a read-only float64 array: x itself if it is one, else a
+    read-only view, so that the caller's array stays writeable."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.flags.writeable:
+        x = x.view()
+        x.flags.writeable = False
+    return x
+
+
+@dataclass(frozen=True)
 class LearningProblem:
     """Original (uncompressed) node-labelling problem. A {node: target}
     ``train`` is held as the TrainingSet it converts to.
 
-    ``features`` is held as a read-only view of the float64 array passed
-    in, not a copy: a write through the problem raises, and the array
-    itself must not change afterwards, as the graph must not. Losses reuse
-    layer 0's aggregate of the features (``_first_aggregate``)."""
+    ``features`` is held read-only (``_read_only``), not copied: a write
+    through the problem raises, and the array passed in must not change
+    afterwards, as the graph must not. Losses reuse layer 0's aggregates of
+    the features, kept in ``_first`` by (aggregation kind, width)."""
 
     graph: ColoredMultigraph
     features: np.ndarray
     train: dict[int, object] | TrainingSet
     loss_kind: str
     hypothesis: GnnConfig | None = None
-    _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _first: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph.node_count
-        self.features = np.asarray(self.features, dtype=np.float64).view()
-        self.features.flags.writeable = False
+        object.__setattr__(self, "features", _read_only(self.features))
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValidationError(f"feature matrix must be ({n}, p)")
         if not np.isfinite(self.features).all():
@@ -121,7 +131,7 @@ class LearningProblem:
         if self.loss_kind not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.loss_kind!r}")
         if not isinstance(self.train, TrainingSet):
-            self.train = training_set(self.train, n, self.loss_kind)
+            object.__setattr__(self, "train", training_set(self.train, n, self.loss_kind))
         if self.hypothesis is not None:
             if self.hypothesis.input_dim != self.features.shape[1]:
                 raise ValidationError("hypothesis input dim does not match features")
@@ -133,7 +143,7 @@ class LearningProblem:
                 raise ValidationError(f"{len(palette)} labels exceed hypothesis output dim {q}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressedProblem:
     """Reduced problem: reduct graph plus weighted training targets.
 
@@ -145,11 +155,10 @@ class CompressedProblem:
     class_counts[d] is the number of refinement classes after round d
     (None when not recorded). original_ids is the input-file id of each
     original node; compress_problem records 0, 1, ... features holds the
-    original rows of the representatives, read-only when compress_problem
-    made them, and the original problem's own read-only array when the
-    reduct keeps every node, whose layer-0 aggregates the two problems then
-    share when the reduct is the original graph; a read-only array set here
-    must not change afterwards, as losses reuse its layer-0 aggregate.
+    original rows of the representatives, read-only as in LearningProblem,
+    and the original problem's own array when the reduct keeps every node;
+    when the reduct is the original graph too, the two problems share one
+    dict of layer-0 aggregates.
     """
 
     graph: ColoredMultigraph
@@ -164,12 +173,18 @@ class CompressedProblem:
     rounds: int = 0
     class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)
-    _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _first: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.features is not None:
+            object.__setattr__(self, "features", _read_only(self.features))
 
     @property
     def train_weighted(self) -> dict[int, list[tuple[object, int]]]:
         """{rep: [(target, weight), ...]} in row order, built on each
-        access; changing it does not change the problem."""
+        access; changing it does not change the problem. Only the tests and
+        bench/tracer.py (``run.py --trace 1``) read it; ROADMAP items 1 and
+        3 retire it."""
         t, view = self.train, {}
         for v, i, w in zip(t.nodes.tolist(), t.target.tolist(), t.weight.tolist()):
             view.setdefault(v, []).append((t.palette[i], w))
@@ -214,10 +229,10 @@ def _check_features_consistent(problem: LearningProblem) -> None:
 
 
 def _rep_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """features[node_ids]; read-only features themselves when node_ids is
+    """features[node_ids]; a problem's features themselves when node_ids is
     0, 1, ..., n - 1, a reduct that merged nothing, so that no second copy
-    is held. A writeable array may still change, so its rows are copied."""
-    if not features.flags.writeable and np.array_equal(node_ids, np.arange(len(features))):
+    is held."""
+    if np.array_equal(node_ids, np.arange(len(features))):
         return features
     return features[node_ids]
 
@@ -244,8 +259,6 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     red = reduce_graph(g, choose_substitution(g, partition, policy), grade)
 
     rounds = result.stable_round if result.stable_round is not None else int(depth)
-    features = _rep_rows(problem.features, red.node_ids)
-    features.flags.writeable = False
     cp = CompressedProblem(
         graph=red.graph,
         node_ids=red.node_ids,
@@ -255,11 +268,11 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         loss_kind=problem.loss_kind,
         rounds=rounds,
         class_counts=list(result.class_counts),
-        features=features,
+        features=_rep_rows(problem.features, red.node_ids),
         original_ids=np.arange(g.node_count),
     )
-    if red.graph is g and features is problem.features:
-        cp._first = _first_cache(problem)     # one layer-0 aggregate serves both
+    if red.graph is g and cp.features is problem.features:
+        object.__setattr__(cp, "_first", problem._first)   # one layer-0 aggregate serves both
     return cp
 
 
@@ -292,34 +305,13 @@ def _weighted_loss(loss_kind: str, train: TrainingSet, out: np.ndarray) -> float
     return float(np.cumsum(train.weight * terms)[-1])
 
 
-def _first_cache(owner: LearningProblem | CompressedProblem) -> tuple | None:
-    """owner's (graph, features, {(aggregation kind, width): layer-0
-    aggregate}), made afresh when owner's graph or feature array is not the
-    one it was made for; None for writeable features, or ones that are not
-    a float64 array, which are never cached."""
-    g, x = owner.graph, np.asarray(owner.features, dtype=np.float64)
-    if x.flags.writeable:
-        owner._first = None
-    elif owner._first is None or owner._first[0] is not g or owner._first[1] is not x:
-        owner._first = g, x, {}
-    return owner._first
-
-
-def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np.ndarray | None:
-    """Layer 0's aggregate of owner's features for gnn, computed once per
-    (aggregation kind, width) and kept on owner (_first_cache); the bits
-    forward computes. None when the features are not cached, and forward
-    aggregates them itself."""
-    cache = _first_cache(owner)
-    if cache is None:
-        return None
-    g, x, aggs = cache
+def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np.ndarray:
+    """Layer 0's aggregate of owner's features for gnn, the bits forward
+    computes, made once per (aggregation kind, width) into owner._first."""
     key = gnn.config.layers[0].agg, gnn.config.width
-    if key not in aggs:
-        agg = _aggregate(g, x, *key)
-        agg.flags.writeable = False
-        aggs[key] = agg
-    return aggs[key]
+    if key not in owner._first:
+        owner._first[key] = _read_only(_aggregate(owner.graph, owner.features, *key))
+    return owner._first[key]
 
 
 def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:

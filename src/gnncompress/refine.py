@@ -132,7 +132,8 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     equal and the capped multisets of their in-neighbors' current classes
     are equal. The per-node signature is (old class id, sorted list of
     (neighbor class id, capped count)); signatures are interned to assign
-    new ids canonically.
+    new ids canonically. Only the tests and bench/tracer.py (``run.py
+    --trace 1``) call it; ROADMAP items 1 and 3 retire it.
     """
     _check_extent(grade, "grade", 1)
     if len(current.class_of) != g.node_count:
@@ -296,7 +297,9 @@ class RefinementResult:
 
     @property
     def partitions(self) -> _Rounds:
-        """Canonical partitions of rounds 0..len - 1, built on access."""
+        """Canonical partitions of rounds 0..len - 1, built on access. Only
+        the tests and bench/tracer.py (``run.py --trace 1``) read it;
+        ROADMAP items 1 and 3 retire it."""
         return _Rounds(self)
 
     def _index(self, round) -> int:

@@ -583,9 +583,12 @@ def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
     # the benchmark's output check: compress writes the oracle's bundle on
     # every workload, and verify passes it; then one cycle of the benchmark's
     # own loop, which also reads the training file through an id dict and
-    # compares the losses of both problems, runs with no failure
+    # compares the losses of both problems, runs with no failure, untraced
+    # and under `run.py --trace 1`'s tracer, whose hooks read refine_step,
+    # RefinementResult.partitions and CompressedProblem.train_weighted
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from oracle import BUNDLE_FILES, expected_bundle
+    from tracer import Tracer
     from workload import Run, _plain
     from workloads import WORKLOADS, generate
 
@@ -617,6 +620,20 @@ def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
         bench_run.cycle(_plain, 1)
         assert bench_run.failures == [], name
         assert bench_run.attempted == 4, name   # compress, verify, both epochs
+
+        tracer = Tracer()
+        tracer.begin_cycle()
+        tracer.install()
+        try:
+            bench_run.cycle(tracer.run_op, 1)
+        finally:
+            tracer.uninstall()
+        assert bench_run.failures == [], name
+        assert bench_run.attempted == 8, name
+        meta = json.loads((bundle / "meta.json").read_text())
+        pairs = (bundle / "train.tsv").read_text().splitlines()
+        assert tracer.counts["compress", "refine.rounds"] == len(meta["class_counts"]) - 1, name
+        assert tracer.counts["compress", "problem.weighted_pairs"] == len(pairs), name
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -203,7 +204,7 @@ def test_resaved_bundle_keeps_original_ids(tmp_path):
     # a loaded bundle carries its file ids, so saving it again writes the
     # same map.tsv and meta.json
     cp = make_compressed()
-    cp.original_ids = np.arange(len(cp.rep_of_node)) * 3 + 1
+    cp = dataclasses.replace(cp, original_ids=np.arange(len(cp.rep_of_node)) * 3 + 1)
     save_bundle(cp, tmp_path / "b")
     back = load_bundle(tmp_path / "b")
     assert back.original_ids.tolist() == (np.arange(len(cp.rep_of_node)) * 3 + 1).tolist()
@@ -420,7 +421,7 @@ def test_bundle_fast_paths_match_per_line_parser(tmp_path, monkeypatch, name, sp
     cp = make_compressed()
     n = len(cp.rep_of_node)
     if sparse:
-        cp.original_ids = np.arange(n) * 3 + 1
+        cp = dataclasses.replace(cp, original_ids=np.arange(n) * 3 + 1)
     save_bundle(cp, tmp_path / "b")
     path = tmp_path / "b" / name
     variants = bundle_variants(path.read_text().splitlines())
@@ -445,7 +446,7 @@ def test_clean_files_take_the_fast_paths(tmp_path, monkeypatch):
     # a silent return to the per-line parsers would lose the whole-file speed
     import gnncompress.fileio as fileio
     cp = make_compressed()
-    cp.original_ids = np.arange(len(cp.rep_of_node)) + 5
+    cp = dataclasses.replace(cp, original_ids=np.arange(len(cp.rep_of_node)) + 5)
     save_bundle(cp, tmp_path / "b")
     gp, cp_ = tmp_path / "g.tsv", tmp_path / "c.tsv"
     sparse_gp, sparse_cp = tmp_path / "sg.tsv", tmp_path / "sc.tsv"
@@ -480,7 +481,7 @@ def test_meta_text_matches_json_dumps(tmp_path):
     import json
     from gnncompress.fileio import _meta_text
     cp = make_compressed()
-    cp.original_ids = np.arange(len(cp.rep_of_node)) + 5
+    cp = dataclasses.replace(cp, original_ids=np.arange(len(cp.rep_of_node)) + 5)
     save_bundle(cp, tmp_path / "b", extra_meta={"original_simple_edges": 50})
     text = (tmp_path / "b" / "meta.json").read_text()
     metas = [json.loads(text), {"a": []}, {"a": [True, 1]}, {"a": [1.5, 2], "b": None},

@@ -63,7 +63,7 @@ def test_reduct_keeping_every_node_shares_the_features(loss_kind):
     assert np.shares_memory(cp.features, problem.features)
     assert not cp.features.flags.writeable
     copied = dataclasses.replace(cp, features=np.array(problem.features))
-    copied.features.flags.writeable = False
+    assert not copied.features.flags.writeable
     fresh = LearningProblem(g, x.copy(), train, loss_kind, config)
     for seed in range(3):
         gnn = sample_gnn(config, seed)
@@ -71,10 +71,12 @@ def test_reduct_keeping_every_node_shares_the_features(loss_kind):
         assert evaluate_loss(problem, gnn) == evaluate_loss(fresh, gnn)
     report = equivalence_report(problem, cp, n_gnns=3)
     assert report.passed and report.max_loss_discrepancy == 0.0
-    # writeable features set after construction may still change: copied
-    problem.features = x
-    cp = compress_problem(problem)
-    assert not np.shares_memory(cp.features, x) and x.flags.writeable
+    # a problem replaced with the caller's array holds it read-only, so
+    # its compression shares it too, and the caller's array stays writeable
+    replaced = dataclasses.replace(problem, features=x)
+    cp = compress_problem(replaced)
+    assert cp.features is replaced.features and not cp.features.flags.writeable
+    assert np.shares_memory(cp.features, x) and x.flags.writeable
 
     fig1 = fig1_problem({B1: "y"})
     merged = compress_problem(fig1, depth=1)
@@ -240,7 +242,7 @@ def test_equivalence_report_fails_on_nan_discrepancy():
     (rep,) = cp.train_weighted
     assert cp.train_weighted[rep][0][1] == 2
     nan = np.array([math.nan, -1.0])
-    cp.train = dataclasses.replace(cp.train, palette=nan[None, :])
+    cp = dataclasses.replace(cp, train=dataclasses.replace(cp.train, palette=nan[None, :]))
     report = equivalence_report(p, cp, n_gnns=2, seed=0)
     assert not report.passed
     assert math.isinf(report.max_loss_discrepancy)
@@ -431,12 +433,6 @@ def problems_with(seed, kind, agg, width):
     return problem, compress_problem(problem)
 
 
-def read_only_normal(rng, shape):
-    a = rng.normal(size=shape)
-    a.flags.writeable = False
-    return a
-
-
 def plain_loss(owner, gnn):
     """The loss of a forward that aggregates every layer itself."""
     return problem_module._weighted_loss(owner.loss_kind, owner.train,
@@ -493,66 +489,80 @@ def test_problem_features_are_read_only_views():
     x[:] = 1.0      # the caller's array stays writeable
 
 
+def test_problems_and_training_sets_are_frozen():
+    problem, cp = problems_with(43, "xent", "sum", 2)
+    for value in (problem, cp, problem.train, cp.train):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+
+def rebuilt(owner):
+    """A new problem built by owner's constructor from owner's fields."""
+    return type(owner)(**{f.name: getattr(owner, f.name)
+                          for f in dataclasses.fields(owner) if f.init})
+
+
 @pytest.mark.parametrize("agg", ["sum", "mean", "max"])
 @pytest.mark.parametrize("width", WIDTHS)
 def test_first_layer_aggregate_follows_new_features_and_graphs(monkeypatch, agg, width):
+    # a problem changed with dataclasses.replace is a new problem: it fills
+    # a fresh layer-0 aggregate, which goes with it, and the original keeps
+    # its own entries
     calls = count_aggregates(monkeypatch)
     problem, cp = problems_with(42, "xent", agg, width)
     gnn = sample_gnn(problem.hypothesis, 0)
-    n, p = problem.features.shape
     rng = np.random.default_rng(7)
-    other = random_graph(n, 2 * n, n_colors=2, max_mult=2, seed=8)
-
-    def fresh_problem():
-        return LearningProblem(problem.graph, problem.features, problem.train, "xent",
-                               problem.hypothesis)
-
-    for change in ({"features": read_only_normal(rng, (n, p))}, {"graph": other},
-                   {"features": rng.normal(size=(n, p))}):
-        before = evaluate_loss(problem, gnn)
-        for name, value in change.items():
-            setattr(problem, name, value)
-        expected = evaluate_loss(fresh_problem(), gnn)
-        assert expected != before
-        for _ in range(2):
-            assert evaluate_loss(problem, gnn).hex() == expected.hex()
-
-    m = cp.graph.node_count
-    reduct = random_graph(m, 2 * m, n_colors=2, max_mult=2, seed=9)
-    for change in ({"features": read_only_normal(rng, (m, p))}, {"graph": reduct},
-                   {"features": rng.normal(size=(m, p))}):
-        before = evaluate_compressed_loss(cp, gnn)
-        for name, value in change.items():
-            setattr(cp, name, value)
-        expected = evaluate_compressed_loss(dataclasses.replace(cp), gnn)
-        assert expected != before
-        for _ in range(2):
-            assert evaluate_compressed_loss(cp, gnn).hex() == expected.hex()
-    # a writeable feature array is aggregated afresh on every call
-    cp.features = rng.normal(size=(m, p))
-    calls["fill"].clear()
-    before = calls["layer"]
-    for _ in range(3):
-        evaluate_compressed_loss(cp, gnn)
-    assert calls["fill"] == [] and calls["layer"] - before == 6
+    for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+        n, p = owner.features.shape
+        before = evaluate(owner, gnn)
+        entries = dict(owner._first)
+        other = random_graph(n, 2 * n, n_colors=2, max_mult=2, seed=8)
+        for change in ({"features": rng.normal(size=(n, p))}, {"graph": other}):
+            replaced = dataclasses.replace(owner, **change)
+            assert replaced._first is not owner._first and replaced._first == {}
+            calls["fill"].clear()
+            losses = [evaluate(replaced, gnn) for _ in range(2)]
+            assert calls["fill"] == [(agg, width)]
+            expected = evaluate(rebuilt(replaced), gnn)
+            assert expected != before
+            assert [loss.hex() for loss in losses] == [expected.hex()] * 2
+            assert expected.hex() == plain_loss(replaced, gnn).hex()
+            gone = weakref.ref(replaced._first[agg, width])
+            del replaced
+            assert gone() is None
+            assert owner._first.keys() == entries.keys()
+            assert all(owner._first[key] is value for key, value in entries.items())
+            assert evaluate(owner, gnn).hex() == before.hex()
 
 
 def test_first_layer_aggregates_go_with_their_features():
+    # features given read-only, writeable, then read-only again: each
+    # replaced problem fills its own entries, one per width, and dropping
+    # it frees the features; no entry of the original refers to them
     problem, cp = problems_with(43, "xent", "sum", 2)
     gnns = [sample_gnn(dataclasses.replace(problem.hypothesis, width=width), 0)
             for width in (2, math.inf)]
     rng = np.random.default_rng(11)
 
     for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+        for gnn in gnns:
+            evaluate(owner, gnn)
+        entries = dict(owner._first)
+        assert len(entries) == 2
         for writeable in (False, True, False):
+            features = rng.normal(size=owner.features.shape)
+            features.flags.writeable = writeable
+            replaced = dataclasses.replace(owner, features=features)
+            assert replaced._first == {}
             for gnn in gnns:
-                evaluate(owner, gnn)
-            # no entry keeps the replaced features alive
-            gone = weakref.ref(owner.features)
-            shape = owner.features.shape
-            owner.features = rng.normal(size=shape) if writeable else read_only_normal(rng, shape)
-            evaluate(owner, gnns[0])
+                assert evaluate(replaced, gnn).hex() == plain_loss(replaced, gnn).hex()
+            assert replaced._first.keys() == entries.keys()
+            gone = weakref.ref(features)
+            del replaced, features
             assert gone() is None
+            assert owner._first == entries
+            assert all(owner._first[k] is v for k, v in entries.items())
 
 
 def test_a_problem_that_does_not_compress_shares_its_first_layer_aggregate(monkeypatch):

@@ -114,10 +114,9 @@ def cmd_verify(args) -> int:
         return 4
 
     # Weighted training set must be the push-forward of the original one.
-    loss_kind = cp.loss_kind or "xent"
     train = {}
     if args.train:
-        train = read_train(args.train, g.node_count, loss_kind, loaded.original_ids)
+        train = read_train(args.train, g.node_count, cp.loss_kind, loaded.original_ids)
         bad = first_difference(cp.train, push_forward(train, cp.rep_of_node))
         if bad is not None:
             print(f"FAIL training weights: node {bad} has tampered targets or weights")
@@ -138,10 +137,10 @@ def cmd_verify(args) -> int:
     if width is None:
         width = cp.grade
     palette = cp.train.palette
-    q = (len(palette) if loss_kind == "xent" else palette.shape[1]) if cp.train else p_dim
+    q = (len(palette) if cp.loss_kind == "xent" else palette.shape[1]) if cp.train else p_dim
     config = chain_config([p_dim] * layers + [q], width=width, agg="sum")
 
-    problem = LearningProblem(g, features, train, loss_kind, config)
+    problem = LearningProblem(g, features, train, cp.loss_kind, config)
     report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed,
                                 tolerance=args.tol)
     status = "pass" if report.passed else "FAIL"
@@ -163,13 +162,10 @@ def cmd_stats(args) -> int:
     loaded = load_graph(args.graph, args.colors, args.undirected)
     g = loaded.graph
     n0, m0 = g.node_count, g.simple_edge_count
-    finite = [int(d) for d in depths if not math.isinf(d)]
-    max_depth = math.inf if any(math.isinf(d) for d in depths) else max(finite, default=0)
-    result = refine(g, depth=max_depth, grade=grade)
+    result = refine(g, depth=max(depths), grade=grade)
     print("depth\tnodes\tnodes_pct\tedges\tedges_pct")
     for d in depths:
-        partition = result.at(d) if not math.isinf(d) else result.final
-        h = reduce_graph(g, choose_substitution(g, partition, "min-incidence"), grade).graph
+        h = reduce_graph(g, choose_substitution(g, result.at(d), "min-incidence"), grade).graph
         n1, m1 = h.node_count, h.simple_edge_count
         print(f"{_fmt_extent(d)}\t{n1}\t{100.0 * n1 / n0:.2f}\t{m1}\t{100.0 * m1 / m0:.2f}")
     return 0

@@ -8,12 +8,14 @@ saving and loading a bundle round-trips the compressed problem exactly.
 
 Edge lists, color files, both training-file forms and the bundle's
 map.tsv and colors.tsv are read in one whole-file pass when their text is
-plain and every check passes (``_read_int_table``, ``_read_id_tokens``).
-Anything else, errors included, goes through the per-line parsers, which
-alone name the offending line. Node ids map to dense ids by a binary
-search of the graph's ascending file ids (``LoadedGraph.original_ids``),
-on either path; no {file id: dense id} dict is built. Training files
-become a TrainingSet straight from their columns.
+plain and every check passes (``_read_int_table``, ``_read_id_tokens``),
+for map.tsv and colors.tsv rows in the order save_bundle writes them.
+Anything else, errors and other row orders included, goes through the
+per-line parsers, which alone name the offending line. Node ids map to
+dense ids by a binary search of the graph's ascending file ids
+(``LoadedGraph.original_ids``), on either path; no {file id: dense id}
+dict is built. Training files become a TrainingSet straight from their
+columns.
 
 The integer tables (graph.tsv, map.tsv, ``refine --out``) and meta.json's
 id lists are formatted by numpy, a fixed-size block of rows at a time,
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graph import ColoredMultigraph, _sorted_distinct, intern_colors
+from .graph import ColoredMultigraph, intern_colors
 from .problem import LOSS_KINDS, CompressedProblem, TrainingSet
 from .refine import INF
 
@@ -538,16 +540,15 @@ def _bundle_colors(path: Path) -> list[str]:
 def _bundle_map(path: Path, r: int, order: list | None) -> tuple[np.ndarray, np.ndarray]:
     """(original_ids, rep_of_node) from map.tsv: the file id of each original
     node, as meta's original_node_ids ``order`` lists them (None: 0, 1, ...
-    for as many as map.tsv holds), and the representative of each."""
+    for as many as map.tsv holds), and the representative of each. Rows in
+    that order are read in one whole-file pass; the per-line parser takes
+    any other order."""
     table = _read_int_table(path, (2,), sep="\t")
     if table is not None:
         orig, rep = table[:, 0], table[:, 1]
         want = np.arange(len(orig)) if order is None else np.array(order, dtype=np.int64)
-        sorter = np.argsort(orig)
-        # orig sorted equal to the distinct wanted ids: orig has no
-        # duplicates and covers exactly the wanted nodes.
-        if rep.max() < r and np.array_equal(orig[sorter], _sorted_distinct(want)):
-            return want, rep[sorter[np.searchsorted(orig, want, sorter=sorter)]]
+        if rep.max() < r and np.array_equal(orig, want):
+            return want, rep.copy()     # a contiguous column, not a view of the table
     pairs: dict[int, int] = {}
     for lineno, o, parts in _tab_rows(path, "orig_node<TAB>representative"):
         rep = _int_field(parts[1], path, lineno, "representative")
@@ -584,7 +585,7 @@ def load_bundle(bundle_dir) -> CompressedProblem:
             raise FormatError(f"{meta_path}: {key} must be {expected}")
     depth = parse_extent(str(meta["depth"]))
     grade = parse_extent(str(meta["grade"]))
-    loss_kind = meta.get("loss_kind")
+    loss_kind = meta.get("loss_kind") or "xent"
 
     tokens = _bundle_colors(bundle / "colors.tsv")
     r = len(tokens)
@@ -606,13 +607,13 @@ def load_bundle(bundle_dir) -> CompressedProblem:
         raise ValidationError(f"{meta_path}: representative_original_ids must list one "
                               f"node per reduct node, each mapping to its own entry")
 
-    train_path, kind = bundle / "train.tsv", loss_kind or "xent"
+    train_path = bundle / "train.tsv"
     return CompressedProblem(
         graph=graph,
         node_ids=node_ids,
         rep_of_node=rep_of_node,
-        train=(_read_training(train_path, kind, np.arange(r), weighted=True)
-               if train_path.exists() else TrainingSet.from_rows([], kind)),
+        train=(_read_training(train_path, loss_kind, np.arange(r), weighted=True)
+               if train_path.exists() else TrainingSet.from_rows([], loss_kind)),
         depth=depth, grade=grade, policy=meta["policy"],
         loss_kind=loss_kind,
         rounds=meta["rounds"],

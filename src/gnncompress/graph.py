@@ -5,7 +5,9 @@ index into the graph's palette of payloads (equal payloads <=> equal
 color ids). Adjacency is stored in both directions as CSR-style arrays so
 that in-neighborhoods (needed by refinement) and out-edges (needed by
 reduction) are both O(1) to slice. Graphs are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads, by convention only: the
+arrays stay writeable, since np.take and np.bincount copy a read-only
+index array first, which slowed every training epoch.
 """
 
 from __future__ import annotations
@@ -204,10 +206,7 @@ def build_graph(edges: Iterable[tuple], colors: Sequence) -> ColoredMultigraph:
     color_ids, palette = intern_colors(payloads)
 
     edges = list(edges)
-    if edges:
-        src = np.array([e[0] for e in edges], dtype=np.int64)
-        dst = np.array([e[1] for e in edges], dtype=np.int64)
-        mult = np.array([e[2] for e in edges], dtype=np.int64)
-    else:
-        src = dst = mult = np.empty(0, dtype=np.int64)
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    mult = np.array([e[2] for e in edges], dtype=np.int64)
     return ColoredMultigraph.from_edge_arrays(len(payloads), src, dst, mult, color_ids, palette)

@@ -152,6 +152,8 @@ class CompressedProblem:
     ``train`` is the push-forward of the original training set: one row
     per (representative, target) whose weight counts the training nodes
     of the original class carrying that target, so weights sum to |T|.
+    loss_kind is always given, as for a LearningProblem; load_bundle reads
+    a bundle's null loss_kind as "xent", the kind it reads train.tsv as.
     class_counts[d] is the number of refinement classes after round d
     (None when not recorded). original_ids is the input-file id of each
     original node; compress_problem records 0, 1, ... features holds the
@@ -169,7 +171,7 @@ class CompressedProblem:
     grade: float
     policy: str
     original_ids: np.ndarray = field(compare=False)
-    loss_kind: str | None = None
+    loss_kind: str
     rounds: int = 0
     class_counts: list[int] | None = field(default=None, compare=False)
     features: np.ndarray | None = field(default=None, compare=False)

@@ -5,7 +5,7 @@ import pytest
 
 from gnncompress import build_graph
 from gnncompress.graph import ColoredMultigraph, intern_colors
-from gnncompress.refine import Partition, initial_partition, refine_step
+from gnncompress.refine import Partition, canonical_partition, refine_step
 
 # Worked example: 6 nodes a1,a2,a3 (color a) and b1,b2,b3 (color b),
 # 11 unit edges. Node ids: a1=0, a2=1, a3=2, b1=3, b2=4, b3=5.
@@ -147,7 +147,7 @@ def iterated_partitions(g, depth=math.inf, grade=math.inf):
     """Reference refinement: refine_step from the initial colors, stopping
     after depth rounds or at the first repeated partition. Returns the
     partitions of every computed round and the stable round (or None)."""
-    parts = [initial_partition(g)]
+    parts = [canonical_partition(g.colors)]
     bound = g.node_count + 1 if math.isinf(depth) else int(depth)
     for _ in range(bound):
         parts.append(refine_step(g, parts[-1], grade))

@@ -1,15 +1,20 @@
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnncompress import chain_config
+from gnncompress import (LearningProblem, chain_config, choose_substitution,
+                         evaluate_compressed_loss, evaluate_loss, one_hot_features,
+                         reduce_graph, refine, sample_gnn)
 from gnncompress import cli
 from gnncompress.cli import main
-from conftest import FIG1_COLORS, FIG1_EDGES
+from gnncompress.fileio import load_bundle, load_graph, read_train
+from conftest import FIG1_COLORS, FIG1_EDGES, random_graph
 
 
 @pytest.fixture
@@ -109,6 +114,38 @@ def test_verify_tampered_weight_exits_4(fig1_files, capsys, tmp_path):
                        "--colors", c, "--train", t)
     assert code == 4
     assert "node 2" in out
+
+
+def test_null_loss_kind_loads_as_xent(fig1_files, capsys, tmp_path):
+    # meta.json may hold "loss_kind": null; the bundle then scores and
+    # verifies as the xent bundle it was saved as
+    g, c, _ = fig1_files
+    t = tmp_path / "t4.tsv"
+    t.write_text("0\tx\n1\ty\n3\ty\n4\tx\n")
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1", "--train", t,
+               "--loss", "xent", "--out", bundle)[0] == 0
+    verify = ("verify", "--bundle", bundle, "--original", g, "--colors", c, "--train", t)
+    before = run(capsys, *verify)
+    assert before[0] == 0
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["loss_kind"] = None
+    meta_path.write_text(json.dumps(meta))
+
+    cp = load_bundle(bundle)
+    assert cp.loss_kind == "xent"
+    loaded = load_graph(g, c)
+    features, _ = one_hot_features(loaded.graph)
+    train = read_train(t, loaded.graph.node_count, "xent", loaded.original_ids)
+    problem = LearningProblem(loaded.graph, features, train, "xent",
+                              chain_config([features.shape[1], 2]))
+    cp = dataclasses.replace(cp, features=features[cp.node_ids])
+    for seed in range(3):
+        gnn = sample_gnn(problem.hypothesis, seed)
+        assert math.isclose(evaluate_compressed_loss(cp, gnn), evaluate_loss(problem, gnn),
+                            rel_tol=1e-12)
+    assert run(capsys, *verify) == before
 
 
 def test_verify_accepts_reordered_training_lines(fig1_files, capsys, tmp_path):
@@ -659,6 +696,31 @@ def test_stats_table(fig1_files, capsys):
     assert lines[0].startswith("depth")
     assert lines[1].split("\t") == ["1", "3", "50.00", "4", "36.36"]
     assert lines[3].split("\t")[0] == "inf"
+
+
+@pytest.mark.parametrize("depths", ["3,0,inf,1", "1,2"])
+@pytest.mark.parametrize("shape", ["fig1", "random"])
+def test_stats_rows_match_one_refinement_per_depth(fig1_files, capsys, tmp_path, depths,
+                                                   shape):
+    # stats refines once, to the largest depth; every row must match a run
+    # at that row's depth alone, for unsorted lists, depth 0 and no inf
+    g, c, _ = fig1_files
+    if shape == "random":
+        rg = random_graph(40, 90, n_colors=2, max_mult=2, seed=3)
+        g.write_text("".join(f"{s}\t{d}\t{m}\n" for s, d, m in
+                             zip(rg.out_src_flat, rg.out_dst, rg.out_mult)))
+        c.write_text("".join(f"{v}\t{rg.color_payload(v)}\n" for v in range(rg.node_count)))
+    code, out, _ = run(capsys, "stats", "--graph", g, "--colors", c, "--depths", depths)
+    assert code == 0
+    graph = load_graph(g, c).graph
+    n0, m0 = graph.node_count, graph.simple_edge_count
+    want = ["depth\tnodes\tnodes_pct\tedges\tedges_pct"]
+    for token in depths.split(","):
+        partition = refine(graph, depth=math.inf if token == "inf" else int(token)).final
+        h = reduce_graph(graph, choose_substitution(graph, partition, "min-incidence")).graph
+        n1, m1 = h.node_count, h.simple_edge_count
+        want.append(f"{token}\t{n1}\t{100 * n1 / n0:.2f}\t{m1}\t{100 * m1 / m0:.2f}")
+    assert out.splitlines() == want
 
 
 def test_compress_deterministic_output(fig1_files, capsys, tmp_path):

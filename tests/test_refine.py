@@ -11,8 +11,7 @@ from gnncompress import (GnnConfig, LayerConfig, ValidationError, build_graph,
                          verify_reduct)
 from gnncompress.graph import ColoredMultigraph
 from gnncompress.reduction import incidence_all
-from gnncompress.refine import (_SMALL_ROUND, canonical_partition, initial_partition,
-                                refine_step)
+from gnncompress.refine import _SMALL_ROUND, canonical_partition, refine_step
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       iterated_partitions, partition_blocks, random_graph,
                       refines, same_partition)
@@ -92,7 +91,7 @@ def test_extent_errors_name_the_extent(fig1):
              (lambda: refine(fig1, depth=1.5),
               "depth must be a non-negative integer or inf, got 1.5"),
              (lambda: refine(fig1, grade=0), "grade must be a positive integer or inf, got 0"),
-             (lambda: refine_step(fig1, initial_partition(fig1), grade=0),
+             (lambda: refine_step(fig1, canonical_partition(fig1.colors), grade=0),
               "grade must be a positive integer or inf, got 0"),
              (lambda: naive_partition(fig1, 1, grade=0),
               "grade must be a positive integer or inf, got 0"),
@@ -193,7 +192,7 @@ def test_empty_graph_refine():
             n = len(colors)
             p = canonical_partition([7, 3, 7][:n], round=4)
             assert (p.class_of.dtype, p.class_of.tolist(), p.round) == (np.int64, classes, 4)
-            step = refine_step(g, initial_partition(g))
+            step = refine_step(g, canonical_partition(g.colors))
             assert (step.class_of.dtype, step.class_of.tolist(), step.round) == (
                 np.int64, classes, 1)
             final = refine(g).final

@@ -7,29 +7,25 @@ and verify with a reference GNN evaluator that the compressed problem is
 loss-equivalent to the original.
 """
 
-from .errors import FormatError, GnnCompressError, ValidationError
+from .errors import FormatError, ValidationError
 from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
                   one_hot_features, sample_gnn)
 from .graph import ColoredMultigraph, build_graph
-from .problem import (CompressedProblem, LearningProblem, compress_problem,
-                      equivalence_report, evaluate_compressed_loss, evaluate_loss)
+from .problem import (LearningProblem, compress_problem, equivalence_report,
+                      evaluate_compressed_loss, evaluate_loss)
 from .reduction import choose_substitution, reduce_graph, verify_reduct
-from .refine import INF, Partition, RefinementResult, naive_partition, refine
+from .refine import Partition, naive_partition, refine
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF",
     "ColoredMultigraph",
-    "CompressedProblem",
     "FormatError",
     "Gnn",
-    "GnnCompressError",
     "GnnConfig",
     "LayerConfig",
     "LearningProblem",
     "Partition",
-    "RefinementResult",
     "ValidationError",
     "build_graph",
     "chain_config",

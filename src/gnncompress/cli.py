@@ -131,9 +131,10 @@ def cmd_verify(args) -> int:
     # Equivalence over sampled GNNs.
     features, vocab = one_hot_features(g)
     p_dim = len(vocab)
-    # Fewer rounds than the depth: a stable partition, which GNNs of that
-    # many layers already test exactly.
-    layers = max(1, cp.rounds) if cp.rounds < cp.depth else int(cp.depth)
+    # One layer per round, and at least one: the checks above keep the rounds
+    # within the depth, and a partition stable after fewer rounds is tested
+    # exactly by GNNs of that many layers.
+    layers = max(1, cp.rounds)
     if width is None:
         width = cp.grade
     palette = cp.train.palette
@@ -144,7 +145,7 @@ def cmd_verify(args) -> int:
     report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed,
                                 tolerance=args.tol)
     status = "pass" if report.passed else "FAIL"
-    print(f"{status} equivalence: {report.n_gnns} GNNs, "
+    print(f"{status} equivalence: {args.gnns} GNNs, "
           f"max loss discrepancy {report.max_loss_discrepancy:.3e}, "
           f"max output discrepancy {report.max_output_discrepancy:.3e}")
     if report.approximate:

@@ -447,8 +447,8 @@ def read_train(path, n: int, loss_kind: str, ids=None) -> TrainingSet:
     rows, one per node. ids is the graph's original_ids, the file id of
     each dense node, ascending; None reads dense ids below n. A
     {file id: dense id} dict of ascending ids to 0, 1, ... is read as the
-    ids it lists; only bench/workload.py passes one, and ROADMAP items 1
-    and 3 retire that form."""
+    ids it lists; only bench/workload.py passes one, and ROADMAP item 1
+    retires that form."""
     if ids is None:
         ids = np.arange(n)
     elif isinstance(ids, dict):

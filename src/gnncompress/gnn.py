@@ -18,9 +18,9 @@ uint64 bit patterns through refinement's splitmix64 finalizer; one sort
 of the keys groups them. The grouping is exact, not probabilistic: equal
 rows always get equal keys, and every row is then compared bit for bit
 with the first row of its group. Any mismatch, which takes a hash
-collision, makes the layer group its rows by refinement's exact row sort
-instead. Rows are compared as bits, so -0.0 and 0.0 are different rows,
-as they are in the row sort.
+collision, makes the layer intern each row's bit patterns as a Python
+tuple of ints instead (intern_colors). Rows are compared as bits, so
+-0.0 and 0.0 are different rows, as they are as tuples.
 
 forward allocates one block per call for everything its layers write
 except the returned output, and reuses it layer after layer. Arrays made
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColoredMultigraph, _count_runs
-from .refine import _HASH_MULTIPLIERS, INF, _check_extent, _group_keys, _intern_exact, _mix
+from .graph import ColoredMultigraph, _count_runs, intern_colors
+from .refine import _HASH_MULTIPLIERS, INF, _check_extent, _group_keys, _mix
 
 AGG_KINDS = ("sum", "mean", "max")
 ACTIVATIONS = ("relu", "identity")
@@ -134,7 +134,7 @@ def _row_labels(x: np.ndarray) -> np.ndarray:
     finalizer, and one sort of the keys groups the rows. Equal rows get
     equal keys, so only rows that share a key can be wrongly grouped: each
     is compared with the first row of its group, bit for bit. On any
-    mismatch the rows are labelled by refinement's exact row sort instead.
+    mismatch each row's bit patterns are interned as a tuple of ints instead.
     """
     bits = np.ascontiguousarray(x).view(np.uint64)
     key = np.zeros(len(bits), dtype=np.uint64)
@@ -146,7 +146,7 @@ def _row_labels(x: np.ndarray) -> np.ndarray:
     labels, lead = _group_keys(key)
     if lead is None or np.array_equal(bits[lead], bits):
         return labels
-    return _intern_exact(bits.ravel(), np.arange(0, bits.size + 1, bits.shape[1]))
+    return intern_colors(list(map(tuple, bits.tolist())))[0]
 
 
 def _aggregate(g: ColoredMultigraph, x: np.ndarray, kind: str, width,

@@ -89,8 +89,9 @@ def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
 
 
 def intern_colors(payloads) -> tuple[np.ndarray, tuple]:
-    """Number the distinct payloads by first occurrence: the color id of
-    each payload (int64) and the palette, the payload of each color id."""
+    """Number the distinct values of a sequence of hashable values (color
+    payloads, or any rows as tuples) by first occurrence: the id of each
+    value (int64) and the palette, the value of each id."""
     palette = tuple(dict.fromkeys(payloads))
     id_of = dict(zip(palette, range(len(palette))))
     return np.fromiter(map(id_of.__getitem__, payloads), dtype=np.int64,

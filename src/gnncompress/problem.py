@@ -185,8 +185,8 @@ class CompressedProblem:
     def train_weighted(self) -> dict[int, list[tuple[object, int]]]:
         """{rep: [(target, weight), ...]} in row order, built on each
         access; changing it does not change the problem. Only the tests and
-        bench/tracer.py (``run.py --trace 1``) read it; ROADMAP items 1 and
-        3 retire it."""
+        bench/tracer.py (``run.py --trace 1``) read it; ROADMAP item 1
+        retires it."""
         t, view = self.train, {}
         for v, i, w in zip(t.nodes.tolist(), t.target.tolist(), t.weight.tolist()):
             view.setdefault(v, []).append((t.palette[i], w))
@@ -333,8 +333,6 @@ def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
 
 @dataclass
 class EquivalenceReport:
-    n_gnns: int
-    tolerance: float
     max_loss_discrepancy: float
     max_output_discrepancy: float
     passed: bool
@@ -384,5 +382,4 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
         max_loss = _worse(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
     passed = max_loss <= tolerance and max_out <= tolerance
-    return EquivalenceReport(n_gnns, tolerance, max_loss, max_out,
-                             passed, approximate, note)
+    return EquivalenceReport(max_loss, max_out, passed, approximate, note)

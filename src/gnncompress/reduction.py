@@ -139,9 +139,8 @@ def _certificate(g: ColoredMultigraph, h: ColoredMultigraph, rep: np.ndarray,
     if any(int(x.in_mult.max()) * len(x.in_mult) >= _MULT_LIMIT for x in (g, h)
            if len(x.in_mult)):
         return False
-    index = {payload: i for i, payload in enumerate(g.palette)}
-    as_g = np.array([index.get(payload, -1) for payload in h.palette], dtype=np.int64)
-    if not np.array_equal(g.colors, as_g[h.colors[rep]]):
+    remap, _ = intern_colors(g.palette + h.palette)     # one id per payload
+    if not np.array_equal(remap[g.colors], remap[len(g.palette) + h.colors[rep]]):
         return False
     r = h.node_count
     keys, sums = _count_runs(g.in_dst_flat * r + rep[g.in_src], g.in_mult, grade)

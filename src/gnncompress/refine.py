@@ -19,12 +19,12 @@ byte-reproducible.
 
 A vectorized round groups its nodes by signature: it hashes each row and
 sorts the keys once (_intern_hashed), then compares every row with the
-first row of its group; on a collision it groups the rows by a full row
-sort instead (_intern_exact), so a collision costs time, never a wrong
+first row of its group; on a collision it interns each row as a Python
+tuple instead (_intern_exact), so a collision costs time, never a wrong
 partition. New class ids go in order of each group's smallest node, so
 the history does not depend on how the rows were grouped.
 `refine_step` is the one-round reference, re-signing every node and
-always interning by the row sort.
+always interning the tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (_MULT_LIMIT, _OVERFLOW_MESSAGE, ColoredMultigraph, _count_runs,
-                    _sorted_distinct)
+                    _sorted_distinct, intern_colors)
 
 INF = math.inf
 
@@ -105,21 +105,6 @@ def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade
     return headers, prow, pcls, counts
 
 
-def _flatten(headers, prow, pcls, counts):
-    """Signature rows as one flat buffer of rows [class, c_1, n_1, c_2,
-    n_2, ...] and the row offsets."""
-    rows = len(headers)
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(1 + 2 * np.bincount(prow, minlength=rows), out=offsets[1:])
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    flat[offsets[:-1]] = headers
-    # Pair j lands after the j earlier pairs and the prow[j] + 1 headers.
-    pos = prow + 1 + 2 * np.arange(len(prow), dtype=np.int64)
-    flat[pos] = pcls
-    flat[pos + 1] = counts
-    return flat, offsets
-
-
 def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partition:
     """One refinement round, re-signing every node: the reference round.
 
@@ -128,32 +113,24 @@ def refine_step(g: ColoredMultigraph, current: Partition, grade=INF) -> Partitio
     are equal. The per-node signature is (old class id, sorted list of
     (neighbor class id, capped count)); signatures are interned to assign
     new ids canonically. Only the tests and bench/tracer.py (``run.py
-    --trace 1``) call it; ROADMAP items 1 and 3 retire it.
+    --trace 1``) call it; ROADMAP item 1 retires it.
     """
     _check_extent(grade, "grade", 1)
     if len(current.class_of) != g.node_count:
         raise ValueError("partition does not cover the graph")
     rows = _signatures(g, current.class_of, max(current.num_classes, 1), None, grade,
                        np.empty((2, len(g.in_src)), dtype=np.int64))
-    return canonical_partition(_intern_exact(*_flatten(*rows)), current.round + 1)
+    return canonical_partition(_intern_exact(*rows), current.round + 1)
 
 
-def _intern_exact(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Dense labels of the rows flat[offsets[i]:offsets[i + 1]]: equal
-    labels <=> equal rows. Deterministic, but not canonical."""
-    # Bucket rows by length, then unique rows per bucket.
-    lengths = np.diff(offsets)
-    labels = np.empty(len(lengths), dtype=np.int64)
-    base = 0
-    for length in _sorted_distinct(lengths):
-        members = np.flatnonzero(lengths == length)
-        block = flat[offsets[members, None] + np.arange(length)]
-        view = np.ascontiguousarray(block).view(
-            np.dtype((np.void, int(length) * flat.itemsize))).ravel()
-        uniq, inverse = np.unique(view, return_inverse=True)
-        labels[members] = base + inverse
-        base += len(uniq)
-    return labels
+def _intern_exact(headers, prow, pcls, counts) -> np.ndarray:
+    """Dense labels of the signature rows of _signatures, equal labels <=>
+    equal rows: each row is interned as the tuple (class, c_1, n_1, c_2,
+    n_2, ...) by intern_colors, numbered by first occurrence."""
+    ends = np.cumsum(np.bincount(prow, minlength=len(headers))).tolist()
+    pairs = np.column_stack((pcls, counts)).ravel().tolist()
+    rows = [(h, *pairs[2 * a:2 * b]) for h, a, b in zip(headers.tolist(), [0] + ends, ends)]
+    return intern_colors(rows)[0]
 
 
 # Multipliers of the signature hash: an odd constant that spreads class
@@ -191,8 +168,8 @@ def _group_keys(key: np.ndarray):
 
 
 def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
-    """_intern_exact's labels for the signature rows of _signatures, by
-    hashing each row and checking every hash exactly.
+    """Dense labels of the signature rows of _signatures, equal labels <=>
+    equal rows, by hashing each row and checking every hash exactly.
 
     A row's key is its mixed header plus the wrapping sum of its mixed
     (class, count) pairs; one sort of the keys groups the rows. Equal rows
@@ -227,7 +204,7 @@ def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
     if lead is None:
         return labels           # all keys distinct, so all rows distinct
     if (headers[lead] != headers).any() or (lengths[lead] != lengths).any():
-        return _intern_exact(*_flatten(headers, prow, pcls, counts))
+        return _intern_exact(headers, prow, pcls, counts)
 
     # The position of each pair's counterpart in its lead row. It steps
     # by 1 within a row, so it is the running sum of steps that are 1
@@ -245,7 +222,7 @@ def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
         np.take(values, counterpart, out=other, mode="clip")
         other -= values
         if other.any():
-            return _intern_exact(*_flatten(headers, prow, pcls, counts))
+            return _intern_exact(headers, prow, pcls, counts)
     return labels
 
 
@@ -294,7 +271,7 @@ class RefinementResult:
     def partitions(self) -> _Rounds:
         """Canonical partitions of rounds 0..len - 1, built on access. Only
         the tests and bench/tracer.py (``run.py --trace 1``) read it;
-        ROADMAP items 1 and 3 retire it."""
+        ROADMAP item 1 retires it."""
         return _Rounds(self)
 
     def _index(self, round) -> int:

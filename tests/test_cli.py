@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gnncompress import (LearningProblem, chain_config, choose_substitution,
 from gnncompress import cli
 from gnncompress.cli import main
 from gnncompress.fileio import load_bundle, load_graph, read_train
+from gnncompress.reduction import VerifyResult
 from conftest import FIG1_COLORS, FIG1_EDGES, random_graph
 
 
@@ -215,6 +217,52 @@ def test_verify_tampered_multiplicity_exits_4(fig1_files, capsys, tmp_path):
                        "--colors", c, "--train", t)
     assert code == 4
     assert "FAIL reduct" in out
+
+
+def test_verify_failed_equivalence_exits_4(fig1_files, capsys, tmp_path, monkeypatch):
+    # a non-training node moved to another class's representative, past a
+    # reduct check that passes: the sampled GNNs tell the two apart
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+               "--train", t, "--loss", "xent", "--out", bundle)[0] == 0
+    cp = load_bundle(bundle)
+    assert len(cp.graph.palette) == 2
+    reps = cp.node_ids[cp.rep_of_node]
+    v = next(v for v in range(6) if reps[v] != v and v not in (3, 4))
+    other = next(i for i in range(cp.graph.node_count) if i != cp.rep_of_node[v]
+                 and cp.graph.colors[i] == cp.graph.colors[cp.rep_of_node[v]])
+    rows = (bundle / "map.tsv").read_text().splitlines()
+    rows[v] = f"{v}\t{other}"
+    (bundle / "map.tsv").write_text("\n".join(rows) + "\n")
+    monkeypatch.setattr(cli, "verify_reduct", lambda *args: VerifyResult(True))
+    code, out, _ = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                       "--colors", c, "--train", t, "--gnns", "2")
+    assert code == 4
+    assert "FAIL equivalence: 2 GNNs" in out and "verification passed" not in out
+
+
+def test_cli_input_errors(fig1_files, capsys, tmp_path):
+    g, c, t = fig1_files
+    code, _, err = run(capsys, "compress", "--graph", g, "--train", t, "--depth", "1",
+                       "--out", tmp_path / "b")
+    assert code == 3 and "--train requires --loss" in err
+    comments = tmp_path / "comments.tsv"
+    comments.write_text("# src\tdst\n# nothing else\n")
+    code, _, err = run(capsys, "refine", "--graph", comments, "--depth", "1")
+    assert code == 2 and "no edges" in err
+
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+               "--out", bundle)[0] == 0
+    bigger = tmp_path / "bigger.tsv"
+    bigger.write_text(g.read_text() + "5\t6\n")
+    code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", bigger)
+    assert code == 3 and "bundle maps 6 nodes, original has 7" in err
+    with open(bundle / "graph.tsv", "a") as f:
+        f.write("0\t3\t1\n")
+    code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", g, "--colors", c)
+    assert code == 3 and "endpoint outside colors.tsv" in err
 
 
 def test_verify_grade_one_with_wide_gnns_warns(fig1_files, capsys, tmp_path):
@@ -671,6 +719,72 @@ def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
         pairs = (bundle / "train.tsv").read_text().splitlines()
         assert tracer.counts["compress", "refine.rounds"] == len(meta["class_counts"]) - 1, name
         assert tracer.counts["compress", "problem.weighted_pairs"] == len(pairs), name
+
+
+def oracle_case(rng, tmp_path):
+    """A small seeded input for the oracle corpus, its files written to
+    tmp_path: 1 to 13 nodes under dense or sparse file ids, self-loops,
+    repeated edge lines, uncolored nodes, and a setting drawn from the
+    depths, grades and losses the CLI takes."""
+    n = int(rng.integers(1, 14))
+    if rng.random() < 0.5:
+        ids = list(range(n))
+    else:
+        ids = sorted({int(x) for x in rng.integers(0, 2**62, n)})
+    edges = [(ids[a], ids[b]) for a, b in rng.integers(0, len(ids), (int(rng.integers(1, 30)), 2))]
+    covered = {v for e in edges for v in e}
+    edges += [(v, ids[int(rng.integers(0, len(ids)))]) for v in ids if v not in covered]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    colors = {v: "rgb"[int(rng.integers(0, 3))] for v in ids if rng.random() < 0.8}
+    loss = "xent" if rng.random() < 0.5 else "sq"
+    tokens = ["a", "b", "c"] if loss == "xent" else ["0.5,-1", "1.25,0", "-0.0,2", "0,2"]
+    train = {v: tokens[int(rng.integers(0, len(tokens)))] for v in ids if rng.random() < 0.4}
+    wl = SimpleNamespace(undirected=bool(rng.random() < 0.3), loss=loss,
+                         depth=["0", "1", "2", "3", "inf"][int(rng.integers(0, 5))],
+                         grade=["1", "2", "inf"][int(rng.integers(0, 3))])
+    graph, colors_path, train_path = (tmp_path / f for f in ("g.tsv", "c.tsv", "t.tsv"))
+    graph.write_text("".join(f"{s}\t{d}\n" for s, d in edges))
+    colors_path.write_text("".join(f"{v}\t{t}\n" for v, t in colors.items()))
+    train_path.write_text("".join(f"{v}\t{t}\n" for v, t in train.items()))
+    flags = ["--graph", graph]
+    flags += ["--colors", colors_path] if colors else []
+    flags += ["--undirected"] if wl.undirected else []
+    flags += ["--train", train_path] if train else []
+    return SimpleNamespace(edges=edges, colors=colors, train=train), wl, flags
+
+
+def test_oracle_corpus(capsys, tmp_path, monkeypatch):
+    # compress writes the plain-Python oracle's bundle on 300 small seeded
+    # inputs, and verify passes every tenth of them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from oracle import BUNDLE_FILES, expected_bundle
+
+    rng = np.random.default_rng(2600)
+    settings, shapes = set(), set()
+    for case in range(300):
+        inputs, wl, flags = oracle_case(rng, tmp_path)
+        settings.add((wl.depth, wl.grade, wl.loss, wl.undirected))
+        edges = inputs.edges
+        shapes.update(shape for shape, seen in (
+            ("self-loop", any(s == d for s, d in edges)),
+            ("repeated line", len(set(edges)) < len(edges)),
+            ("uncolored node", len(inputs.colors) < len({v for e in edges for v in e})),
+            ("sparse ids", max(map(max, edges)) > 13)) if seen)
+        bundle = tmp_path / f"bundle-{case}"
+        loss = ["--loss", wl.loss] if inputs.train else []
+        code, out, err = run(capsys, "compress", *flags, *loss, "--depth", wl.depth,
+                             "--grade", wl.grade, "--out", bundle)
+        assert code == 0, (case, err)
+        expected = expected_bundle(inputs, wl)["digests"]
+        for file in BUNDLE_FILES:
+            assert hashlib.sha256((bundle / file).read_bytes()).hexdigest() == \
+                expected[file], (case, file)
+        if case % 10 == 0:
+            graph = flags[flags.index("--graph") + 1:]     # verify names it --original
+            code, out, err = run(capsys, "verify", "--bundle", bundle, "--original",
+                                 *graph, "--gnns", "2")
+            assert code == 0 and "verification passed" in out, (case, out, err)
+    assert len(settings) > 50 and len(shapes) == 4
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

@@ -149,6 +149,15 @@ def test_train_dimension_mismatch_rejected(tmp_path):
         read_train(t, 2, "sq")
 
 
+def test_read_train_id_dict_must_list_ascending_ids_from_0(tmp_path):
+    t = tmp_path / "t.tsv"
+    t.write_text("10\ty\n30\tz\n")
+    assert read_train(t, 2, "xent", {10: 0, 30: 1}).nodes.tolist() == [0, 1]
+    for ids in ({10: 1, 30: 0}, {30: 0, 10: 1}, {10: 0, 30: 2}, {30: 0, 10: 1, 40: 2}):
+        with pytest.raises(ValueError, match="ascending file ids to 0, 1"):
+            read_train(t, 2, "xent", ids)
+
+
 def same_train(a, b) -> bool:
     """Equal row arrays and palettes; sq palettes bit for bit."""
     pa, pb = a.palette, b.palette

@@ -406,23 +406,22 @@ ROW_COLLISIONS = {"all": (np.uint64(0),) * 3,
 @pytest.fixture
 def row_grouping(monkeypatch):
     """Records the number of distinct row keys of each hashed grouping and
-    the row count of each void-row np.unique call: in an aggregation,
-    only the exact fallback of the row grouping makes those."""
+    the row count of each intern_colors call: in an aggregation, only the
+    exact fallback of the row grouping makes those."""
     seen = {"keys": [], "fallbacks": []}
-    group_keys, unique = gnn_module._group_keys, np.unique
+    group_keys, intern = gnn_module._group_keys, gnn_module.intern_colors
 
     def recording_group_keys(key):
         labels, lead = group_keys(key)
         seen["keys"].append(int(labels.max()) + 1)
         return labels, lead
 
-    def counting_unique(values, *args, **kwargs):
-        if values.dtype.kind == "V":
-            seen["fallbacks"].append(len(values))
-        return unique(values, *args, **kwargs)
+    def counting_intern(values):
+        seen["fallbacks"].append(len(values))
+        return intern(values)
 
     monkeypatch.setattr(gnn_module, "_group_keys", recording_group_keys)
-    monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(gnn_module, "intern_colors", counting_intern)
     return seen
 
 

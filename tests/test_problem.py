@@ -258,6 +258,15 @@ def test_equivalence_report_flags_wider_hypothesis():
     assert "width exceeds" in report.note
 
 
+def test_equivalence_report_flags_deeper_hypothesis():
+    p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 2, 2, 2))
+    cp = compress_problem(p, depth=2)
+    report = equivalence_report(p, cp, n_gnns=2, seed=0)
+    assert report.approximate
+    assert report.note == "approximate: hypothesis depth exceeds compression depth"
+    assert not equivalence_report(p, compress_problem(p, depth=3), n_gnns=2).approximate
+
+
 def test_width_one_gnns_pass_on_grade_one_compression():
     for agg in ("sum", "mean", "max"):
         p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 3, 2), width=1, agg=agg)

@@ -149,6 +149,19 @@ def test_verify_reduct_detects_corruption(fig1, fig1_p1):
     assert res.witness_node is not None and res.witness_round is not None
 
 
+def test_verify_reduct_rejects_a_bad_rep_map(fig1, fig1_p1):
+    red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
+    rep = red.rep_index_of_node
+    for bad in (rep[:-1], np.append(rep, 0)):
+        with pytest.raises(ValueError, match="cover every original node"):
+            verify_reduct(fig1, red.graph, bad)
+    for value in (-1, red.graph.node_count):
+        bad = rep.copy()
+        bad[2] = value
+        with pytest.raises(ValueError, match="outside the reduct"):
+            verify_reduct(fig1, red.graph, bad)
+
+
 def test_verify_reduct_matches_colors_by_payload():
     # a reduct numbering its colors unlike the original still verifies;
     # one node given a payload the original lacks fails at round 0
@@ -164,8 +177,11 @@ def test_verify_reduct_matches_colors_by_payload():
                                                       h.out_mult, colors, palette)
 
         assert verify_reduct(g, rebuilt(k - 1 - h.colors), rep_index, depth, grade).ok
+        if math.isinf(depth):       # the certificate alone passes it
+            assert _certificate(g, rebuilt(k - 1 - h.colors), rep_index, grade)
         recolored = k - 1 - h.colors
         recolored[v] = k
+        assert not _certificate(g, rebuilt(recolored), rep_index, grade)
         res = verify_reduct(g, rebuilt(recolored), rep_index, depth, grade)
         assert not res.ok and res.witness_round == 0
         assert rep_index[res.witness_node] == v

@@ -309,9 +309,9 @@ def exact_fallbacks(monkeypatch):
     calls = []
     exact = refine_module._intern_exact
 
-    def counting(flat, offsets):
-        calls.append(len(offsets) - 1)
-        return exact(flat, offsets)
+    def counting(headers, prow, pcls, counts):
+        calls.append(len(headers))
+        return exact(headers, prow, pcls, counts)
 
     monkeypatch.setattr(refine_module, "_intern_exact", counting)
     return calls
@@ -422,7 +422,7 @@ def test_small_rounds_keep_the_vectorized_history(grade, monkeypatch):
 @pytest.mark.parametrize("grade", [1, 2, math.inf])
 def test_class_ids_do_not_depend_on_the_grouping_path(grade, monkeypatch):
     # class ids, parents and counts are the same when every round falls
-    # back to the exact row sort, and when every round is vectorized
+    # back to exact interning, and when every round is vectorized
     rng = np.random.default_rng(95)
     for i in range(60):
         n = int(50 * 60 ** rng.random())            # 50 to 3,000 nodes

@@ -36,9 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graph import ColoredMultigraph, intern_colors
+from .graph import INF, ColoredMultigraph, intern_colors
 from .problem import LOSS_KINDS, CompressedProblem, TrainingSet
-from .refine import INF
 
 SCHEMA_VERSION = 1
 

@@ -14,7 +14,7 @@ first occurrence, which is ascending neighbor id, and all arithmetic is
 float64.
 
 At a finite width, rows are grouped by a 64-bit key that chains their
-uint64 bit patterns through refinement's splitmix64 finalizer; one sort
+uint64 bit patterns through graph._hash_step, a splitmix64 step; one sort
 of the keys groups them. The grouping is exact, not probabilistic: equal
 rows always get equal keys, and every row is then compared bit for bit
 with the first row of its group. Any mismatch, which takes a hash
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColoredMultigraph, _count_runs, intern_colors
-from .refine import _HASH_MULTIPLIERS, INF, _check_extent, _group_keys, _mix
+from .graph import (INF, ColoredMultigraph, _check_extent, _count_runs, _group_keys,
+                    _hash_step, intern_colors)
 
 AGG_KINDS = ("sum", "mean", "max")
 ACTIVATIONS = ("relu", "identity")
@@ -130,19 +130,17 @@ def _row_labels(x: np.ndarray) -> np.ndarray:
     """Labels of the rows of the float64 matrix x, equal labels <=> equal
     bits; each label is below len(x).
 
-    A row's key chains its uint64 bit patterns through the splitmix64
-    finalizer, and one sort of the keys groups the rows. Equal rows get
-    equal keys, so only rows that share a key can be wrongly grouped: each
-    is compared with the first row of its group, bit for bit. On any
-    mismatch each row's bit patterns are interned as a tuple of ints instead.
+    A row's key chains its uint64 bit patterns through _hash_step, and one
+    sort of the keys groups the rows. Equal rows get equal keys, so only
+    rows that share a key can be wrongly grouped: each is compared with the
+    first row of its group, bit for bit. On any mismatch each row's bit
+    patterns are interned as a tuple of ints instead.
     """
     bits = np.ascontiguousarray(x).view(np.uint64)
     key = np.zeros(len(bits), dtype=np.uint64)
     tmp = np.empty_like(key)
     for column in bits.T:
-        key *= _HASH_MULTIPLIERS[0]
-        key += column
-        _mix(key, tmp)
+        _hash_step(key, column, key, tmp)
     labels, lead = _group_keys(key)
     if lead is None or np.array_equal(bits[lead], bits):
         return labels

@@ -8,6 +8,12 @@ reduction) are both O(1) to slice. Graphs are immutable after
 construction and safe to share across threads, by convention only: the
 arrays stay writeable, since np.take and np.bincount copy a read-only
 index array first, which slowed every training epoch.
+
+This module is also the one home of the array kernels that more than one
+module uses: _count_runs (sort, sum each run, cap), _hash_step (the
+splitmix64 row hash, the only reader of _HASH_MULTIPLIERS), _group_keys,
+_sorted_distinct, _ranges, _row_of_entry, intern_colors (exact interning)
+and _check_extent with INF.
 """
 
 from __future__ import annotations
@@ -23,6 +29,20 @@ from .errors import FormatError, ValidationError
 # Largest multiplicity we accept; sums beyond this raise instead of wrapping.
 _MULT_LIMIT = 2**62
 _OVERFLOW_MESSAGE = "multiplicity overflow: a summed count reaches 2**62"
+
+INF = math.inf
+
+# Multipliers of the row hash: an odd constant that spreads class ids or
+# bit patterns, then the two of the splitmix64 finalizer.
+_HASH_MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+                     np.uint64(0x94D049BB133111EB))
+
+
+def _check_extent(x, name: str, minimum: int) -> None:
+    """Raise ValueError unless x is inf or an integer >= minimum (0 or 1)."""
+    if not (math.isinf(x) or (float(x).is_integer() and x >= minimum)):
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer or inf, got {x!r}")
 
 
 def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=None,
@@ -40,8 +60,9 @@ def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=Non
     ``scratch``, an int64 array of shape (2, >= len(keys)), receives the
     sorted keys and weights, so that a caller counting round after round
     reuses them instead of having the allocator map them afresh each
-    time. The keys may be held in scratch[1]: they are read before the
-    weights are written. The returned arrays never share its memory.
+    time; without one, it allocates its own. The keys may be held in
+    scratch[1]: they are read before the weights are written. The returned
+    arrays never share its memory.
 
     The sort stays stable (timsort): the keys of refinement and
     aggregation arrive grouped by row, with each row's keys ascending or
@@ -50,11 +71,10 @@ def _count_runs(keys: np.ndarray, weights: np.ndarray, cap=math.inf, scratch=Non
     """
     order = np.argsort(keys, kind="stable")
     if scratch is None:
-        sorted_keys, w = keys[order], weights[order]
-    else:
-        # mode="clip" writes straight into out; order is always in range
-        sorted_keys = np.take(keys, order, out=scratch[0, :len(keys)], mode="clip")
-        w = np.take(weights, order, out=scratch[1, :len(keys)], mode="clip")
+        scratch = np.empty((2, len(keys)), dtype=np.int64)
+    # mode="clip" writes straight into out; order is always in range
+    sorted_keys = np.take(keys, order, out=scratch[0, :len(keys)], mode="clip")
+    w = np.take(weights, order, out=scratch[1, :len(keys)], mode="clip")
     new_run = np.ones(len(keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
@@ -81,6 +101,46 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     keep = np.ones(len(x), dtype=bool)
     np.not_equal(x[1:], x[:-1], out=keep[1:])
     return x[keep]
+
+
+def _hash_step(a: np.ndarray, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = splitmix64(a * spread + b), wrapping, over uint64 values, and
+    returns out; out may be a, and tmp is a work array of out's length.
+    The finalizer is a bijection, so chaining steps keys a row by all of
+    its values, and equal inputs always give equal keys."""
+    spread, m1, m2 = _HASH_MULTIPLIERS
+    np.multiply(a, spread, out=out)
+    out += b
+    for shift, mul in ((30, m1), (27, m2), (31, None)):
+        np.right_shift(out, shift, out=tmp)
+        out ^= tmp
+        if mul is not None:
+            out *= mul
+    return out
+
+
+def _group_keys(key: np.ndarray):
+    """Group equal uint64 keys with one sort. Returns dense labels, equal
+    labels <=> equal keys, numbered in key order, and the index of the
+    first entry of each entry's group, or None when no two keys are equal."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    labels = np.empty(len(key), dtype=np.int64)
+    labels[order] = group
+    if first.all():
+        return labels, None
+    return labels, order[first][labels]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over parallel starts and lengths."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _row_of_entry(indptr: np.ndarray) -> np.ndarray:

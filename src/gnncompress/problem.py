@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .gnn import Gnn, GnnConfig, _aggregate, forward, sample_gnn
-from .graph import ColoredMultigraph, _count_runs
-from .refine import INF, refine
+from .graph import INF, ColoredMultigraph, _count_runs
+from .refine import refine
 from .reduction import choose_substitution, reduce_graph
 
 LOSS_KINDS = ("xent", "sq")
@@ -355,11 +355,14 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
     per-node output discrepancy max_v |L(G)(v) - L(G')(rep(v))|_inf over
     all samples. When the hypothesis is deeper or wider than the
     compression, equality is not guaranteed and the report is flagged
-    approximate.
+    approximate. An n_gnns below 1 is a ValueError: a report of no samples
+    would pass any compression.
     """
     config = problem.hypothesis
     if config is None:
         raise ValueError("no hypothesis config available")
+    if n_gnns < 1:
+        raise ValueError(f"n_gnns must be >= 1, got {n_gnns}")
     approximate = config.depth > cp.depth or config.width > cp.grade
     note = ""
     if config.width > cp.grade:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _MULT_LIMIT, ColoredMultigraph, _count_runs, _sorted_distinct, intern_colors
-from .refine import INF, Partition, _check_extent, _ranges, refine
+from .graph import (_MULT_LIMIT, INF, ColoredMultigraph, _check_extent, _count_runs, _ranges,
+                    _sorted_distinct, intern_colors)
+from .refine import Partition, refine
 
 POLICIES = ("min-incidence", "first-node")
 

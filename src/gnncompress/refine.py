@@ -8,10 +8,11 @@ bisimulation).
 `refine` works from a dirty frontier: after round 1, a round re-signs
 only the out-neighbors of the nodes that changed class in the round
 before, so its cost follows the in-edges of that frontier rather than
-the whole graph. A frontier of at most _SMALL_ROUND nodes is signed in
-plain Python, since a vectorized round costs a fixed sum of numpy calls
-however few nodes it signs; the cutoff is where the two cost the same,
-and both give the same class ids. `refine` keeps no per-round
+the whole graph. A node alone in its class is not re-signed, as a class
+of one node cannot split. A frontier of at most _SMALL_ROUND nodes is
+signed in plain Python, since a vectorized round costs a fixed sum of
+numpy calls however few nodes it signs; the cutoff is where the two cost
+the same, and both give the same class ids. `refine` keeps no per-round
 partitions, only a split history of at most 2n entries. Canonical class
 ids (first occurrence by ascending node id) are derived for a round when
 its partition is asked for, so partitions, bundles and CLI outputs stay
@@ -36,17 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import (_MULT_LIMIT, _OVERFLOW_MESSAGE, ColoredMultigraph, _count_runs,
-                    _sorted_distinct, intern_colors)
-
-INF = math.inf
-
-
-def _check_extent(x, name: str, minimum: int) -> None:
-    """Raise ValueError unless x is inf or an integer >= minimum (0 or 1)."""
-    if not (math.isinf(x) or (float(x).is_integer() and x >= minimum)):
-        kind = "positive" if minimum else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer or inf, got {x!r}")
+from .graph import (_MULT_LIMIT, _OVERFLOW_MESSAGE, INF, ColoredMultigraph, _check_extent,
+                    _count_runs, _group_keys, _hash_step, _ranges, _sorted_distinct,
+                    intern_colors)
 
 
 @dataclass
@@ -72,13 +65,6 @@ def canonical_partition(labels, round: int = 0) -> Partition:
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(first))
     return Partition(rank[inverse], round)
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + l) over parallel starts and lengths."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _signatures(g: ColoredMultigraph, class_of: np.ndarray, k: int, nodes, grade,
@@ -133,53 +119,18 @@ def _intern_exact(headers, prow, pcls, counts) -> np.ndarray:
     return intern_colors(rows)[0]
 
 
-# Multipliers of the signature hash: an odd constant that spreads class
-# ids, then the two of the splitmix64 finalizer.
-_HASH_MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
-                     np.uint64(0x94D049BB133111EB))
-
-
-def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
-    """Scramble the uint64 values x in place with the splitmix64
-    finalizer, a bijection; tmp is a work array of x's length."""
-    _, m1, m2 = _HASH_MULTIPLIERS
-    for shift, mul in ((30, m1), (27, m2), (31, None)):
-        np.right_shift(x, shift, out=tmp)
-        x ^= tmp
-        if mul is not None:
-            x *= mul
-
-
-def _group_keys(key: np.ndarray):
-    """Group equal uint64 keys with one sort. Returns dense labels, equal
-    labels <=> equal keys, numbered in key order, and the index of the
-    first entry of each entry's group, or None when no two keys are equal."""
-    order = np.argsort(key)
-    sorted_key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    group = np.cumsum(first)
-    group -= 1
-    labels = np.empty(len(key), dtype=np.int64)
-    labels[order] = group
-    if first.all():
-        return labels, None
-    return labels, order[first][labels]
-
-
 def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
     """Dense labels of the signature rows of _signatures, equal labels <=>
     equal rows, by hashing each row and checking every hash exactly.
 
-    A row's key is its mixed header plus the wrapping sum of its mixed
-    (class, count) pairs; one sort of the keys groups the rows. Equal rows
-    get equal keys, so only rows that share a key can be wrongly grouped:
-    each is compared with the first row of its group, header, pair count
-    and every pair. On any mismatch the rows are interned by _intern_exact
-    instead. ``scratch`` is an int64 array of shape (2, > len(prow)); its
-    contents are overwritten.
+    A row's key is its hashed header plus the wrapping sum of its hashed
+    (class, count) pairs (_hash_step); one sort of the keys groups the
+    rows. Equal rows get equal keys, so only rows that share a key can be
+    wrongly grouped: each is compared with the first row of its group,
+    header, pair count and every pair. On any mismatch the rows are
+    interned by _intern_exact instead. ``scratch`` is an int64 array of
+    shape (2, > len(prow)); its contents are overwritten.
     """
-    spread = _HASH_MULTIPLIERS[0]
     rows, pairs = len(headers), len(prow)
     lengths = np.bincount(prow, minlength=rows)
     offsets = np.zeros(rows + 1, dtype=np.int64)
@@ -188,17 +139,13 @@ def _intern_hashed(headers, prow, pcls, counts, scratch) -> np.ndarray:
     # Pair hashes after a leading 0, then their running sum: a row's sum
     # is the difference of the running sum at its two offsets.
     run = scratch[0, :pairs + 1].view(np.uint64)
-    mixed = run[1:]
-    np.multiply(pcls.view(np.uint64), spread, out=mixed)
-    mixed += counts.view(np.uint64)
-    _mix(mixed, scratch[1, :pairs].view(np.uint64))
+    _hash_step(pcls.view(np.uint64), counts.view(np.uint64), run[1:],
+               scratch[1, :pairs].view(np.uint64))
     run[0] = 0
     np.cumsum(run, out=run)
     key = run[offsets[1:]]
     key -= run[offsets[:-1]]
-    head = np.multiply(headers.view(np.uint64), spread)
-    _mix(head, np.empty_like(head))
-    key += head
+    key += _hash_step(headers.view(np.uint64), 0, np.empty_like(key), np.empty_like(key))
 
     labels, lead = _group_keys(key)
     if lead is None:
@@ -341,8 +288,10 @@ class _Refiner:
         cls, size, best, n = self.cls, self.size, self.best, self.g.node_count
         if dirty is not None and 2 * len(dirty) > n:
             dirty = None    # re-signing every node costs less than gathering most
-        if dirty is not None and len(dirty) <= _SMALL_ROUND:
-            return self._small_round(dirty)
+        if dirty is not None:
+            if len(dirty) <= _SMALL_ROUND:
+                return self._small_round(dirty)
+            dirty = dirty[size[cls[dirty]] > 1]     # a class of one node cannot split
         rows = _signatures(self.g, cls, max(self.k, 1), dirty, self.grade, self.scratch)
         if dirty is None:
             dirty = np.arange(n, dtype=np.int64)
@@ -391,6 +340,11 @@ class _Refiner:
         groups: dict[tuple, list[int]] = {}     # in first-occurrence order
         for v, c, lo, hi in zip(dirty.tolist(), cls[dirty].tolist(),
                                 g.in_indptr[dirty].tolist(), g.in_indptr[dirty + 1].tolist()):
+            # A class of one node cannot split. Only nodes of in-degree 2 or
+            # more look the size up: a path's nodes, of in-degree 1, sign
+            # cheaply, and on chains-inf the lookup for each cost 2% of refine.
+            if hi - lo > 1 and size[c] == 1:
+                continue
             sums: dict[int, int] = {}
             for b, m in zip(cls[src[lo:hi]].tolist(), mult[lo:hi].tolist()):
                 sums[b] = sums.get(b, 0) + m

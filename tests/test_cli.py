@@ -651,6 +651,16 @@ def test_undecodable_files_are_format_errors(fig1_files, capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_undecodable_color_file_of_well_formed_lines(fig1_files, capsys):
+    # one tab per line passes the whole-file color reader's shape check, so
+    # its UTF-8 check declines and the per-line parser reports the byte
+    g, c, _ = fig1_files
+    c.write_bytes(c.read_bytes().replace(b"\ta\n", b"\ta\xff\n", 1))
+    code, _, err = run(capsys, "refine", "--graph", g, "--colors", c, "--depth", "1")
+    assert code == 2
+    assert err.startswith(f"error: {c}: 'utf-8' codec can't decode byte 0xff"), err
+
+
 def test_unwritable_outputs_are_errors(fig1_files, capsys, tmp_path):
     g, c, _ = fig1_files
     afile = tmp_path / "afile"

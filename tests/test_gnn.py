@@ -13,7 +13,7 @@ from gnncompress.graph import ColoredMultigraph
 from conftest import class_members, random_graph
 
 gnn_module = importlib.import_module("gnncompress.gnn")
-refine_module = importlib.import_module("gnncompress.refine")
+graph_module = importlib.import_module("gnncompress.graph")
 
 
 def identity_gnn(p):
@@ -106,6 +106,17 @@ def test_zero_layer_config_rejected():
 def test_dims_must_chain():
     with pytest.raises(ValueError):
         GnnConfig((LayerConfig(2, 3), LayerConfig(4, 2)))
+
+
+def test_layer_and_input_checks():
+    for args, message in (((0, 2), "dimensions must be >= 1"), ((2, 0), "dimensions must be >= 1"),
+                          ((2, 2, "min"), "unknown aggregation"),
+                          ((2, 2, "sum", "tanh"), "unknown activation")):
+        with pytest.raises(ValueError, match=message):
+            LayerConfig(*args)
+    g = build_graph([(0, 1, 1)], ["a", "b"])
+    with pytest.raises(ValueError, match="input features must be finite"):
+        forward(g, np.array([[0.0], [math.inf]]), identity_gnn(1))
 
 
 def test_sample_gnn_deterministic():
@@ -394,7 +405,7 @@ def test_feature_shape_mismatch_rejected():
         forward(g, np.zeros((2, 2)), gnn)
 
 
-SPREAD, _, LAST_MULTIPLIER = refine_module._HASH_MULTIPLIERS
+SPREAD, _, LAST_MULTIPLIER = graph_module._HASH_MULTIPLIERS
 # "all": every row key is equal. "some": a first finalizer multiplier of
 # 2**32 keeps only the low 32 bits of (k ^ k >> 30), so 0.0, -0.0 and 2.0
 # collide, and rows that differ only in such values collide too, while
@@ -446,8 +457,7 @@ def test_row_grouping_falls_back_to_exact_on_collisions(width, agg, collide, mon
         cases.append((g, palette[g.colors]))
     unpatched = [_aggregate(g, x, agg, width) for g, x in cases]
     assert not row_grouping["fallbacks"]
-    monkeypatch.setattr(gnn_module, "_HASH_MULTIPLIERS", ROW_COLLISIONS[collide])
-    monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", ROW_COLLISIONS[collide])
+    monkeypatch.setattr(graph_module, "_HASH_MULTIPLIERS", ROW_COLLISIONS[collide])
     row_grouping["keys"].clear()
     patched = [_aggregate(g, x, agg, width) for g, x in cases]
     assert row_grouping["fallbacks"] == [30, 30]

@@ -25,6 +25,11 @@ def test_fig1_in_neighbors(fig1):
     assert (fig1.node_count, fig1.simple_edge_count) == (6, 11)
 
 
+def test_from_edge_arrays_needs_a_color_per_node():
+    with pytest.raises(ValidationError, match="expected 3 colors, got 2"):
+        ColoredMultigraph.from_edge_arrays(3, [0], [1], [1], [0, 0], ("a",))
+
+
 def test_single_node_no_edges():
     g = build_graph([], ["a"])
     assert (g.node_count, g.simple_edge_count) == (1, 0)

@@ -592,3 +592,51 @@ def test_a_problem_that_does_not_compress_shares_its_first_layer_aggregate(monke
         first = problem_module._first_aggregate
         assert (first(problem, gnn) is first(cp, gnn)) == shared, width
         assert len(calls["fill"]) == (1 if shared else 2), width
+
+
+def test_equivalence_report_needs_a_sample():
+    # every node sent to representative 0, whose color half the nodes lack:
+    # two samples see it, and a report of no samples must not pass it
+    g = build_graph([(0, 1, 1), (1, 2, 1), (2, 3, 1)], ["a", "a", "b", "b"])
+    x, _ = one_hot_features(g)
+    p = LearningProblem(g, x, {1: "y", 3: "z"}, "xent", chain_config([2, 2]))
+    cp = compress_problem(p)
+    cp = dataclasses.replace(cp, rep_of_node=np.zeros(4, dtype=np.int64))
+    assert not equivalence_report(p, cp, n_gnns=2).passed
+    for n_gnns in (0, -3):
+        with pytest.raises(ValueError, match="n_gnns must be >= 1"):
+            equivalence_report(p, cp, n_gnns=n_gnns)
+
+
+def test_learning_problem_checks():
+    g = build_graph([(0, 1, 1), (1, 2, 1)], ["a", "b", "b"])
+    x = np.ones((3, 2))
+    bad = [((np.ones(3), {}, "xent", None), "feature matrix must be"),
+           ((np.ones((2, 2)), {}, "xent", None), "feature matrix must be"),
+           ((np.full((3, 2), math.nan), {}, "xent", None), "features must be finite"),
+           ((x, {}, "hinge", None), "unknown loss kind"),
+           ((x, {}, "xent", chain_config([3, 2])), "input dim does not match"),
+           ((x, {0: [1.0, 2.0, 3.0]}, "sq", chain_config([2, 2])),
+            "regression targets have dimension 3, hypothesis outputs 2"),
+           ((x, {0: "u", 1: "v", 2: "w"}, "xent", chain_config([2, 2])),
+            "3 labels exceed hypothesis output dim 2")]
+    for args, message in bad:
+        with pytest.raises(ValidationError, match=message):
+            LearningProblem(g, *args)
+    for train, kind, message in (({0: [1.0], 1: [1.0, 2.0]}, "sq", "mixed dimension: 1 and 2"),
+                                 ({0: 1}, "xent", "must be label tokens")):
+        with pytest.raises(ValidationError, match=message):
+            training_set(train, 3, kind)
+
+
+def test_missing_inputs_are_value_errors():
+    g = build_graph([(0, 1, 1)], ["a", "b"])
+    bare = LearningProblem(g, np.ones((2, 2)), {0: "y"}, "xent")
+    with pytest.raises(ValueError, match="pass depth explicitly"):
+        compress_problem(bare)
+    with pytest.raises(ValueError, match="no hypothesis"):
+        equivalence_report(bare, compress_problem(bare, depth=1))
+    p = fig1_problem({B1: "y"})
+    cp = dataclasses.replace(compress_problem(p), features=None)
+    with pytest.raises(ValueError, match="no feature matrix"):
+        evaluate_compressed_loss(cp, sample_gnn(p.hypothesis, 0))

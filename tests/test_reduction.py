@@ -13,6 +13,11 @@ from conftest import (A1, A2, B1, B3, class_members, iterated_partitions, random
                       random_substitution, star_of_stars)
 
 
+def test_unknown_policy_rejected(fig1, fig1_p1):
+    with pytest.raises(ValueError, match="unknown policy 'random'"):
+        choose_substitution(fig1, fig1_p1, "random")
+
+
 def edge_multiset(red):
     h = red.graph
     return {(int(red.node_ids[s]), int(red.node_ids[d])): int(m)

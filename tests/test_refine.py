@@ -11,12 +11,14 @@ from gnncompress import (GnnConfig, LayerConfig, ValidationError, build_graph,
                          verify_reduct)
 from gnncompress.graph import ColoredMultigraph
 from gnncompress.reduction import incidence_all
-from gnncompress.refine import _SMALL_ROUND, canonical_partition, refine_step
+from gnncompress.refine import (_SMALL_ROUND, RefinementResult, canonical_partition,
+                                refine_step)
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
                       iterated_partitions, partition_blocks, random_graph,
                       refines, same_partition)
 
 refine_module = importlib.import_module("gnncompress.refine")
+graph_module = importlib.import_module("gnncompress.graph")
 
 
 def test_fig1_round1(fig1):
@@ -102,6 +104,15 @@ def test_extent_errors_name_the_extent(fig1):
     for call, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+def test_rounds_and_partitions_must_fit(fig1):
+    with pytest.raises(ValueError, match="partition does not cover the graph"):
+        refine_step(fig1, canonical_partition(fig1.colors[:5]))
+    unstable = RefinementResult(np.zeros(2, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                                [1], None, math.inf)
+    with pytest.raises(ValueError, match="round 1 was not computed"):
+        unstable.at(1)
 
 
 def test_refinement_monotone(fig1):
@@ -317,7 +328,7 @@ def exact_fallbacks(monkeypatch):
     return calls
 
 
-SPLITMIX = refine_module._HASH_MULTIPLIERS[1:]
+SPLITMIX = graph_module._HASH_MULTIPLIERS[1:]
 # "all": every key is equal. "some": keys ignore class ids, in headers and
 # pairs alike, so rows collide when only class ids tell them apart.
 COLLIDING_MULTIPLIERS = {"all": (np.uint64(0),) * 3, "some": (np.uint64(0), *SPLITMIX)}
@@ -333,7 +344,7 @@ def test_hash_collisions_fall_back_to_exact_interning(grade, collide, monkeypatc
         random_graph(1500, 4000, n_colors=2, max_mult=3, seed=81)]
     unpatched = [refine(g, grade=grade) for g in graphs]
     assert not exact_fallbacks
-    monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS[collide])
+    monkeypatch.setattr(graph_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS[collide])
     patched = [refine(g, grade=grade) for g in graphs]
     assert min(exact_fallbacks) < 60 and max(exact_fallbacks) > 1000
     for g, r, plain in zip(graphs, patched, unpatched):
@@ -351,7 +362,7 @@ def test_hash_collisions_fall_back_to_exact_interning(grade, collide, monkeypatc
 def test_hash_check_compares_each_row_in_full(differ, monkeypatch, exact_fallbacks):
     # every key collides, and odd rows differ from even ones in one part
     # only, so only the check of that part can tell them apart
-    monkeypatch.setattr(refine_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"])
+    monkeypatch.setattr(graph_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"])
     for n in (2, 17, 1100):
         odd = np.arange(n) % 2
         lengths = 1 + odd if differ == "pair count" else np.ones(n, dtype=np.int64)
@@ -429,9 +440,10 @@ def test_class_ids_do_not_depend_on_the_grouping_path(grade, monkeypatch):
         g = random_graph(n, int(rng.integers(n // 2, 3 * n)), int(rng.integers(1, 4)),
                          int(rng.integers(1, 4)), seed=950 + i)
         plain = refine(g, grade=grade)
-        for name, value in (("_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"]),
-                            ("_SMALL_ROUND", -1)):
-            monkeypatch.setattr(refine_module, name, value)
+        for module, name, value in (
+                (graph_module, "_HASH_MULTIPLIERS", COLLIDING_MULTIPLIERS["all"]),
+                (refine_module, "_SMALL_ROUND", -1)):
+            monkeypatch.setattr(module, name, value)
             r = refine(g, grade=grade)
             monkeypatch.undo()
             assert np.array_equal(r.cls, plain.cls), (i, name)
@@ -499,3 +511,31 @@ def test_long_path_signs_with_numpy_only_in_round_one(monkeypatch):
     monkeypatch.setattr(refine_module, "_signatures", counting)
     assert refine(directed_path(3000)).stable_round == 2999
     assert len(calls) == 1 and calls[0] is None
+
+
+class InEdgeReads(np.ndarray):
+    """An in_src array that logs the positions each indexing of it reads."""
+
+    def __getitem__(self, key):
+        self.reads.append(np.arange(len(self))[key])
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("cutoff", [_SMALL_ROUND, -1], ids=["small", "vectorized"])
+def test_singleton_classes_are_not_re_signed(cutoff, monkeypatch):
+    # A directed path 0 -> ... -> n - 1 plus an edge from every path node to
+    # the hub n. Round 1 gives the hub a class of its own, and every later
+    # frontier holds it; a class of one node cannot split, so the hub's
+    # in-edges are read by round 1 alone, which reads every in-edge.
+    n = 100
+    g = build_graph([(i, i + 1, 1) for i in range(n - 1)] + [(i, n, 1) for i in range(n)],
+                    ["a"] * (n + 1))
+    spy = g.in_src.view(InEdgeReads)
+    spy.reads = []
+    g.in_src = spy
+    monkeypatch.setattr(refine_module, "_SMALL_ROUND", cutoff)
+    r = refine(g)
+    hub_reads = [read for read in spy.reads if g.in_indptr[n] in read]
+    assert [len(read) for read in hub_reads] == [len(spy)]
+    parts, stable = iterated_partitions(g)
+    assert r.class_counts == [p.num_classes for p in parts] and r.stable_round == stable

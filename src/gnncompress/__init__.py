@@ -8,8 +8,7 @@ loss-equivalent to the original.
 """
 
 from .errors import FormatError, ValidationError
-from .gnn import (Gnn, GnnConfig, LayerConfig, chain_config, forward,
-                  one_hot_features, sample_gnn)
+from .gnn import Gnn, GnnConfig, chain_config, forward, one_hot_features, sample_gnn
 from .graph import ColoredMultigraph, build_graph
 from .problem import (LearningProblem, compress_problem, equivalence_report,
                       evaluate_compressed_loss, evaluate_loss)
@@ -23,7 +22,6 @@ __all__ = [
     "FormatError",
     "Gnn",
     "GnnConfig",
-    "LayerConfig",
     "LearningProblem",
     "Partition",
     "ValidationError",

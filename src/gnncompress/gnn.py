@@ -2,7 +2,8 @@
 
 Every layer aggregates the feature vectors of a node's in-neighbors
 (multiplicity-weighted) and combines the result with the node's own
-feature through one affine map plus activation. A finite width c caps
+feature through one affine map. One aggregation kind serves every layer,
+and relu follows every layer but the last. A finite width c caps
 how often the aggregation counts each distinct neighbor *vector* (rows
 compared by their bytes): the multiset of vectors is restricted to at
 most c copies per value before aggregating, so evaluation is invariant
@@ -43,59 +44,42 @@ from .graph import (INF, ColoredMultigraph, _check_extent, _count_runs, _group_k
                     _hash_step, intern_colors)
 
 AGG_KINDS = ("sum", "mean", "max")
-ACTIVATIONS = ("relu", "identity")
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    in_dim: int
-    out_dim: int
-    agg: str = "sum"
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dimensions must be >= 1")
-        if self.agg not in AGG_KINDS:
-            raise ValueError(f"unknown aggregation {self.agg!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
 class GnnConfig:
-    """Topology of a GNN: layer shapes plus the aggregation width."""
+    """Topology of a GNN: dims[0] is the input width, then each layer's
+    output width; one aggregation kind and one width serve every layer,
+    and relu follows every layer but the last."""
 
-    layers: tuple[LayerConfig, ...]
+    dims: tuple[int, ...]
     width: float = INF
+    agg: str = "sum"
 
     def __post_init__(self):
-        if len(self.layers) == 0:
+        if len(self.dims) < 2:
             raise ValueError("a GNN needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError(
-                    f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
+        if min(self.dims) < 1:
+            raise ValueError("layer dimensions must be >= 1")
+        if self.agg not in AGG_KINDS:
+            raise ValueError(f"unknown aggregation {self.agg!r}")
         _check_extent(self.width, "width", 1)
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.dims) - 1
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.dims[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
 
 def chain_config(dims: list[int], width=INF, agg: str = "sum") -> GnnConfig:
-    """Convenience builder: relu between layers, identity on the last."""
-    shapes = list(zip(dims, dims[1:], ["relu"] * (len(dims) - 2) + ["identity"]))
-    made = {s: LayerConfig(s[0], s[1], agg, s[2]) for s in dict.fromkeys(shapes)}  # one per shape
-    return GnnConfig(tuple(map(made.__getitem__, shapes)), width)
+    return GnnConfig(tuple(dims), width, agg)
 
 
 @dataclass
@@ -112,8 +96,7 @@ class Gnn:
         L = self.config.depth
         if not (len(self.w_self) == len(self.w_agg) == len(self.bias) == L):
             raise ValueError("parameter count does not match layer count")
-        for i, layer in enumerate(self.config.layers):
-            q, p = layer.out_dim, layer.in_dim
+        for i, (p, q) in enumerate(zip(self.config.dims, self.config.dims[1:])):
             if self.w_self[i].shape != (q, p):
                 raise ValueError(f"layer {i}: W_self shape {self.w_self[i].shape} != {(q, p)}")
             if self.w_agg[i].shape != (q, p):
@@ -194,13 +177,14 @@ def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn,
             first: np.ndarray | None = None) -> np.ndarray:
     """Compose all layers over the graph; returns the final feature matrix.
 
-    Each layer computes activation(W_self·x[v] + W_agg·agg(in-neighbors)
-    + bias). Empty in-neighborhoods aggregate to the zero vector for all
-    three aggregation kinds.
+    Each layer computes W_self·x[v] + W_agg·agg(in-neighbors) + bias,
+    with the config's one aggregation kind, and relu follows every layer
+    but the last. Empty in-neighborhoods aggregate to the zero vector for
+    all three aggregation kinds.
 
     ``first``, when given, is layer 0's aggregate of x,
-    ``_aggregate(g, x, agg, width)`` with the first layer's kind and the
-    config's width, and layer 0 uses it instead of aggregating. x takes no
+    ``_aggregate(g, x, agg, width)`` with the config's kind and width,
+    and layer 0 uses it instead of aggregating. x takes no
     parameter, so a caller that evaluates many GNNs on one problem can
     compute it once; forward checks only its shape.
     """
@@ -218,20 +202,19 @@ def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn,
     # multiplicities and a work buffer, one float per in-edge each, then
     # three slots of n x d floats, d the widest layer.
     n, m = g.node_count, len(g.in_src)
-    d = max(max(layer.in_dim, layer.out_dim) for layer in gnn.config.layers)
+    d = max(gnn.config.dims)
     work = np.empty(2 * m + 3 * n * d)
     weights, term = work[:m], work[m:2 * m]
     np.copyto(weights, g.in_mult)
     edges = g.in_dst_flat, g.in_src, weights, term
     slots = work[2 * m:].reshape(3, n * d)
-    last = gnn.config.depth - 1
-    for i, (layer, w_self, w_agg, bias) in enumerate(
-            zip(gnn.config.layers, gnn.w_self, gnn.w_agg, gnn.bias)):
-        p, q = layer.in_dim, layer.out_dim
+    dims, last = gnn.config.dims, gnn.config.depth - 1
+    for i, (p, q, w_self, w_agg, bias) in enumerate(
+            zip(dims, dims[1:], gnn.w_self, gnn.w_agg, gnn.bias)):
         if i == 0 and first is not None:
             agg = first
         else:
-            agg = _aggregate(g, x, layer.agg, gnn.config.width, edges,
+            agg = _aggregate(g, x, gnn.config.agg, gnn.config.width, edges,
                              slots[0, :n * p].reshape(n, p))
         # Slot 0 holds agg, unless it is first; the block keeps its size
         # either way, as allocator thresholds depend on it (see the module
@@ -245,7 +228,7 @@ def forward(g: ColoredMultigraph, x: np.ndarray, gnn: Gnn,
         x = (np.matmul if i == 0 else np.dot)(x, w_self.T, out=out)
         x += np.dot(agg, w_agg.T, out=slots[2 - i % 2, :n * q].reshape(n, q))
         x += bias
-        if layer.activation == "relu":
+        if i < last:
             np.maximum(x, 0.0, out=x)
     return x
 
@@ -256,7 +239,7 @@ def sample_gnn(config: GnnConfig, seed: int) -> Gnn:
     Per layer, in order: W_self, then W_agg, then bias. The same seed
     yields byte-identical parameters on every platform.
     """
-    q_p = [(layer.out_dim, layer.in_dim) for layer in config.layers]
+    q_p = list(zip(config.dims[1:], config.dims))
     # one draw of all parameters gives the values of one draw per array
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, sum(q * (2 * p + 1) for q, p in q_p))
     w_self, w_agg, bias = [], [], []
@@ -269,12 +252,11 @@ def sample_gnn(config: GnnConfig, seed: int) -> Gnn:
     return Gnn(config, w_self, w_agg, bias)
 
 
-def one_hot_features(g: ColoredMultigraph, vocab: list | None = None) -> tuple[np.ndarray, list]:
-    """One-hot encoding of node colors; the default vocabulary is the
-    color payloads in sorted-repr order so it is stable across graphs
-    sharing the same color set."""
-    if vocab is None:
-        vocab = sorted(g.palette, key=repr)
+def one_hot_features(g: ColoredMultigraph) -> tuple[np.ndarray, list]:
+    """One-hot encoding of node colors; the vocabulary is the color
+    payloads in sorted-repr order so it is stable across graphs sharing
+    the same color set."""
+    vocab = sorted(g.palette, key=repr)
     index = {payload: i for i, payload in enumerate(vocab)}
     used, inverse = np.unique(g.colors, return_inverse=True)
     column = np.array([index[g.palette[c]] for c in used.tolist()], dtype=np.int64)

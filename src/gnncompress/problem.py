@@ -310,7 +310,7 @@ def _weighted_loss(loss_kind: str, train: TrainingSet, out: np.ndarray) -> float
 def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np.ndarray:
     """Layer 0's aggregate of owner's features for gnn, the bits forward
     computes, made once per (aggregation kind, width) into owner._first."""
-    key = gnn.config.layers[0].agg, gnn.config.width
+    key = gnn.config.agg, gnn.config.width
     if key not in owner._first:
         owner._first[key] = _read_only(_aggregate(owner.graph, owner.features, *key))
     return owner._first[key]

@@ -222,6 +222,7 @@ class RefinementResult:
         return _Rounds(self)
 
     def _index(self, round) -> int:
+        _check_extent(round, "round", 0)
         if not math.isinf(self.depth) and round > self.depth:
             raise ValueError(f"round {round} beyond requested depth {self.depth}")
         if round < len(self.class_counts):

@@ -651,6 +651,27 @@ def test_undecodable_files_are_format_errors(fig1_files, capsys, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("missing", ["--graph", "--colors", "--train", "graph.tsv",
+                                     "colors.tsv", "map.tsv", "meta.json"])
+def test_missing_files_are_errors_naming_the_path(fig1_files, capsys, tmp_path, missing):
+    # an input file, or a bundle file, that is not there exits 2 and names
+    # its path: the whole-file readers decline and the per-line ones report
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    compress = ["compress", "--graph", g, "--colors", c, "--train", t, "--loss", "xent",
+                "--depth", "1", "--out", bundle]
+    if missing.startswith("--"):
+        path, argv = compress[compress.index(missing) + 1], compress
+    else:
+        assert run(capsys, *compress)[0] == 0
+        path, argv = bundle / missing, ["verify", "--bundle", bundle, "--original", g,
+                                        "--colors", c, "--train", t]
+    path.unlink()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "wrote" not in out
+    assert err.startswith(f"error: {path}: "), err
+
+
 def test_undecodable_color_file_of_well_formed_lines(fig1_files, capsys):
     # one tab per line passes the whole-file color reader's shape check, so
     # its UTF-8 check declines and the per-line parser reports the byte
@@ -763,11 +784,31 @@ def oracle_case(rng, tmp_path):
     return SimpleNamespace(edges=edges, colors=colors, train=train), wl, flags
 
 
+def assert_rounds_match_the_oracle(bundle, tmp_path, inputs, wl, oracle_refine, case):
+    """meta.json's class_counts are the oracle's class counts at rounds 0,
+    1, ..., and its rounds is the round before the one that detected
+    stability or, without one, the requested depth."""
+    meta = json.loads((bundle / "meta.json").read_text())
+    g = load_graph(tmp_path / "g.tsv", tmp_path / "c.tsv" if inputs.colors else None,
+                   wl.undirected).graph
+    in_edges = [list(zip(g.in_src[a:b].tolist(), g.in_mult[a:b].tolist()))
+                for a, b in zip(g.in_indptr[:-1].tolist(), g.in_indptr[1:].tolist())]
+    grade = math.inf if wl.grade == "inf" else int(wl.grade)
+    counts = meta["class_counts"]
+    assert counts == [len(set(oracle_refine(g.node_count, in_edges, g.colors.tolist(), d, grade)))
+                      for d in range(len(counts))], case
+    depth = math.inf if wl.depth == "inf" else int(wl.depth)
+    detected = len(counts) >= 2 and counts[-1] == counts[-2]
+    assert (detected and meta["rounds"] == len(counts) - 2) or \
+        len(counts) - 1 == depth == meta["rounds"], (case, counts, meta["rounds"])
+
+
 def test_oracle_corpus(capsys, tmp_path, monkeypatch):
-    # compress writes the plain-Python oracle's bundle on 300 small seeded
-    # inputs, and verify passes every tenth of them
+    # compress writes the plain-Python oracle's bundle, with its per-round
+    # class counts in meta.json, on 300 small seeded inputs, and verify
+    # passes every tenth of them
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    from oracle import BUNDLE_FILES, expected_bundle
+    from oracle import BUNDLE_FILES, _refine, expected_bundle
 
     rng = np.random.default_rng(2600)
     settings, shapes = set(), set()
@@ -789,6 +830,7 @@ def test_oracle_corpus(capsys, tmp_path, monkeypatch):
         for file in BUNDLE_FILES:
             assert hashlib.sha256((bundle / file).read_bytes()).hexdigest() == \
                 expected[file], (case, file)
+        assert_rounds_match_the_oracle(bundle, tmp_path, inputs, wl, _refine, case)
         if case % 10 == 0:
             graph = flags[flags.index("--graph") + 1:]     # verify names it --original
             code, out, err = run(capsys, "verify", "--bundle", bundle, "--original",

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gnncompress import (Gnn, GnnConfig, LayerConfig, build_graph, chain_config,
+from gnncompress import (Gnn, GnnConfig, build_graph, chain_config,
                          choose_substitution, forward, naive_partition,
                          one_hot_features, reduce_graph, refine, sample_gnn)
 from gnncompress.gnn import _aggregate
@@ -17,12 +17,12 @@ graph_module = importlib.import_module("gnncompress.graph")
 
 
 def identity_gnn(p):
-    cfg = GnnConfig((LayerConfig(p, p, "sum", "identity"),))
+    cfg = chain_config([p, p])
     return Gnn(cfg, [np.eye(p)], [np.zeros((p, p))], [np.zeros(p)])
 
 
 def agg_only_gnn(p, agg="sum", width=math.inf):
-    cfg = GnnConfig((LayerConfig(p, p, agg, "identity"),), width)
+    cfg = chain_config([p, p], width, agg)
     return Gnn(cfg, [np.zeros((p, p))], [np.eye(p)], [np.zeros(p)])
 
 
@@ -45,8 +45,8 @@ def test_star_reduct_matches_uncompressed_star():
     # one hub with 4 distinct leaf nodes == reduct edge of multiplicity 4
     star = build_graph([(i, 4, 1) for i in range(4)], ["c"] * 4 + ["b"])
     compact = build_graph([(0, 1, 4)], ["c", "b"])
-    xs, vocab = one_hot_features(star)
-    xc, _ = one_hot_features(compact, vocab)
+    xs, _ = one_hot_features(star)
+    xc, _ = one_hot_features(compact)
     gnn = agg_only_gnn(2)
     assert np.allclose(forward(star, xs, gnn)[4], forward(compact, xc, gnn)[1])
 
@@ -103,17 +103,21 @@ def test_zero_layer_config_rejected():
         GnnConfig(())
 
 
-def test_dims_must_chain():
-    with pytest.raises(ValueError):
-        GnnConfig((LayerConfig(2, 3), LayerConfig(4, 2)))
+def test_a_config_is_its_dims_one_aggregation_and_a_width():
+    config = chain_config([3, 5, 2], 2, "mean")
+    assert (config.dims, config.width, config.agg) == ((3, 5, 2), 2, "mean")
+    assert (config.depth, config.input_dim, config.output_dim) == (2, 3, 2)
+    with pytest.raises(ValueError, match="at least one layer"):
+        chain_config([3])
 
 
 def test_layer_and_input_checks():
-    for args, message in (((0, 2), "dimensions must be >= 1"), ((2, 0), "dimensions must be >= 1"),
-                          ((2, 2, "min"), "unknown aggregation"),
-                          ((2, 2, "sum", "tanh"), "unknown activation")):
+    for dims, agg, message in (([0, 2], "sum", "dimensions must be >= 1"),
+                               ([2, 0], "sum", "dimensions must be >= 1"),
+                               ([2, 3, 0, 2], "sum", "dimensions must be >= 1"),
+                               ([2, 2], "min", "unknown aggregation")):
         with pytest.raises(ValueError, match=message):
-            LayerConfig(*args)
+            chain_config(dims, agg=agg)
     g = build_graph([(0, 1, 1)], ["a", "b"])
     with pytest.raises(ValueError, match="input features must be finite"):
         forward(g, np.array([[0.0], [math.inf]]), identity_gnn(1))
@@ -176,8 +180,8 @@ def test_reduct_outputs_match_per_node():
         d = 1 + trial % 3
         part = refine(g, depth=d).at(d)
         red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
-        x, vocab = one_hot_features(g)
-        xr, _ = one_hot_features(red.graph, vocab)
+        x, _ = one_hot_features(g)
+        xr = x[red.node_ids]
         gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1)), seed=trial)
         out_g = forward(g, x, gnn)
         out_h = forward(red.graph, xr, gnn)
@@ -249,13 +253,13 @@ def per_edge_aggregate(g, x, kind):
 
 def reference_forward(g, x, gnn):
     width = gnn.config.width
-    for i, layer in enumerate(gnn.config.layers):
+    for i in range(gnn.config.depth):
         if math.isinf(width):
-            agg = per_edge_aggregate(g, x, layer.agg)
+            agg = per_edge_aggregate(g, x, gnn.config.agg)
         else:
-            agg = reference_aggregate(g, x, layer.agg, width)
+            agg = reference_aggregate(g, x, gnn.config.agg, width)
         x = x @ gnn.w_self[i].T + agg @ gnn.w_agg[i].T + gnn.bias[i]
-        if layer.activation == "relu":
+        if i < gnn.config.depth - 1:
             x = np.maximum(x, 0.0)
     return x
 
@@ -278,9 +282,9 @@ def verify_shaped_cases(agg, width):
     yield g, one_hot, sample_gnn(chain_config([3, 5, 1], width=width, agg=agg), seed=3)
     # a bias lowered by 1 makes relu zero most hidden features
     shifted = Gnn(gnn.config, gnn.w_self, gnn.w_agg, [gnn.bias[0] - 1.0, gnn.bias[1]])
-    first = Gnn(GnnConfig(gnn.config.layers[:1], width), gnn.w_self[:1], gnn.w_agg[:1],
+    first = Gnn(chain_config(gnn.config.dims[:2], width, agg), gnn.w_self[:1], gnn.w_agg[:1],
                 shifted.bias[:1])
-    hidden = forward(g, one_hot, first)
+    hidden = np.maximum(forward(g, one_hot, first), 0.0)    # relu, as the first of a chain
     assert 0 < (hidden == 0).sum() < hidden.size
     yield g, one_hot, shifted
     wide = rng.normal(size=(3, 5))[g.colors]
@@ -475,8 +479,7 @@ def per_array_draws(config, seed):
     bias per layer: the reference for its single draw."""
     rng = np.random.default_rng(seed)
     arrays = []
-    for layer in config.layers:
-        q, p = layer.out_dim, layer.in_dim
+    for p, q in zip(config.dims, config.dims[1:]):
         arrays += [rng.uniform(-1.0, 1.0, (q, p)), rng.uniform(-1.0, 1.0, (q, p)),
                    rng.uniform(-1.0, 1.0, q)]
     return arrays

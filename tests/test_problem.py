@@ -482,7 +482,7 @@ def test_first_layer_aggregates_are_kept_per_kind_and_width(monkeypatch):
                     gnn = sample_gnn(config, i)
                     assert evaluate(owner, gnn).hex() == plain_loss(owner, gnn).hex()
             filled = [] if shared and owner is cp else configs
-            assert calls["fill"] == [(c.layers[0].agg, c.width) for c in filled]
+            assert calls["fill"] == [(c.agg, c.width) for c in filled]
 
 
 def test_problem_features_are_read_only_views():

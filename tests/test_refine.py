@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnncompress import (GnnConfig, LayerConfig, ValidationError, build_graph,
+from gnncompress import (GnnConfig, ValidationError, build_graph,
                          choose_substitution, naive_partition, reduce_graph, refine,
                          verify_reduct)
 from gnncompress.graph import ColoredMultigraph
@@ -97,10 +97,16 @@ def test_extent_errors_name_the_extent(fig1):
               "grade must be a positive integer or inf, got 0"),
              (lambda: naive_partition(fig1, 1, grade=0),
               "grade must be a positive integer or inf, got 0"),
-             (lambda: GnnConfig((LayerConfig(2, 2),), width=0),
+             (lambda: GnnConfig((2, 2), width=0),
               "width must be a positive integer or inf, got 0"),
-             (lambda: GnnConfig((LayerConfig(2, 2),), width=1.5),
-              "width must be a positive integer or inf, got 1.5"))
+             (lambda: GnnConfig((2, 2), width=1.5),
+              "width must be a positive integer or inf, got 1.5"),
+             (lambda: refine(fig1, depth=2).at(-1),
+              "round must be a non-negative integer or inf, got -1"),
+             (lambda: refine(fig1, depth=2).at(1.5),
+              "round must be a non-negative integer or inf, got 1.5"),
+             (lambda: refine(fig1, depth=2).labels(-4),
+              "round must be a non-negative integer or inf, got -4"))
     for call, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()

@@ -49,14 +49,15 @@ AGG_KINDS = ("sum", "mean", "max")
 @dataclass(frozen=True)
 class GnnConfig:
     """Topology of a GNN: dims[0] is the input width, then each layer's
-    output width; one aggregation kind and one width serve every layer,
-    and relu follows every layer but the last."""
+    output width, held as a tuple; one aggregation kind and one width
+    serve every layer, and relu follows every layer but the last."""
 
     dims: tuple[int, ...]
     width: float = INF
     agg: str = "sum"
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
         if len(self.dims) < 2:
             raise ValueError("a GNN needs at least one layer")
         if min(self.dims) < 1:
@@ -79,7 +80,7 @@ class GnnConfig:
 
 
 def chain_config(dims: list[int], width=INF, agg: str = "sum") -> GnnConfig:
-    return GnnConfig(tuple(dims), width, agg)
+    return GnnConfig(dims, width, agg)
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 A problem is a featured graph, a training set with per-node targets, a
 loss kind, and a GNN hypothesis. Compressing refines the graph at the
-hypothesis depth and width, collapses each refinement class onto one
-representative, and pushes the training set forward as integer weights
-on the representatives: the total loss of any GNN from the hypothesis
-space is identical on both problems. Problems and training sets are
-frozen: a changed one is a new one, made with ``dataclasses.replace``.
+hypothesis depth and width, collapses each refinement class onto its
+member of minimal incidence, and pushes the training set forward as
+integer weights on the representatives: the total loss of any GNN within
+that depth and width is identical on both problems, and
+equivalence_report refuses a deeper or wider one. Problems and training
+sets are frozen: a changed one is a new one, made with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ def _read_only(x) -> np.ndarray:
 @dataclass(frozen=True)
 class LearningProblem:
     """Original (uncompressed) node-labelling problem. A {node: target}
-    ``train`` is held as the TrainingSet it converts to.
+    ``train`` is held as the TrainingSet it converts to; a TrainingSet must
+    have 1-D integer columns of one length, nodes below n, target ids below
+    its palette's length and weights of at least 1.
 
     ``features`` is held read-only (``_read_only``), not copied: a write
     through the problem raises, and the array passed in must not change
@@ -132,6 +136,14 @@ class LearningProblem:
             raise ValidationError(f"unknown loss kind {self.loss_kind!r}")
         if not isinstance(self.train, TrainingSet):
             object.__setattr__(self, "train", training_set(self.train, n, self.loss_kind))
+        t = self.train
+        for name, column, lo, hi in (("node", t.nodes, 0, n), ("weight", t.weight, 1, math.inf),
+                                     ("target id", t.target, 0, len(t.palette))):
+            if column.shape != (len(t),) or column.dtype.kind not in "iu":
+                raise ValidationError(f"training {name}s: not 1-D integers of length {len(t)}")
+            bad = np.flatnonzero((column < lo) | (column >= hi))
+            if len(bad):
+                raise ValidationError(f"training {name} {column[bad[0]]} outside [{lo}, {hi})")
         if self.hypothesis is not None:
             if self.hypothesis.input_dim != self.features.shape[1]:
                 raise ValidationError("hypothesis input dim does not match features")
@@ -155,7 +167,9 @@ class CompressedProblem:
     loss_kind is always given, as for a LearningProblem; load_bundle reads
     a bundle's null loss_kind as "xent", the kind it reads train.tsv as.
     class_counts[d] is the number of refinement classes after round d
-    (None when not recorded). original_ids is the input-file id of each
+    (None when not recorded). policy is a record for meta.json:
+    "min-incidence" from compress_problem, or what a loaded bundle's
+    meta.json holds. original_ids is the input-file id of each
     original node; compress_problem records 0, 1, ... features holds the
     original rows of the representatives, read-only as in LearningProblem,
     and the original problem's own array when the reduct keeps every node;
@@ -239,9 +253,9 @@ def _rep_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
     return features[node_ids]
 
 
-def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
-                     depth=None, grade=None) -> CompressedProblem:
-    """Compress a learning problem at (grade, depth).
+def compress_problem(problem: LearningProblem, depth=None, grade=None) -> CompressedProblem:
+    """Compress a learning problem at (grade, depth), each class onto its
+    min-incidence representative (``choose_substitution``).
 
     Defaults come from the hypothesis (its layer count and width); both
     may be overridden, and inf is allowed for either. The training set
@@ -258,7 +272,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
     g = problem.graph
     result = refine(g, depth=depth, grade=grade)
     partition = result.final
-    red = reduce_graph(g, choose_substitution(g, partition, policy), grade)
+    red = reduce_graph(g, choose_substitution(g, partition), grade)
 
     rounds = result.stable_round if result.stable_round is not None else int(depth)
     cp = CompressedProblem(
@@ -266,7 +280,7 @@ def compress_problem(problem: LearningProblem, policy: str = "min-incidence",
         node_ids=red.node_ids,
         rep_of_node=red.rep_index_of_node,
         train=push_forward(problem.train, red.rep_index_of_node),
-        depth=depth, grade=grade, policy=policy,
+        depth=depth, grade=grade, policy="min-incidence",
         loss_kind=problem.loss_kind,
         rounds=rounds,
         class_counts=list(result.class_counts),
@@ -336,8 +350,6 @@ class EquivalenceReport:
     max_loss_discrepancy: float
     max_output_discrepancy: float
     passed: bool
-    approximate: bool
-    note: str = ""
 
 
 def _worse(worst: float, discrepancy: float) -> float:
@@ -353,22 +365,19 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
 
     Reports the worst relative loss discrepancy and the worst relative
     per-node output discrepancy max_v |L(G)(v) - L(G')(rep(v))|_inf over
-    all samples. When the hypothesis is deeper or wider than the
-    compression, equality is not guaranteed and the report is flagged
-    approximate. An n_gnns below 1 is a ValueError: a report of no samples
-    would pass any compression.
+    all samples. A hypothesis deeper or wider than the compression is a
+    ValueError, since equality is guaranteed only within its depth and
+    grade; so is an n_gnns below 1, since a report of no samples would
+    pass any compression.
     """
     config = problem.hypothesis
     if config is None:
         raise ValueError("no hypothesis config available")
     if n_gnns < 1:
         raise ValueError(f"n_gnns must be >= 1, got {n_gnns}")
-    approximate = config.depth > cp.depth or config.width > cp.grade
-    note = ""
-    if config.width > cp.grade:
-        note = "approximate: hypothesis width exceeds compression grade"
-    elif config.depth > cp.depth:
-        note = "approximate: hypothesis depth exceeds compression depth"
+    if config.depth > cp.depth or config.width > cp.grade:
+        raise ValueError(f"hypothesis of depth {config.depth} and width {config.width} "
+                         f"exceeds compression depth {cp.depth} and grade {cp.grade}")
 
     features_h = _rep_rows(problem.features, cp.node_ids)
     max_loss = max_out = 0.0
@@ -385,4 +394,4 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
         max_loss = _worse(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
     passed = max_loss <= tolerance and max_out <= tolerance
-    return EquivalenceReport(max_loss, max_out, passed, approximate, note)
+    return EquivalenceReport(max_loss, max_out, passed)

@@ -5,8 +5,10 @@ as that int64 array: reps[v] is the representative of v, so reps[w] == w
 exactly for the representatives w. The reduct keeps exactly the
 representatives, and the multiplicity of edge v -> w sums the
 multiplicities from all members of v's class into w (capped at the grade c
-when finite). Choosing representatives of minimal incidence yields a
-reduct of minimal size.
+when finite). choose_substitution is the one rule for choosing
+representatives: minimal incidence, which yields a reduct of minimal size.
+Any other substitution is an int64 array built by the caller and passed to
+reduce_graph as it is.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .graph import (_MULT_LIMIT, INF, ColoredMultigraph, _check_extent, _count_r
                     _sorted_distinct, intern_colors)
 from .refine import Partition, refine
 
-POLICIES = ("min-incidence", "first-node")
-
 
 def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
     """Per node, the number of distinct partition classes containing one
@@ -31,22 +31,11 @@ def incidence_all(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
     return np.bincount(_sorted_distinct(key) // k, minlength=g.node_count)
 
 
-def choose_substitution(g: ColoredMultigraph, partition: Partition,
-                        policy: str = "min-incidence") -> np.ndarray:
-    """The representative of every node: per class, the member of least
-    cost, ties going to the smallest node id.
-
-    min-incidence: the cost is the number of distinct in-neighbor classes,
-    which yields a minimal-size reduct. first-node: every cost is 0, so the
-    smallest node id in the class.
-    """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if policy == "min-incidence":
-        cost = incidence_all(g, partition)
-    else:
-        cost = np.zeros(g.node_count, dtype=np.int64)
-    order = np.lexsort((cost, partition.class_of))     # stable: ties by node id
+def choose_substitution(g: ColoredMultigraph, partition: Partition) -> np.ndarray:
+    """The representative of every node: per class, the member with the
+    fewest distinct in-neighbor classes, ties going to the smallest node id.
+    This yields a minimal-size reduct."""
+    order = np.lexsort((incidence_all(g, partition), partition.class_of))  # ties by node id
     ordered = partition.class_of[order]
     first = np.diff(ordered, prepend=-1) != 0           # the head of each class
     rep_of_class = np.empty(partition.num_classes, dtype=np.int64)

@@ -143,6 +143,13 @@ def random_substitution(partition, rng) -> np.ndarray:
     return reps
 
 
+def least_id_substitution(partition) -> np.ndarray:
+    """Each node's least-id class member, as an input to reduce_graph: the
+    representatives of a first-node rule, whose reduct need not be minimal."""
+    _, first, inverse = np.unique(partition.class_of, return_index=True, return_inverse=True)
+    return first[inverse].astype(np.int64)
+
+
 def iterated_partitions(g, depth=math.inf, grade=math.inf):
     """Reference refinement: refine_step from the initial colors, stopping
     after depth rounds or at the first repeated partition. Returns the

@@ -5,6 +5,7 @@ criteria complete. The dataset-backed extended checks are skipped unless
 GNNCOMPRESS_DATASETS points at a directory with the published edge lists.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -19,10 +20,11 @@ from gnncompress import (LearningProblem, build_graph, chain_config,
                          naive_partition, reduce_graph, refine, sample_gnn, verify_reduct,
                          evaluate_compressed_loss, evaluate_loss)
 from gnncompress.fileio import load_graph
+from gnncompress.problem import push_forward
 from gnncompress.reduction import _union_check
 from conftest import (A1, A2, A3, B1, B2, B3, FIG1_COLORS, FIG1_EDGES,
-                      bench_graph, bisimulation_partition, make_corpus,
-                      partition_blocks, random_graph, random_substitution,
+                      bench_graph, bisimulation_partition, least_id_substitution,
+                      make_corpus, partition_blocks, random_graph, random_substitution,
                       refines, same_partition, star_of_stars)
 
 DEPTHS = (1, 2, 3, math.inf)
@@ -70,8 +72,8 @@ def test_criterion_1_worked_example_goldens():
         assert r.stable_round == 2
 
         p1 = r.at(1)
-        red_first = reduce_graph(g, choose_substitution(g, p1, "first-node"))
-        red_min = reduce_graph(g, choose_substitution(g, p1, "min-incidence"))
+        red_first = reduce_graph(g, least_id_substitution(p1))
+        red_min = reduce_graph(g, choose_substitution(g, p1))
         assert set(red_first.node_ids) == {A1, A2, B1}
         assert set(red_min.node_ids) == {A1, A2, B3}
         # Exact multiplicities per the reduction edge rule. The drawn
@@ -91,7 +93,7 @@ def test_criterion_1_worked_example_goldens():
             sg = star_of_stars(m, n)
             for d in (2, 3):
                 part = refine(sg, depth=d).at(d)
-                red = reduce_graph(sg, choose_substitution(sg, part, "min-incidence"))
+                red = reduce_graph(sg, choose_substitution(sg, part))
                 assert (red.graph.node_count, red.graph.simple_edge_count) == (3, 2), (m, n, d)
                 assert sorted(int(x) for x in red.graph.out_mult) == sorted([m, n])
 
@@ -112,8 +114,9 @@ def test_criterion_3_reduct_color_invariance(corpus):
             for d in DEPTHS:
                 for c in GRADES:
                     part = partition_at(refine(g, depth=d, grade=c), d)
-                    for policy in ("min-incidence", "first-node"):
-                        red = reduce_graph(g, choose_substitution(g, part, policy), c)
+                    for policy, reps in (("min-incidence", choose_substitution(g, part)),
+                                         ("first-node", least_id_substitution(part))):
+                        red = reduce_graph(g, reps, c)
                         res = verify_reduct(g, red.graph, red.rep_index_of_node, d, c)
                         assert res.ok, (d, c, policy, res)
                         if math.isinf(d):   # passed on the certificate: refine as well
@@ -157,8 +160,14 @@ def test_criterion_4_loss_equivalence():
     with criterion(4, "compressed loss equals original loss"):
         for i in range(200):
             problem, depth, grade, seed = _random_problem(i)
-            policy = ("min-incidence", "first-node")[i % 2]
-            cp = compress_problem(problem, policy=policy, depth=depth, grade=grade)
+            cp = compress_problem(problem, depth=depth, grade=grade)
+            if i % 2:   # first-node representatives: a reduct that need not be minimal
+                g = problem.graph
+                red = reduce_graph(g, least_id_substitution(refine(g, depth, grade).final), grade)
+                cp = dataclasses.replace(
+                    cp, graph=red.graph, node_ids=red.node_ids,
+                    rep_of_node=red.rep_index_of_node, features=problem.features[red.node_ids],
+                    train=push_forward(problem.train, red.rep_index_of_node))
             total = sum(w for pairs in cp.train_weighted.values() for _, w in pairs)
             assert total == len(problem.train)
             gnn = sample_gnn(problem.hypothesis, seed)
@@ -184,9 +193,9 @@ def test_criterion_5_min_incidence_minimality():
             d = DEPTHS[int(rng.integers(0, 4))]
             c = GRADES[int(rng.integers(0, 4))]
             part = partition_at(refine(g, depth=d, grade=c), d)
-            best = reduce_graph(g, choose_substitution(g, part, "min-incidence"), c)
+            best = reduce_graph(g, choose_substitution(g, part), c)
             best_edges = best.graph.simple_edge_count
-            other = reduce_graph(g, choose_substitution(g, part, "first-node"), c)
+            other = reduce_graph(g, least_id_substitution(part), c)
             assert other.graph.node_count == best.graph.node_count
             assert best_edges <= other.graph.simple_edge_count
             for _ in range(20):
@@ -252,7 +261,7 @@ def test_criterion_8_extended_datasets():
             g = load_graph(road, undirected=True).graph
             n0, m0 = g.node_count, g.simple_edge_count
             part = refine(g, depth=3).at(3)
-            red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
+            red = reduce_graph(g, choose_substitution(g, part))
             n1, m1 = red.graph.node_count, red.graph.simple_edge_count
             assert abs(100 * n1 / n0 - 4) <= 2, f"nodes {100 * n1 / n0:.2f}%"
             assert abs(100 * m1 / m0 - 5) <= 2, f"edges {100 * m1 / m0:.2f}%"
@@ -262,13 +271,13 @@ def test_criterion_8_extended_datasets():
             n0, m0 = g.node_count, g.simple_edge_count
             r3 = refine(g, depth=4)
             part3 = r3.at(3)
-            red3 = reduce_graph(g, choose_substitution(g, part3, "min-incidence"))
+            red3 = reduce_graph(g, choose_substitution(g, part3))
             m_pct = 100 * red3.graph.simple_edge_count / m0
             assert abs(m_pct - 56) <= 2, f"edges {m_pct:.2f}%"
             stable = refine(g).stable_round
             assert stable == 4
             part_inf = refine(g).final
-            red_inf = reduce_graph(g, choose_substitution(g, part_inf, "min-incidence"))
+            red_inf = reduce_graph(g, choose_substitution(g, part_inf))
             n_pct = 100 * red_inf.graph.node_count / n0
             assert abs(n_pct - 36) <= 2, f"nodes {n_pct:.2f}%"
         if not road.exists() and not arxiv.exists():

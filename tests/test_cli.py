@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,14 +11,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gnncompress import (LearningProblem, chain_config, choose_substitution,
+from gnncompress import (LearningProblem, chain_config, choose_substitution, compress_problem,
                          evaluate_compressed_loss, evaluate_loss, one_hot_features,
                          reduce_graph, refine, sample_gnn)
 from gnncompress import cli
 from gnncompress.cli import main
-from gnncompress.fileio import load_bundle, load_graph, read_train
+from gnncompress.fileio import load_bundle, load_graph, read_train, save_bundle
+from gnncompress.problem import push_forward
 from gnncompress.reduction import VerifyResult
-from conftest import FIG1_COLORS, FIG1_EDGES, random_graph
+from conftest import A1, A2, B1, FIG1_COLORS, FIG1_EDGES, least_id_substitution, random_graph
 
 
 @pytest.fixture
@@ -265,15 +268,19 @@ def test_cli_input_errors(fig1_files, capsys, tmp_path):
     assert code == 3 and "endpoint outside colors.tsv" in err
 
 
-def test_verify_grade_one_with_wide_gnns_warns(fig1_files, capsys, tmp_path):
+def test_verify_grade_one_with_wide_gnns_warns(fig1_files, capsys, tmp_path, monkeypatch):
+    # a width above the grade is refused before any check runs
     g, c, t = fig1_files
     bundle = tmp_path / "bundle"
     run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "2",
         "--grade", "1", "--train", t, "--loss", "xent", "--out", bundle)
-    code, out, _ = run(capsys, "verify", "--bundle", bundle, "--original", g,
-                       "--colors", c, "--train", t, "--width", "inf")
-    assert code == 0
-    assert "WARNING" in out and "width exceeds" in out
+    for name in ("verify_reduct", "read_train", "one_hot_features", "equivalence_report"):
+        monkeypatch.setattr(cli, name, None)
+    for width in ("3", "inf"):
+        code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", g,
+                             "--colors", c, "--train", t, "--width", width)
+        assert (code, out) == (3, "")
+        assert err == f"error: --width {width} exceeds the bundle's grade 1\n"
 
 
 @pytest.mark.parametrize("depth,grade", [("2", "2"), ("inf", "inf"), ("inf", "1"),
@@ -883,7 +890,7 @@ def test_stats_rows_match_one_refinement_per_depth(fig1_files, capsys, tmp_path,
     want = ["depth\tnodes\tnodes_pct\tedges\tedges_pct"]
     for token in depths.split(","):
         partition = refine(graph, depth=math.inf if token == "inf" else int(token)).final
-        h = reduce_graph(graph, choose_substitution(graph, partition, "min-incidence")).graph
+        h = reduce_graph(graph, choose_substitution(graph, partition)).graph
         n1, m1 = h.node_count, h.simple_edge_count
         want.append(f"{token}\t{n1}\t{100 * n1 / n0:.2f}\t{m1}\t{100 * m1 / m0:.2f}")
     assert out.splitlines() == want
@@ -911,3 +918,44 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(blocks[0].split("```")[0], {})
     assert "EquivalenceReport(" in capsys.readouterr().out
+
+
+def test_readme_cli_section_names_every_long_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI\n", 1)[1].split("## Library\n", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    defined = {option for parser in commands.choices.values() for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert len(commands.choices) == 4
+    assert documented == defined - {"--help"}
+
+
+def test_first_node_bundle_of_an_older_build_loads_and_verifies(fig1_files, capsys, tmp_path):
+    # An older build could pick least-id representatives and recorded that
+    # as "first-node" in meta.json. The format is schema version 1 still.
+    g, c, t = fig1_files
+    loaded = load_graph(g, c)
+    graph = loaded.graph
+    train = read_train(t, graph.node_count, "xent", loaded.original_ids)
+    cp = compress_problem(LearningProblem(graph, graph.colors[:, None], train, "xent"), depth=1)
+    red = reduce_graph(graph, least_id_substitution(refine(graph, depth=1).final))
+    assert red.node_ids.tolist() == [A1, A2, B1]
+    cp = dataclasses.replace(cp, graph=red.graph, node_ids=red.node_ids,
+                             rep_of_node=red.rep_index_of_node, features=None,
+                             train=push_forward(train, red.rep_index_of_node),
+                             original_ids=loaded.original_ids)
+    old, again = tmp_path / "old", tmp_path / "again"
+    save_bundle(cp, old)
+    text = (old / "meta.json").read_text()
+    assert '"schema_version": 1,' in text and '"policy": "min-incidence",' in text
+    (old / "meta.json").write_text(text.replace('"min-incidence"', '"first-node"'))
+    bundle = load_bundle(old)
+    assert bundle.policy == "first-node" and bundle.node_ids.tolist() == [A1, A2, B1]
+    save_bundle(bundle, again)
+    for name in ("graph.tsv", "colors.tsv", "map.tsv", "train.tsv", "meta.json"):
+        assert (old / name).read_bytes() == (again / name).read_bytes(), name
+    code, out, err = run(capsys, "verify", "--bundle", old, "--original", g, "--colors", c,
+                         "--train", t)
+    assert (code, err) == (0, "") and out.endswith("verification passed\n")

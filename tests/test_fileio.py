@@ -226,7 +226,7 @@ def test_fig1_rho2_bundle_round_trip(tmp_path):
     g = build_graph(FIG1_EDGES, FIG1_COLORS)
     p = LearningProblem(g, np.ones((6, 2)), {3: "y", 4: "y"}, "xent",
                         chain_config([2, 2]))
-    cp = compress_problem(p, policy="min-incidence", depth=1)
+    cp = compress_problem(p, depth=1)
     save_bundle(cp, tmp_path / "b")
     back = load_bundle(tmp_path / "b")
     assert same_compressed(back, cp)

@@ -111,6 +111,14 @@ def test_a_config_is_its_dims_one_aggregation_and_a_width():
         chain_config([3])
 
 
+def test_config_dims_are_a_tuple():
+    config = GnnConfig([3, 2])
+    assert config.dims == (3, 2)
+    assert config == GnnConfig((3, 2)) and hash(config) == hash(GnnConfig((3, 2)))
+    with pytest.raises(AttributeError):
+        config.dims.append(0)
+
+
 def test_layer_and_input_checks():
     for dims, agg, message in (([0, 2], "sum", "dimensions must be >= 1"),
                                ([2, 0], "sum", "dimensions must be >= 1"),
@@ -179,7 +187,7 @@ def test_reduct_outputs_match_per_node():
         g = random_graph(24, 80, n_colors=2, max_mult=2, seed=500 + trial)
         d = 1 + trial % 3
         part = refine(g, depth=d).at(d)
-        red = reduce_graph(g, choose_substitution(g, part, "min-incidence"))
+        red = reduce_graph(g, choose_substitution(g, part))
         x, _ = one_hot_features(g)
         xr = x[red.node_ids]
         gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1)), seed=trial)

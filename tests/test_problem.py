@@ -11,7 +11,7 @@ from gnncompress import (LearningProblem, ValidationError, build_graph,
                          one_hot_features, sample_gnn)
 from gnncompress import gnn as gnn_module
 from gnncompress import problem as problem_module
-from gnncompress.problem import push_forward, training_set
+from gnncompress.problem import TrainingSet, push_forward, training_set
 from conftest import (A1, B1, B2, B3, FIG1_COLORS, FIG1_EDGES, pointwise_loss,
                       random_graph, reference_push_forward)
 
@@ -25,7 +25,7 @@ def fig1_problem(train, loss_kind="xent", dims=(2, 2), width=math.inf, agg="sum"
 
 def test_compress_fig1_weights():
     p = fig1_problem({B1: "y", B2: "y"})
-    cp = compress_problem(p, policy="min-incidence", depth=1)
+    cp = compress_problem(p, depth=1)
     rep_b3 = int(np.flatnonzero(cp.node_ids == B3)[0])
     assert cp.train_weighted == {rep_b3: [("y", 2)]}
     assert sum(w for pairs in cp.train_weighted.values() for _, w in pairs) == 2
@@ -104,6 +104,26 @@ def test_train_node_out_of_range_rejected():
         LearningProblem(g, np.ones((2, 1)), {5: "y"}, "xent")
 
 
+def test_training_set_columns_are_checked_like_a_dict():
+    g = build_graph([(0, 1, 1)], ["a", "a", "a"])
+
+    def problem(node, target, weight):
+        train = TrainingSet(*(np.array(x, ndmin=1) for x in (node, target, weight)), ("y",))
+        return LearningProblem(g, np.ones((3, 1)), train, "xent")
+
+    assert problem(2, 0, 7).train.weight.tolist() == [7]
+    for row, message in (((-1, 0, 1), "training node -1 outside \\[0, 3\\)"),
+                         ((5, 0, 1), "training node 5 outside \\[0, 3\\)"),
+                         ((0, 3, 1), "training target id 3 outside \\[0, 1\\)"),
+                         ((0, 0, 0), "training weight 0 outside \\[1, inf\\)"),
+                         (([0, 1], 0, 1), "weights: not 1-D integers of length 2"),
+                         (([[0]], [[0]], [[1]]), "nodes: not 1-D integers of length 1"),
+                         ((0, 0.5, 1), "target ids: not 1-D integers of length 1"),
+                         ((1.0, 0, 1), "nodes: not 1-D integers of length 1")):
+        with pytest.raises(ValidationError, match=message):
+            problem(*row)
+
+
 def test_evaluate_loss_empty_train_zero():
     p = fig1_problem({})
     loss = evaluate_loss(p, sample_gnn(p.hypothesis, 0))
@@ -121,7 +141,7 @@ def test_squared_loss_zero_on_exact_prediction():
 
 def test_fig1_loss_equality_five_seeds():
     p = fig1_problem({B1: "y", B2: "y"})
-    cp = compress_problem(p, policy="min-incidence")
+    cp = compress_problem(p)
     for seed in range(5):
         gnn = sample_gnn(p.hypothesis, seed)
         a, b = evaluate_loss(p, gnn), evaluate_compressed_loss(cp, gnn)
@@ -164,7 +184,7 @@ def test_equivalence_report_exact_passes():
     p = fig1_problem({B1: "y", B2: "y"})
     cp = compress_problem(p)
     report = equivalence_report(p, cp, n_gnns=5, seed=0)
-    assert report.passed and not report.approximate
+    assert report.passed
 
 
 def test_nonfinite_regression_targets_rejected():
@@ -253,18 +273,16 @@ def test_equivalence_report_fails_on_nan_discrepancy():
 def test_equivalence_report_flags_wider_hypothesis():
     p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 3, 2), width=math.inf)
     cp = compress_problem(p, grade=1)
-    report = equivalence_report(p, cp, n_gnns=5, seed=0)
-    assert report.approximate
-    assert "width exceeds" in report.note
+    with pytest.raises(ValueError, match="width inf exceeds compression depth 2 and grade 1"):
+        equivalence_report(p, cp, n_gnns=5, seed=0)
 
 
 def test_equivalence_report_flags_deeper_hypothesis():
     p = fig1_problem({B1: "y", B2: "y"}, dims=(2, 2, 2, 2))
     cp = compress_problem(p, depth=2)
-    report = equivalence_report(p, cp, n_gnns=2, seed=0)
-    assert report.approximate
-    assert report.note == "approximate: hypothesis depth exceeds compression depth"
-    assert not equivalence_report(p, compress_problem(p, depth=3), n_gnns=2).approximate
+    with pytest.raises(ValueError, match="depth 3 and width inf exceeds compression depth 2"):
+        equivalence_report(p, cp, n_gnns=2, seed=0)
+    assert equivalence_report(p, compress_problem(p, depth=3), n_gnns=2).passed
 
 
 def test_width_one_gnns_pass_on_grade_one_compression():

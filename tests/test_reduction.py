@@ -7,15 +7,10 @@ from gnncompress import (build_graph, choose_substitution,
                          reduce_graph, refine, verify_reduct)
 from gnncompress.errors import ValidationError
 from gnncompress.graph import ColoredMultigraph, intern_colors
-from gnncompress.reduction import (POLICIES, _certificate, _disjoint_union,
-                                   incidence_all)
-from conftest import (A1, A2, B1, B3, class_members, iterated_partitions, random_graph,
-                      random_substitution, star_of_stars)
-
-
-def test_unknown_policy_rejected(fig1, fig1_p1):
-    with pytest.raises(ValueError, match="unknown policy 'random'"):
-        choose_substitution(fig1, fig1_p1, "random")
+from gnncompress.reduction import _certificate, _disjoint_union, incidence_all
+from conftest import (A1, A2, B1, B3, class_members, iterated_partitions,
+                      least_id_substitution, random_graph, random_substitution,
+                      star_of_stars)
 
 
 def edge_multiset(red):
@@ -42,19 +37,18 @@ def test_incidence_no_in_edges():
 
 
 def test_min_incidence_picks_b3(fig1, fig1_p1):
-    reps = choose_substitution(fig1, fig1_p1, "min-incidence")
+    reps = choose_substitution(fig1, fig1_p1)
     assert set(reps.tolist()) == {A1, A2, B3}
 
 
 def test_first_node_is_rho1(fig1, fig1_p1):
-    reps = choose_substitution(fig1, fig1_p1, "first-node")
+    reps = least_id_substitution(fig1_p1)
     assert set(reps.tolist()) == {A1, A2, B1}
 
 
 def test_singleton_classes_keep_sole_member(fig1):
     p = refine(fig1).final  # stable: {a1},{a2,a3},{b1,b2},{b3}
-    for policy in ("min-incidence", "first-node"):
-        reps = choose_substitution(fig1, p, policy)
+    for reps in (choose_substitution(fig1, p), least_id_substitution(p)):
         assert reps[A1] == A1
         assert reps[B3] == B3
 
@@ -78,21 +72,22 @@ def test_representatives_match_per_class_scan():
         members = [m.tolist() for m in class_members(part)]
         want = {"min-incidence": [min(m, key=lambda v: (inc[v], v)) for m in members],
                 "first-node": [min(m) for m in members]}
-        for policy, reps in want.items():
-            got = choose_substitution(g, part, policy)
+        for policy, got in (("min-incidence", choose_substitution(g, part)),
+                            ("first-node", least_id_substitution(part))):
+            reps = want[policy]
             assert got.dtype == np.int64, (i, policy)
             assert got.tolist() == [reps[c] for c in cls], (i, policy)
 
 
 def test_substitution_fixes_representatives(fig1, fig1_p1):
-    reps = choose_substitution(fig1, fig1_p1, "min-incidence")
+    reps = choose_substitution(fig1, fig1_p1)
     assert len(set(reps.tolist())) == fig1_p1.num_classes
     for w in reps:
         assert reps[w] == w
 
 
 def test_reduce_rho1(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "first-node")
+    sub = least_id_substitution(fig1_p1)
     red = reduce_graph(fig1, sub)
     assert set(red.node_ids) == {A1, A2, B1}
     # Figure-consistent reduct per the formal edge rule: inc(a1) = {a2}
@@ -103,7 +98,7 @@ def test_reduce_rho1(fig1, fig1_p1):
 
 
 def test_reduce_rho2(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "min-incidence")
+    sub = choose_substitution(fig1, fig1_p1)
     red = reduce_graph(fig1, sub)
     assert set(red.node_ids) == {A1, A2, B3}
     assert edge_multiset(red) == {
@@ -112,13 +107,13 @@ def test_reduce_rho2(fig1, fig1_p1):
 
 
 def test_rho2_strictly_smaller_non_isomorphic(fig1, fig1_p1):
-    red1 = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "first-node"))
-    red2 = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
+    red1 = reduce_graph(fig1, least_id_substitution(fig1_p1))
+    red2 = reduce_graph(fig1, choose_substitution(fig1, fig1_p1))
     assert red2.graph.simple_edge_count == red1.graph.simple_edge_count - 1
 
 
 def test_colors_preserved(fig1, fig1_p1):
-    red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
+    red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1))
     payloads = [red.graph.color_payload(i) for i in range(3)]
     assert payloads == ["a", "a", "b"]
 
@@ -127,7 +122,7 @@ def test_colors_preserved(fig1, fig1_p1):
 def test_star_of_stars_reduct(m, n):
     g = star_of_stars(m, n)
     part = refine(g, depth=2).at(2)
-    sub = choose_substitution(g, part, "min-incidence")
+    sub = choose_substitution(g, part)
     red = reduce_graph(g, sub)
     assert (red.graph.node_count, red.graph.simple_edge_count) == (3, 2)
     mults = sorted(int(x) for x in red.graph.out_mult)
@@ -135,14 +130,13 @@ def test_star_of_stars_reduct(m, n):
 
 
 def test_verify_reduct_fig1(fig1, fig1_p1):
-    for policy in ("min-incidence", "first-node"):
-        sub = choose_substitution(fig1, fig1_p1, policy)
+    for sub in (choose_substitution(fig1, fig1_p1), least_id_substitution(fig1_p1)):
         red = reduce_graph(fig1, sub)
         assert verify_reduct(fig1, red.graph, red.rep_index_of_node, depth=1).ok
 
 
 def test_verify_reduct_detects_corruption(fig1, fig1_p1):
-    sub = choose_substitution(fig1, fig1_p1, "min-incidence")
+    sub = choose_substitution(fig1, fig1_p1)
     red = reduce_graph(fig1, sub)
     h = red.graph
     h.out_mult = h.out_mult.copy()
@@ -155,7 +149,7 @@ def test_verify_reduct_detects_corruption(fig1, fig1_p1):
 
 
 def test_verify_reduct_rejects_a_bad_rep_map(fig1, fig1_p1):
-    red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1, "min-incidence"))
+    red = reduce_graph(fig1, choose_substitution(fig1, fig1_p1))
     rep = red.rep_index_of_node
     for bad in (rep[:-1], np.append(rep, 0)):
         with pytest.raises(ValueError, match="cover every original node"):
@@ -194,7 +188,7 @@ def test_verify_reduct_matches_colors_by_payload():
 
 def test_stable_reduct_verifies_at_inf(fig1):
     part = refine(fig1).final
-    sub = choose_substitution(fig1, part, "min-incidence")
+    sub = choose_substitution(fig1, part)
     red = reduce_graph(fig1, sub)
     assert verify_reduct(fig1, red.graph, red.rep_index_of_node).ok
 
@@ -205,17 +199,17 @@ def test_policies_agree_in_size_at_stability(fig1):
     for g in graphs:
         part = refine(g).final
         sizes = set()
-        for policy in ("min-incidence", "first-node"):
-            red = reduce_graph(g, choose_substitution(g, part, policy))
+        for reps in (choose_substitution(g, part), least_id_substitution(part)):
+            red = reduce_graph(g, reps)
             sizes.add((red.graph.node_count, red.graph.simple_edge_count))
         assert len(sizes) == 1
 
 
 def test_reduct_idempotent_at_stability(fig1):
     part = refine(fig1).final
-    red = reduce_graph(fig1, choose_substitution(fig1, part, "min-incidence"))
+    red = reduce_graph(fig1, choose_substitution(fig1, part))
     part2 = refine(red.graph).final
-    red2 = reduce_graph(red.graph, choose_substitution(red.graph, part2, "min-incidence"))
+    red2 = reduce_graph(red.graph, choose_substitution(red.graph, part2))
     assert red2.graph.node_count == red.graph.node_count
     assert red2.graph.simple_edge_count == red.graph.simple_edge_count
 
@@ -228,7 +222,7 @@ def test_discrete_partition_reduces_to_self():
     assert part.num_classes == 3
     capped = build_graph([(0, 1, 1), (1, 2, 1)], ["a", "b", "c"])
     for grade, want in ((math.inf, g), (2, g), (1, capped)):
-        red = reduce_graph(g, choose_substitution(g, part, "min-incidence"), grade)
+        red = reduce_graph(g, choose_substitution(g, part), grade)
         assert (red.graph is g) == (want is g)
         assert red.graph == want
         assert np.array_equal(red.node_ids, np.arange(3))
@@ -242,7 +236,7 @@ def test_graded_reduct_caps_multiplicity():
     g = build_graph([(0, 2, 1), (1, 2, 1)], ["a", "a", "b"])
     part = refine(g, depth=1, grade=1).at(1)
     assert part.num_classes == 2  # {0,1}, {2}
-    red = reduce_graph(g, choose_substitution(g, part, "min-incidence"), 1)
+    red = reduce_graph(g, choose_substitution(g, part), 1)
     assert list(red.graph.out_mult) == [1]  # 1+1 capped at grade 1
     assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=1).ok
 
@@ -254,7 +248,7 @@ def test_graded_reduct_caps_before_overflow():
         k = len(mults)
         g = build_graph([(i, k, m) for i, m in enumerate(mults)], ["a"] * k + ["b"])
         part = refine(g, depth=1, grade=2).at(1)
-        red = reduce_graph(g, choose_substitution(g, part, "min-incidence"), 2)
+        red = reduce_graph(g, choose_substitution(g, part), 2)
         assert edge_multiset(red) == {(0, k): 2}
         assert verify_reduct(g, red.graph, red.rep_index_of_node, depth=1, grade=2).ok
 
@@ -267,7 +261,7 @@ def test_random_substitution_construction(fig1, fig1_p1):
 
 
 def test_reduce_graph_rejects_a_bad_substitution_or_grade(fig1, fig1_p1):
-    reps = choose_substitution(fig1, fig1_p1, "min-incidence")
+    reps = choose_substitution(fig1, fig1_p1)
     assert reduce_graph(fig1, reps).graph.node_count == 3
     negative = reps.copy()
     negative[A1] = -1
@@ -432,8 +426,8 @@ def test_certificate_rejects_an_under_split_reduct():
     result = refine(g)
     short = result.at(result.stable_round - 1)
     assert short.num_classes == n - 1
-    for policy in POLICIES:
-        red = reduce_graph(g, choose_substitution(g, short, policy))
+    for reps in (choose_substitution(g, short), least_id_substitution(short)):
+        red = reduce_graph(g, reps)
         assert not _certificate(g, red.graph, red.rep_index_of_node, math.inf)
         res = verify_reduct(g, red.graph, red.rep_index_of_node)
         assert not res.ok

@@ -14,8 +14,8 @@ from gnncompress.reduction import incidence_all
 from gnncompress.refine import (_SMALL_ROUND, RefinementResult, canonical_partition,
                                 refine_step)
 from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
-                      iterated_partitions, partition_blocks, random_graph,
-                      refines, same_partition)
+                      iterated_partitions, least_id_substitution, partition_blocks,
+                      random_graph, refines, same_partition)
 
 refine_module = importlib.import_module("gnncompress.refine")
 graph_module = importlib.import_module("gnncompress.graph")
@@ -216,8 +216,8 @@ def test_empty_graph_refine():
             assert final.class_of.tolist() == classes
             inc = incidence_all(g, final)
             assert (inc.dtype, inc.tolist()) == (np.int64, [0] * n)
-            for policy in ("min-incidence", "first-node"):
-                red = reduce_graph(g, choose_substitution(g, final, policy))
+            for reps in (choose_substitution(g, final), least_id_substitution(final)):
+                red = reduce_graph(g, reps)
                 assert (red.graph.node_count, red.graph.simple_edge_count) == (min(n, 2), 0)
                 assert red.node_ids.tolist() == [0, 1][:n]
                 assert red.rep_index_of_node.tolist() == classes

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .fileio import (_fmt_extent, _format_ints, load_bundle, load_graph, parse_extent,
                      read_train, save_bundle)
-from .gnn import chain_config, one_hot_features
+from .gnn import GnnConfig, one_hot_features
 from .problem import (LOSS_KINDS, LearningProblem, compress_problem, equivalence_report,
                       first_difference, push_forward)
 from .reduction import choose_substitution, reduce_graph, verify_reduct
@@ -83,8 +82,6 @@ def cmd_verify(args) -> int:
         raise FormatError(f"--gnns must be at least 1, got {args.gnns}")
     if args.seed < 0:
         raise FormatError(f"--seed must be non-negative, got {args.seed}")
-    if not 0 <= args.tol < math.inf:
-        raise FormatError(f"--tol must be finite and non-negative, got {args.tol}")
     loaded = load_graph(args.original, args.colors, args.undirected)
     g = loaded.graph
     cp = load_bundle(args.bundle)
@@ -141,11 +138,10 @@ def cmd_verify(args) -> int:
     layers = max(1, cp.rounds)
     palette = cp.train.palette
     q = (len(palette) if cp.loss_kind == "xent" else palette.shape[1]) if cp.train else p_dim
-    config = chain_config([p_dim] * layers + [q], width=width, agg="sum")
+    config = GnnConfig((p_dim,) * layers + (q,), width=width)
 
     problem = LearningProblem(g, features, train, cp.loss_kind, config)
-    report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed,
-                                tolerance=args.tol)
+    report = equivalence_report(problem, cp, n_gnns=args.gnns, seed=args.seed)
     status = "pass" if report.passed else "FAIL"
     print(f"{status} equivalence: {args.gnns} GNNs, "
           f"max loss discrepancy {report.max_loss_discrepancy:.3e}, "
@@ -204,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", default=None)
     p.add_argument("--gnns", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--width", default=None,
                    help="GNN width of the equivalence check: at most the bundle grade (default)")
 

@@ -49,15 +49,19 @@ AGG_KINDS = ("sum", "mean", "max")
 @dataclass(frozen=True)
 class GnnConfig:
     """Topology of a GNN: dims[0] is the input width, then each layer's
-    output width, held as a tuple; one aggregation kind and one width
-    serve every layer, and relu follows every layer but the last."""
+    output width, held as a tuple of Python ints (a bool or a float, even
+    2.0, is refused); one aggregation kind and one width serve every
+    layer, and relu follows every layer but the last."""
 
     dims: tuple[int, ...]
     width: float = INF
     agg: str = "sum"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
+        dims = tuple(self.dims)
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+            raise ValueError(f"layer dimensions must be integers, got {dims}")
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
         if len(self.dims) < 2:
             raise ValueError("a GNN needs at least one layer")
         if min(self.dims) < 1:
@@ -77,10 +81,6 @@ class GnnConfig:
     @property
     def output_dim(self) -> int:
         return self.dims[-1]
-
-
-def chain_config(dims: list[int], width=INF, agg: str = "sum") -> GnnConfig:
-    return GnnConfig(dims, width, agg)
 
 
 @dataclass

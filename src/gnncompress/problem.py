@@ -26,6 +26,7 @@ from .refine import refine
 from .reduction import choose_substitution, reduce_graph
 
 LOSS_KINDS = ("xent", "sq")
+TOLERANCE = 1e-6    # the largest relative discrepancy equivalence_report passes
 
 
 @dataclass(frozen=True)
@@ -330,19 +331,14 @@ def _first_aggregate(owner: LearningProblem | CompressedProblem, gnn: Gnn) -> np
     return owner._first[key]
 
 
-def evaluate_loss(problem: LearningProblem, gnn: Gnn) -> float:
-    """Total training loss of a GNN on the original problem."""
+def evaluate_loss(problem: LearningProblem | CompressedProblem, gnn: Gnn) -> float:
+    """Total training loss of a GNN on a problem, original or compressed:
+    on a compressed one, the weighted sum of the per-target losses at each
+    representative."""
+    if problem.features is None:
+        raise ValueError("compressed problem has no feature matrix")
     out = forward(problem.graph, problem.features, gnn, first=_first_aggregate(problem, gnn))
     return _weighted_loss(problem.loss_kind, problem.train, out)
-
-
-def evaluate_compressed_loss(cp: CompressedProblem, gnn: Gnn) -> float:
-    """Total training loss on the compressed problem: weighted sum of the
-    per-target losses at each representative."""
-    if cp.features is None:
-        raise ValueError("compressed problem has no feature matrix")
-    out = forward(cp.graph, cp.features, gnn, first=_first_aggregate(cp, gnn))
-    return _weighted_loss(cp.loss_kind, cp.train, out)
 
 
 @dataclass
@@ -354,21 +350,20 @@ class EquivalenceReport:
 
 def _worse(worst: float, discrepancy: float) -> float:
     """The larger of two discrepancies; a NaN or infinite one is infinite,
-    so that it fails every tolerance."""
+    so that it fails the tolerance."""
     return max(worst, discrepancy) if math.isfinite(discrepancy) else math.inf
 
 
 def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
-                       n_gnns: int = 5, seed: int = 0,
-                       tolerance: float = 1e-6) -> EquivalenceReport:
+                       n_gnns: int = 5, seed: int = 0) -> EquivalenceReport:
     """Sample GNNs from the hypothesis space and compare both problems.
 
     Reports the worst relative loss discrepancy and the worst relative
     per-node output discrepancy max_v |L(G)(v) - L(G')(rep(v))|_inf over
-    all samples. A hypothesis deeper or wider than the compression is a
-    ValueError, since equality is guaranteed only within its depth and
-    grade; so is an n_gnns below 1, since a report of no samples would
-    pass any compression.
+    all samples; it passes when both are at most TOLERANCE. A hypothesis
+    deeper or wider than the compression is a ValueError, since equality
+    is guaranteed only within its depth and grade; so is an n_gnns below
+    1, since a report of no samples would pass any compression.
     """
     config = problem.hypothesis
     if config is None:
@@ -393,5 +388,5 @@ def equivalence_report(problem: LearningProblem, cp: CompressedProblem,
         loss_h = _weighted_loss(problem.loss_kind, cp.train, out_h)
         max_loss = _worse(max_loss, abs(loss_g - loss_h) / (1.0 + abs(loss_g)))
 
-    passed = max_loss <= tolerance and max_out <= tolerance
+    passed = max_loss <= TOLERANCE and max_out <= TOLERANCE
     return EquivalenceReport(max_loss, max_out, passed)

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnncompress import (LearningProblem, build_graph, chain_config,
+from gnncompress import (GnnConfig, LearningProblem, build_graph,
                          choose_substitution, compress_problem, forward,
                          naive_partition, reduce_graph, refine, sample_gnn, verify_reduct,
-                         evaluate_compressed_loss, evaluate_loss)
+                         evaluate_loss)
 from gnncompress.fileio import load_graph
 from gnncompress.problem import push_forward
 from gnncompress.reduction import _union_check
@@ -151,7 +151,7 @@ def _random_problem(i: int):
         width = int(rng.integers(1, grade + 1))
     agg = ("sum", "mean", "max")[int(rng.integers(0, 3))]
     dims = [p_dim] * gnn_depth + [q]
-    config = chain_config(dims, width=width, agg=agg)
+    config = GnnConfig(dims, width=width, agg=agg)
     problem = LearningProblem(g, feats, train, loss_kind, config)
     return problem, depth, grade, int(rng.integers(0, 2**31))
 
@@ -172,7 +172,7 @@ def test_criterion_4_loss_equivalence():
             assert total == len(problem.train)
             gnn = sample_gnn(problem.hypothesis, seed)
             loss_g = evaluate_loss(problem, gnn)
-            loss_h = evaluate_compressed_loss(cp, gnn)
+            loss_h = evaluate_loss(cp, gnn)
             assert abs(loss_g - loss_h) <= 1e-6 * (1 + abs(loss_g)), \
                 (i, depth, grade, loss_g, loss_h)
             out_g = forward(problem.graph, problem.features, gnn)

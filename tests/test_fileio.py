@@ -12,7 +12,7 @@ from gnncompress import (FormatError, LearningProblem, ValidationError,
 from gnncompress.cli import main
 from gnncompress.fileio import (_BLOCK_ROWS, _format_ints, load_bundle, load_graph,
                                 parse_extent, read_train, save_bundle)
-from gnncompress.gnn import chain_config, one_hot_features
+from gnncompress.gnn import GnnConfig, one_hot_features
 from gnncompress.problem import LOSS_KINDS, TrainingSet
 from conftest import FIG1_COLORS, FIG1_EDGES, random_graph, same_partition, transpose
 
@@ -194,7 +194,7 @@ def make_compressed(seed=0, depth=1, loss="xent"):
                  for v in rng.choice(g.node_count, size=6, replace=False)}
         q = 2
     p = LearningProblem(g, feats, train, loss,
-                        chain_config([feats.shape[1]] * depth + [q]))
+                        GnnConfig([feats.shape[1]] * depth + [q]))
     return compress_problem(p, depth=depth)
 
 
@@ -225,7 +225,7 @@ def test_resaved_bundle_keeps_original_ids(tmp_path):
 def test_fig1_rho2_bundle_round_trip(tmp_path):
     g = build_graph(FIG1_EDGES, FIG1_COLORS)
     p = LearningProblem(g, np.ones((6, 2)), {3: "y", 4: "y"}, "xent",
-                        chain_config([2, 2]))
+                        GnnConfig([2, 2]))
     cp = compress_problem(p, depth=1)
     save_bundle(cp, tmp_path / "b")
     back = load_bundle(tmp_path / "b")
@@ -248,7 +248,7 @@ def test_zero_weight_rejected(tmp_path):
 def test_meta_records_extents(tmp_path):
     import json
     g = build_graph(FIG1_EDGES, FIG1_COLORS)
-    p = LearningProblem(g, np.ones((6, 1)), {}, "xent", chain_config([1, 1]))
+    p = LearningProblem(g, np.ones((6, 1)), {}, "xent", GnnConfig([1, 1]))
     cp = compress_problem(p, depth=3, grade=math.inf)
     save_bundle(cp, tmp_path / "b")
     meta = json.loads((tmp_path / "b" / "meta.json").read_text())
@@ -259,7 +259,7 @@ def test_meta_records_extents(tmp_path):
 def test_meta_records_class_counts(tmp_path):
     import json
     g = build_graph(FIG1_EDGES, FIG1_COLORS)
-    p = LearningProblem(g, np.ones((6, 1)), {}, "xent", chain_config([1, 1]))
+    p = LearningProblem(g, np.ones((6, 1)), {}, "xent", GnnConfig([1, 1]))
     save_bundle(compress_problem(p, depth=math.inf), tmp_path / "b")
     meta_path = tmp_path / "b" / "meta.json"
     meta = json.loads(meta_path.read_text())

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gnncompress import (Gnn, GnnConfig, build_graph, chain_config,
+from gnncompress import (Gnn, GnnConfig, build_graph,
                          choose_substitution, forward, naive_partition,
                          one_hot_features, reduce_graph, refine, sample_gnn)
 from gnncompress.gnn import _aggregate
@@ -17,12 +17,12 @@ graph_module = importlib.import_module("gnncompress.graph")
 
 
 def identity_gnn(p):
-    cfg = chain_config([p, p])
+    cfg = GnnConfig([p, p])
     return Gnn(cfg, [np.eye(p)], [np.zeros((p, p))], [np.zeros(p)])
 
 
 def agg_only_gnn(p, agg="sum", width=math.inf):
-    cfg = chain_config([p, p], width, agg)
+    cfg = GnnConfig([p, p], width, agg)
     return Gnn(cfg, [np.zeros((p, p))], [np.eye(p)], [np.zeros(p)])
 
 
@@ -92,7 +92,7 @@ def test_equivariance_under_relabeling():
     x2 = np.empty_like(x)
     for old, new in enumerate(perm):
         x2[new] = x[old]
-    gnn = sample_gnn(chain_config([2, 3, 2]), seed=11)
+    gnn = sample_gnn(GnnConfig([2, 3, 2]), seed=11)
     out, out2 = forward(g, x, gnn), forward(g2, x2, gnn)
     for old, new in enumerate(perm):
         assert np.allclose(out[old], out2[new])
@@ -104,11 +104,11 @@ def test_zero_layer_config_rejected():
 
 
 def test_a_config_is_its_dims_one_aggregation_and_a_width():
-    config = chain_config([3, 5, 2], 2, "mean")
+    config = GnnConfig([3, 5, 2], 2, "mean")
     assert (config.dims, config.width, config.agg) == ((3, 5, 2), 2, "mean")
     assert (config.depth, config.input_dim, config.output_dim) == (2, 3, 2)
     with pytest.raises(ValueError, match="at least one layer"):
-        chain_config([3])
+        GnnConfig([3])
 
 
 def test_config_dims_are_a_tuple():
@@ -119,20 +119,29 @@ def test_config_dims_are_a_tuple():
         config.dims.append(0)
 
 
+def test_config_dims_are_integers():
+    for dims in ((3, 2.5), (3, 2.0), (3, True), (3, "2")):
+        with pytest.raises(ValueError, match="must be integers"):
+            GnnConfig(dims)
+    config = GnnConfig((np.int64(3), 2))
+    assert config == GnnConfig((3, 2)) and hash(config) == hash(GnnConfig((3, 2)))
+    assert [type(d) for d in config.dims] == [int, int]
+
+
 def test_layer_and_input_checks():
     for dims, agg, message in (([0, 2], "sum", "dimensions must be >= 1"),
                                ([2, 0], "sum", "dimensions must be >= 1"),
                                ([2, 3, 0, 2], "sum", "dimensions must be >= 1"),
                                ([2, 2], "min", "unknown aggregation")):
         with pytest.raises(ValueError, match=message):
-            chain_config(dims, agg=agg)
+            GnnConfig(dims, agg=agg)
     g = build_graph([(0, 1, 1)], ["a", "b"])
     with pytest.raises(ValueError, match="input features must be finite"):
         forward(g, np.array([[0.0], [math.inf]]), identity_gnn(1))
 
 
 def test_sample_gnn_deterministic():
-    cfg = chain_config([4, 16, 16, 3])
+    cfg = GnnConfig([4, 16, 16, 3])
     a, b = sample_gnn(cfg, 0), sample_gnn(cfg, 0)
     for wa, wb in zip(a.w_self, b.w_self):
         assert np.array_equal(wa, wb)
@@ -163,7 +172,7 @@ def test_outputs_match_on_equal_naive_colors():
         g = random_graph(20, 50, n_colors=2, max_mult=2, seed=100 + trial)
         x, _ = one_hot_features(g)
         d = int(rng.integers(1, 4))
-        gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1)), seed=trial)
+        gnn = sample_gnn(GnnConfig([x.shape[1]] * (d + 1)), seed=trial)
         out = forward(g, x, gnn)
         for group in class_members(naive_partition(g, d)):
             assert np.allclose(out[group], out[group[0]], atol=1e-9)
@@ -176,7 +185,7 @@ def test_graded_outputs_match_on_equal_graded_colors():
         x, _ = one_hot_features(g)
         d = int(rng.integers(1, 3))
         c = int(rng.integers(1, 3))
-        gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1), width=c), seed=trial)
+        gnn = sample_gnn(GnnConfig([x.shape[1]] * (d + 1), width=c), seed=trial)
         out = forward(g, x, gnn)
         for group in class_members(naive_partition(g, d, grade=c)):
             assert np.allclose(out[group], out[group[0]], atol=1e-9)
@@ -190,7 +199,7 @@ def test_reduct_outputs_match_per_node():
         red = reduce_graph(g, choose_substitution(g, part))
         x, _ = one_hot_features(g)
         xr = x[red.node_ids]
-        gnn = sample_gnn(chain_config([x.shape[1]] * (d + 1)), seed=trial)
+        gnn = sample_gnn(GnnConfig([x.shape[1]] * (d + 1)), seed=trial)
         out_g = forward(g, x, gnn)
         out_h = forward(red.graph, xr, gnn)
         diff = np.abs(out_g - out_h[red.rep_index_of_node]).max(axis=1)
@@ -281,16 +290,16 @@ def verify_shaped_cases(agg, width):
     rng = np.random.default_rng(1300)
     path = build_graph([(v, v + 1, 1) for v in range(29)], ["c"] * 30)
     g = random_graph(30, 60, n_colors=3, max_mult=4, seed=1300)
-    chain = sample_gnn(chain_config([1] * 60 + [4], width=width, agg=agg), seed=1)
+    chain = sample_gnn(GnnConfig([1] * 60 + [4], width=width, agg=agg), seed=1)
     yield path, one_hot_features(path)[0], chain
     yield g, rng.normal(size=(3, 1))[g.colors], chain
     one_hot = one_hot_features(g)[0]
-    gnn = sample_gnn(chain_config([3, 5, 3], width=width, agg=agg), seed=2)
+    gnn = sample_gnn(GnnConfig([3, 5, 3], width=width, agg=agg), seed=2)
     yield g, one_hot, gnn
-    yield g, one_hot, sample_gnn(chain_config([3, 5, 1], width=width, agg=agg), seed=3)
+    yield g, one_hot, sample_gnn(GnnConfig([3, 5, 1], width=width, agg=agg), seed=3)
     # a bias lowered by 1 makes relu zero most hidden features
     shifted = Gnn(gnn.config, gnn.w_self, gnn.w_agg, [gnn.bias[0] - 1.0, gnn.bias[1]])
-    first = Gnn(chain_config(gnn.config.dims[:2], width, agg), gnn.w_self[:1], gnn.w_agg[:1],
+    first = Gnn(GnnConfig(gnn.config.dims[:2], width, agg), gnn.w_self[:1], gnn.w_agg[:1],
                 shifted.bias[:1])
     hidden = np.maximum(forward(g, one_hot, first), 0.0)    # relu, as the first of a chain
     assert 0 < (hidden == 0).sum() < hidden.size
@@ -300,7 +309,7 @@ def verify_shaped_cases(agg, width):
     yield g, wide[:, 1:4], gnn
     # every other column against one output column: matmul's loop for a
     # non-unit inner stride and BLAS round this product differently
-    yield g, wide[:, ::2], sample_gnn(chain_config([3, 1, 2], width=width, agg=agg), seed=4)
+    yield g, wide[:, ::2], sample_gnn(GnnConfig([3, 1, 2], width=width, agg=agg), seed=4)
     yield build_graph([], ["a", "b", "a"]), rng.normal(size=(3, 3)), gnn
 
 
@@ -316,7 +325,7 @@ def test_finite_width_forward_matches_reference_bitwise(agg, width):
         sources_seen += int((np.diff(g.in_indptr) == 0).sum())
         # rows repeat per colour, so the width cap changes the sums
         x = rng.normal(size=(3, 4))[[int(g.color_payload(v)) for v in range(n)]]
-        gnn = sample_gnn(chain_config([4, 5, 3], width=width, agg=agg), seed=trial)
+        gnn = sample_gnn(GnnConfig([4, 5, 3], width=width, agg=agg), seed=trial)
         assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
     assert sources_seen > 0  # the corpus has nodes with no in-edges
     for g, x, gnn in verify_shaped_cases(agg, width):
@@ -333,7 +342,7 @@ def test_forward_width_inf_matches_per_edge_reference_bitwise(agg):
         g = random_graph(n, m, n_colors=3, max_mult=5, seed=900 + trial)
         multi += int((g.in_mult > 1).sum())
         x = rng.normal(size=(n, 4))
-        gnn = sample_gnn(chain_config([4, 5, 3], agg=agg), seed=trial)
+        gnn = sample_gnn(GnnConfig([4, 5, 3], agg=agg), seed=trial)
         assert forward(g, x, gnn).tobytes() == reference_forward(g, x, gnn).tobytes()
     assert multi > 0  # the corpus has edges of multiplicity above 1
     for g, x, gnn in verify_shaped_cases(agg, math.inf):
@@ -391,7 +400,7 @@ def test_forward_with_first_layer_aggregate_matches_bitwise(agg, width):
     g = random_graph(25, 70, n_colors=3, max_mult=4, seed=1550)
     x = rng.choice([-0.0, 0.0, 1.0, -2.5], size=(g.node_count, 3))
     for dims in ([3, 2], [3, 4, 2]):
-        gnn = sample_gnn(chain_config(dims, width=width, agg=agg), seed=len(dims))
+        gnn = sample_gnn(GnnConfig(dims, width=width, agg=agg), seed=len(dims))
         first = _aggregate(g, x, agg, width)
         assert forward(g, x, gnn, first=first).tobytes() == forward(g, x, gnn).tobytes()
         # a strided first is read as its values
@@ -406,7 +415,7 @@ def test_forward_output_owns_its_memory(dims):
     # forward's per-call block must not stay alive through the output
     g = random_graph(20, 50, n_colors=3, max_mult=3, seed=1600)
     x, _ = one_hot_features(g)
-    out = forward(g, x, sample_gnn(chain_config(dims), seed=0))
+    out = forward(g, x, sample_gnn(GnnConfig(dims), seed=0))
     assert out.base is None and out.flags.c_contiguous and out.shape == (20, dims[-1])
 
 
@@ -496,7 +505,7 @@ def per_array_draws(config, seed):
 @pytest.mark.parametrize("dims", [[4, 16, 16, 3], [16, 16, 4], [1] * 400 + [4]],
                          ids=["4-16-16-3", "16-16-4", "1x400-4"])
 def test_sample_gnn_matches_per_array_draws(dims):
-    config = chain_config(dims)
+    config = GnnConfig(dims)
     for seed in (0, 7):
         gnn = sample_gnn(config, seed)
         got = [a for layer in zip(gnn.w_self, gnn.w_agg, gnn.bias) for a in layer]
@@ -512,7 +521,7 @@ def gnn_arrays(gnn):
 @pytest.mark.parametrize("part", ["w_self", "w_agg", "bias"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gnn_rejects_non_finite_parameters(part, bad):
-    gnn = sample_gnn(chain_config([2, 3, 2]), 0)
+    gnn = sample_gnn(GnnConfig([2, 3, 2]), 0)
     arrays = gnn_arrays(gnn)
     arrays[part][1].flat[-1] = bad
     with pytest.raises(ValueError, match="layer 1: non-finite parameter"):
@@ -520,7 +529,7 @@ def test_gnn_rejects_non_finite_parameters(part, bad):
 
 
 def test_gnn_rejects_wrong_shapes_and_parameter_counts():
-    gnn = sample_gnn(chain_config([2, 3, 2]), 0)
+    gnn = sample_gnn(GnnConfig([2, 3, 2]), 0)
     for part, shape in (("w_self", (3, 3)), ("w_agg", (2, 3)), ("bias", (3, 1))):
         arrays = gnn_arrays(gnn)
         arrays[part][0] = np.zeros(shape)

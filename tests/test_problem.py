@@ -5,9 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from gnncompress import (LearningProblem, ValidationError, build_graph,
-                         chain_config, compress_problem, equivalence_report,
-                         evaluate_compressed_loss, evaluate_loss, forward,
+from gnncompress import (GnnConfig, LearningProblem, ValidationError, build_graph,
+                         compress_problem, equivalence_report, evaluate_loss, forward,
                          one_hot_features, sample_gnn)
 from gnncompress import gnn as gnn_module
 from gnncompress import problem as problem_module
@@ -20,7 +19,7 @@ def fig1_problem(train, loss_kind="xent", dims=(2, 2), width=math.inf, agg="sum"
     g = build_graph(FIG1_EDGES, FIG1_COLORS)
     feats = np.ones((6, dims[0]))
     return LearningProblem(g, feats, train, loss_kind,
-                           chain_config(list(dims), width=width, agg=agg))
+                           GnnConfig(list(dims), width=width, agg=agg))
 
 
 def test_compress_fig1_weights():
@@ -41,7 +40,7 @@ def test_compress_empty_train():
 def test_discrete_partition_weights_all_one():
     g = build_graph([(0, 1, 1), (1, 2, 2)], ["a", "b", "c"])
     feats = np.eye(3)
-    p = LearningProblem(g, feats, {0: "u", 2: "w"}, "xent", chain_config([3, 2]))
+    p = LearningProblem(g, feats, {0: "u", 2: "w"}, "xent", GnnConfig([3, 2]))
     cp = compress_problem(p)
     assert cp.graph == g
     assert all(w == 1 for pairs in cp.train_weighted.values() for _, w in pairs)
@@ -56,7 +55,7 @@ def test_reduct_keeping_every_node_shares_the_features(loss_kind):
     x = np.eye(3)[[0, 1, 0, 2]]
     train = ({0: "u", 2: "w", 3: "u"} if loss_kind == "xent"
              else {0: [1.0, 2.0], 2: [0.5, -0.0], 3: [-1.5, 3.0]})
-    config = chain_config([3, 4, 2])
+    config = GnnConfig([3, 4, 2])
     problem = LearningProblem(g, x, train, loss_kind, config)
     cp = compress_problem(problem)
     assert cp.graph is g and np.array_equal(cp.node_ids, np.arange(4))
@@ -67,7 +66,7 @@ def test_reduct_keeping_every_node_shares_the_features(loss_kind):
     fresh = LearningProblem(g, x.copy(), train, loss_kind, config)
     for seed in range(3):
         gnn = sample_gnn(config, seed)
-        assert evaluate_compressed_loss(cp, gnn) == evaluate_compressed_loss(copied, gnn)
+        assert evaluate_loss(cp, gnn) == evaluate_loss(copied, gnn)
         assert evaluate_loss(problem, gnn) == evaluate_loss(fresh, gnn)
     report = equivalence_report(problem, cp, n_gnns=3)
     assert report.passed and report.max_loss_discrepancy == 0.0
@@ -87,7 +86,7 @@ def test_reduct_keeping_every_node_shares_the_features(loss_kind):
 def test_mixed_features_within_color_rejected():
     g = build_graph([(0, 1, 1)], ["a", "a"])
     feats = np.array([[0.0], [1.0]])
-    p = LearningProblem(g, feats, {}, "xent", chain_config([1, 2]))
+    p = LearningProblem(g, feats, {}, "xent", GnnConfig([1, 2]))
     with pytest.raises(ValidationError):
         compress_problem(p)
     # the error names the lowest color id that mixes features
@@ -133,7 +132,7 @@ def test_evaluate_loss_empty_train_zero():
 def test_squared_loss_zero_on_exact_prediction():
     g = build_graph([(0, 1, 1)], ["a", "b"])
     p = LearningProblem(g, np.ones((2, 2)), {0: np.array([1.0, 1.0])}, "sq",
-                        chain_config([2, 2]))
+                        GnnConfig([2, 2]))
     from gnncompress import Gnn
     gnn = Gnn(p.hypothesis, [np.eye(2)], [np.zeros((2, 2))], [np.zeros(2)])
     assert evaluate_loss(p, gnn) == 0.0
@@ -144,18 +143,18 @@ def test_fig1_loss_equality_five_seeds():
     cp = compress_problem(p)
     for seed in range(5):
         gnn = sample_gnn(p.hypothesis, seed)
-        a, b = evaluate_loss(p, gnn), evaluate_compressed_loss(cp, gnn)
+        a, b = evaluate_loss(p, gnn), evaluate_loss(cp, gnn)
         assert abs(a - b) <= 1e-6 * (1 + abs(a))
 
 
 def test_weight_one_identity_reduct_equals_original():
     g = build_graph([(0, 1, 1), (1, 2, 2)], ["a", "b", "c"])
-    p = LearningProblem(g, np.eye(3), {0: "u", 2: "w"}, "xent", chain_config([3, 2]))
+    p = LearningProblem(g, np.eye(3), {0: "u", 2: "w"}, "xent", GnnConfig([3, 2]))
     cp = compress_problem(p)
     for seed in range(3):
         gnn = sample_gnn(p.hypothesis, seed)
         assert math.isclose(evaluate_loss(p, gnn),
-                            evaluate_compressed_loss(cp, gnn), rel_tol=1e-12)
+                            evaluate_loss(cp, gnn), rel_tol=1e-12)
 
 
 def test_mixed_targets_within_class():
@@ -166,7 +165,7 @@ def test_mixed_targets_within_class():
     assert sorted(cp.train_weighted[rep]) == [("y", 1), ("z", 1)]
     for seed in range(3):
         gnn = sample_gnn(p.hypothesis, seed)
-        a, b = evaluate_loss(p, gnn), evaluate_compressed_loss(cp, gnn)
+        a, b = evaluate_loss(p, gnn), evaluate_loss(cp, gnn)
         assert abs(a - b) <= 1e-6 * (1 + abs(a))
 
 
@@ -176,7 +175,7 @@ def test_regression_loss_equality():
     cp = compress_problem(p)
     for seed in range(5):
         gnn = sample_gnn(p.hypothesis, seed)
-        a, b = evaluate_loss(p, gnn), evaluate_compressed_loss(cp, gnn)
+        a, b = evaluate_loss(p, gnn), evaluate_loss(cp, gnn)
         assert abs(a - b) <= 1e-6 * (1 + abs(a))
 
 
@@ -185,6 +184,41 @@ def test_equivalence_report_exact_passes():
     cp = compress_problem(p)
     report = equivalence_report(p, cp, n_gnns=5, seed=0)
     assert report.passed
+
+
+def test_equivalence_report_passes_discrepancies_up_to_the_tolerance(monkeypatch):
+    # the reduct's first output column shifted by eps, or its loss alone
+    # scaled by 1 + eps: a report passes exactly when both relative
+    # discrepancies are at most 1e-6
+    p = fig1_problem({B1: "y", B2: "y"})
+    cp = compress_problem(p)
+    assert cp.graph is not p.graph and problem_module.TOLERANCE == 1e-6
+    eps = {"output": 0.0, "loss": 0.0}
+    weighted_loss = problem_module._weighted_loss
+
+    def shifted_forward(g, x, gnn, **kwargs):
+        out = forward(g, x, gnn, **kwargs)
+        if g is cp.graph:
+            out[:, 0] += eps["output"]
+        return out
+
+    def scaled_loss(loss_kind, train, out):
+        loss = weighted_loss(loss_kind, train, out)
+        return loss * (1 + eps["loss"]) if train is cp.train else loss
+
+    monkeypatch.setattr(problem_module, "forward", shifted_forward)
+    monkeypatch.setattr(problem_module, "_weighted_loss", scaled_loss)
+    for kind in ("output", "loss"):
+        verdicts = set()
+        for size in (0.0, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3):
+            eps[kind] = size
+            report = equivalence_report(p, cp, n_gnns=3, seed=0)
+            within = max(report.max_loss_discrepancy, report.max_output_discrepancy) <= 1e-6
+            assert report.passed == within, (kind, size)
+            assert (getattr(report, f"max_{kind}_discrepancy") > 0) == (size > 0)
+            verdicts.add(report.passed)
+        eps[kind] = 0.0
+        assert verdicts == {True, False}, kind
 
 
 def test_nonfinite_regression_targets_rejected():
@@ -200,10 +234,10 @@ def test_regression_targets_must_be_nonempty_vectors():
     x = np.ones((4, 1))
     for train in ({0: 0.5, 2: 1.5, 3: -1.0}, {0: np.float64(0.5)}, {0: [[0.5]]},
                   {0: np.ones((1, 2))}, {0: []}):
-        for config in (None, chain_config([1, 1])):
+        for config in (None, GnnConfig([1, 1])):
             with pytest.raises(ValidationError, match="must be a non-empty vector"):
                 LearningProblem(g, x, train, "sq", config)
-    p = LearningProblem(g, x, {0: [0.5], 2: [1.5], 3: [-1.0]}, "sq", chain_config([1, 1]))
+    p = LearningProblem(g, x, {0: [0.5], 2: [1.5], 3: [-1.0]}, "sq", GnnConfig([1, 1]))
     gnn = sample_gnn(p.hypothesis, 0)
     out = forward(g, x, gnn)[:, 0]
     want = sum((out[v] - t) ** 2 for v, t in ((0, 0.5), (2, 1.5), (3, -1.0)))
@@ -266,7 +300,7 @@ def test_equivalence_report_fails_on_nan_discrepancy():
     report = equivalence_report(p, cp, n_gnns=2, seed=0)
     assert not report.passed
     assert math.isinf(report.max_loss_discrepancy)
-    assert math.isnan(evaluate_compressed_loss(cp, sample_gnn(p.hypothesis, 0)))
+    assert math.isnan(evaluate_loss(cp, sample_gnn(p.hypothesis, 0)))
     assert_losses_match_per_term_fold(p, train, cp, seed=0, train_h={B1: nan, B2: nan})
 
 
@@ -344,7 +378,7 @@ def assert_losses_match_per_term_fold(problem, train, cp, seed, train_h=None):
     max_loss = max_out = 0.0
     for gnn in gnns:
         loss_g, loss_h, out_g, out_h = reference_losses(problem, train, cp, gnn, train_h)
-        a, b = evaluate_loss(problem, gnn), evaluate_compressed_loss(cp, gnn)
+        a, b = evaluate_loss(problem, gnn), evaluate_loss(cp, gnn)
         assert type(a) is float and type(b) is float
         assert (a.hex(), b.hex()) == (loss_g.hex(), loss_h.hex())
         d = abs(loss_g - loss_h) / (1.0 + abs(loss_g))
@@ -371,7 +405,7 @@ def random_problem(seed, loss_kind, dim=3, train_share=0.5):
     q = 3 if loss_kind == "xent" else dim
     train = {int(v): pool[int(rng.integers(0, 3))]
              for v in np.flatnonzero(rng.random(n) < train_share)}
-    return LearningProblem(g, x, train, loss_kind, chain_config([x.shape[1], 4, q])), train
+    return LearningProblem(g, x, train, loss_kind, GnnConfig([x.shape[1], 4, q])), train
 
 
 def test_losses_equal_per_term_fold_bitwise(monkeypatch):
@@ -455,7 +489,7 @@ def problems_with(seed, kind, agg, width):
     aggregation and width, and its compression at that depth and width."""
     base, _ = random_problem(seed, kind)
     q = base.hypothesis.output_dim
-    config = chain_config([base.features.shape[1], 4, q], width=width, agg=agg)
+    config = GnnConfig([base.features.shape[1], 4, q], width=width, agg=agg)
     problem = LearningProblem(base.graph, base.features, base.train, kind, config)
     return problem, compress_problem(problem)
 
@@ -472,13 +506,13 @@ def test_losses_reuse_the_first_layer_aggregate(monkeypatch, agg, width):
     calls = count_aggregates(monkeypatch)
     for seed, kind in ((40, "xent"), (61, "sq")):
         problem, cp = problems_with(seed, kind, agg, width)
-        for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+        for owner in (problem, cp):
             calls["fill"].clear()
             for gnn in [sample_gnn(problem.hypothesis, s) for s in range(3)]:
                 expected = plain_loss(owner, gnn)
                 for _ in range(2):
                     before = calls["layer"]
-                    assert evaluate(owner, gnn).hex() == expected.hex()
+                    assert evaluate_loss(owner, gnn).hex() == expected.hex()
                     assert calls["layer"] - before == 1     # layer 1 only
             # one fill per problem, however many GNNs of this shape
             assert calls["fill"] == [(agg, width)]
@@ -488,17 +522,17 @@ def test_first_layer_aggregates_are_kept_per_kind_and_width(monkeypatch):
     calls = count_aggregates(monkeypatch)
     for seed, kind in ((41, "xent"), (62, "sq")):
         problem, cp = problems_with(seed, kind, "sum", math.inf)
-        configs = [chain_config([problem.features.shape[1], 4, problem.hypothesis.output_dim],
-                                width=width, agg=agg)
+        configs = [GnnConfig([problem.features.shape[1], 4, problem.hypothesis.output_dim],
+                             width=width, agg=agg)
                    for agg in ("sum", "mean", "max") for width in WIDTHS]
         # a problem that does not compress shares the original's aggregates
         shared = cp.graph is problem.graph
-        for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+        for owner in (problem, cp):
             calls["fill"].clear()
             for _ in range(2):
                 for i, config in enumerate(configs):
                     gnn = sample_gnn(config, i)
-                    assert evaluate(owner, gnn).hex() == plain_loss(owner, gnn).hex()
+                    assert evaluate_loss(owner, gnn).hex() == plain_loss(owner, gnn).hex()
             filled = [] if shared and owner is cp else configs
             assert calls["fill"] == [(c.agg, c.width) for c in filled]
 
@@ -506,7 +540,7 @@ def test_first_layer_aggregates_are_kept_per_kind_and_width(monkeypatch):
 def test_problem_features_are_read_only_views():
     g = build_graph(FIG1_EDGES, FIG1_COLORS)
     x = np.ones((6, 2))
-    p = LearningProblem(g, x, {B1: "y"}, "xent", chain_config([2, 2]))
+    p = LearningProblem(g, x, {B1: "y"}, "xent", GnnConfig([2, 2]))
     assert x.flags.writeable and np.shares_memory(p.features, x)
     assert p.features.strides == x.strides
     cp = compress_problem(p)
@@ -540,18 +574,18 @@ def test_first_layer_aggregate_follows_new_features_and_graphs(monkeypatch, agg,
     problem, cp = problems_with(42, "xent", agg, width)
     gnn = sample_gnn(problem.hypothesis, 0)
     rng = np.random.default_rng(7)
-    for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+    for owner in (problem, cp):
         n, p = owner.features.shape
-        before = evaluate(owner, gnn)
+        before = evaluate_loss(owner, gnn)
         entries = dict(owner._first)
         other = random_graph(n, 2 * n, n_colors=2, max_mult=2, seed=8)
         for change in ({"features": rng.normal(size=(n, p))}, {"graph": other}):
             replaced = dataclasses.replace(owner, **change)
             assert replaced._first is not owner._first and replaced._first == {}
             calls["fill"].clear()
-            losses = [evaluate(replaced, gnn) for _ in range(2)]
+            losses = [evaluate_loss(replaced, gnn) for _ in range(2)]
             assert calls["fill"] == [(agg, width)]
-            expected = evaluate(rebuilt(replaced), gnn)
+            expected = evaluate_loss(rebuilt(replaced), gnn)
             assert expected != before
             assert [loss.hex() for loss in losses] == [expected.hex()] * 2
             assert expected.hex() == plain_loss(replaced, gnn).hex()
@@ -560,7 +594,7 @@ def test_first_layer_aggregate_follows_new_features_and_graphs(monkeypatch, agg,
             assert gone() is None
             assert owner._first.keys() == entries.keys()
             assert all(owner._first[key] is value for key, value in entries.items())
-            assert evaluate(owner, gnn).hex() == before.hex()
+            assert evaluate_loss(owner, gnn).hex() == before.hex()
 
 
 def test_first_layer_aggregates_go_with_their_features():
@@ -572,9 +606,9 @@ def test_first_layer_aggregates_go_with_their_features():
             for width in (2, math.inf)]
     rng = np.random.default_rng(11)
 
-    for owner, evaluate in ((problem, evaluate_loss), (cp, evaluate_compressed_loss)):
+    for owner in (problem, cp):
         for gnn in gnns:
-            evaluate(owner, gnn)
+            evaluate_loss(owner, gnn)
         entries = dict(owner._first)
         assert len(entries) == 2
         for writeable in (False, True, False):
@@ -583,7 +617,7 @@ def test_first_layer_aggregates_go_with_their_features():
             replaced = dataclasses.replace(owner, features=features)
             assert replaced._first == {}
             for gnn in gnns:
-                assert evaluate(replaced, gnn).hex() == plain_loss(replaced, gnn).hex()
+                assert evaluate_loss(replaced, gnn).hex() == plain_loss(replaced, gnn).hex()
             assert replaced._first.keys() == entries.keys()
             gone = weakref.ref(features)
             del replaced, features
@@ -601,12 +635,12 @@ def test_a_problem_that_does_not_compress_shares_its_first_layer_aggregate(monke
     x, _ = one_hot_features(g)
     for width, shared in ((math.inf, True), (2, True), (1, False)):
         problem = LearningProblem(g, x, {0: "a", 1: "b"}, "xent",
-                                  chain_config([3, 4, 3], width=width))
+                                  GnnConfig([3, 4, 3], width=width))
         cp = compress_problem(problem)
         assert cp.features is problem.features and (cp.graph is g) == shared
         gnn = sample_gnn(problem.hypothesis, 0)
         calls["fill"].clear()
-        assert evaluate_loss(problem, gnn) == evaluate_compressed_loss(cp, gnn)
+        assert evaluate_loss(problem, gnn) == evaluate_loss(cp, gnn)
         first = problem_module._first_aggregate
         assert (first(problem, gnn) is first(cp, gnn)) == shared, width
         assert len(calls["fill"]) == (1 if shared else 2), width
@@ -617,7 +651,7 @@ def test_equivalence_report_needs_a_sample():
     # two samples see it, and a report of no samples must not pass it
     g = build_graph([(0, 1, 1), (1, 2, 1), (2, 3, 1)], ["a", "a", "b", "b"])
     x, _ = one_hot_features(g)
-    p = LearningProblem(g, x, {1: "y", 3: "z"}, "xent", chain_config([2, 2]))
+    p = LearningProblem(g, x, {1: "y", 3: "z"}, "xent", GnnConfig([2, 2]))
     cp = compress_problem(p)
     cp = dataclasses.replace(cp, rep_of_node=np.zeros(4, dtype=np.int64))
     assert not equivalence_report(p, cp, n_gnns=2).passed
@@ -633,10 +667,10 @@ def test_learning_problem_checks():
            ((np.ones((2, 2)), {}, "xent", None), "feature matrix must be"),
            ((np.full((3, 2), math.nan), {}, "xent", None), "features must be finite"),
            ((x, {}, "hinge", None), "unknown loss kind"),
-           ((x, {}, "xent", chain_config([3, 2])), "input dim does not match"),
-           ((x, {0: [1.0, 2.0, 3.0]}, "sq", chain_config([2, 2])),
+           ((x, {}, "xent", GnnConfig([3, 2])), "input dim does not match"),
+           ((x, {0: [1.0, 2.0, 3.0]}, "sq", GnnConfig([2, 2])),
             "regression targets have dimension 3, hypothesis outputs 2"),
-           ((x, {0: "u", 1: "v", 2: "w"}, "xent", chain_config([2, 2])),
+           ((x, {0: "u", 1: "v", 2: "w"}, "xent", GnnConfig([2, 2])),
             "3 labels exceed hypothesis output dim 2")]
     for args, message in bad:
         with pytest.raises(ValidationError, match=message):
@@ -657,4 +691,4 @@ def test_missing_inputs_are_value_errors():
     p = fig1_problem({B1: "y"})
     cp = dataclasses.replace(compress_problem(p), features=None)
     with pytest.raises(ValueError, match="no feature matrix"):
-        evaluate_compressed_loss(cp, sample_gnn(p.hypothesis, 0))
+        evaluate_loss(cp, sample_gnn(p.hypothesis, 0))

@@ -7,15 +7,16 @@ directory with graph.tsv / colors.tsv / map.tsv / train.tsv / meta.json;
 saving and loading a bundle round-trips the compressed problem exactly.
 
 Edge lists, color files, both training-file forms and the bundle's
-map.tsv and colors.tsv are read in one whole-file pass when their text is
-plain and every check passes (``_read_int_table``, ``_read_id_tokens``),
-for map.tsv and colors.tsv rows in the order save_bundle writes them.
-Anything else, errors and other row orders included, goes through the
-per-line parsers, which alone name the offending line. Node ids map to
-dense ids by a binary search of the graph's ascending file ids
-(``LoadedGraph.original_ids``), on either path; no {file id: dense id}
-dict is built. Training files become a TrainingSet straight from their
-columns.
+map.tsv are read in one whole-file pass when their text is plain and
+every check passes (``_read_int_table``, ``_read_id_tokens``), for map.tsv
+rows in the order save_bundle writes them. A bundle's colors.tsv is a
+color file over meta.json's reduced_nodes nodes, read as one in any row
+order. Anything else, errors and other map.tsv row orders included, goes
+through the per-line parsers, which alone name the offending line. Node
+ids map to dense ids by a binary search of the graph's ascending file
+ids (``LoadedGraph.original_ids``), on either path; no {file id: dense
+id} dict is built. Training files become a TrainingSet straight from
+their columns.
 
 The integer tables (graph.tsv, map.tsv, ``refine --out``) and meta.json's
 id lists are formatted by numpy, a fixed-size block of rows at a time,
@@ -119,6 +120,7 @@ _META_FIELDS = {
     "policy": (lambda x: isinstance(x, str), "a string"),
     "loss_kind": (lambda x: x in (None, *LOSS_KINDS), "null, 'xent' or 'sq'"),
     "rounds": (_is_int, "a non-negative integer"),
+    "reduced_nodes": (_is_int, "a non-negative integer"),
     "class_counts": (lambda x: x is None or _is_int_list(x),
                      "a list of non-negative integers"),
     "representative_original_ids": (_is_int_list, "a list of non-negative integers"),
@@ -520,22 +522,6 @@ def _meta_text(meta: dict) -> str:
     return "{" + ",".join(fields) + "\n}\n"
 
 
-def _bundle_colors(path: Path) -> list[str]:
-    """The color token of each reduct node, from colors.tsv."""
-    pairs = _read_id_tokens(path)
-    if pairs is not None and np.array_equal(pairs[0], np.arange(len(pairs[0]))):
-        return pairs[1]
-    tokens: dict[int, str] = {}
-    for lineno, v, parts in _tab_rows(path, "node<TAB>color_token"):
-        if v in tokens:
-            raise ValidationError(f"{path}:{lineno}: duplicate node {v}")
-        tokens[v] = parts[1]
-    r = len(tokens)
-    if set(tokens) != set(range(r)):
-        raise ValidationError(f"{path}: node ids must be dense 0..{r - 1}")
-    return [tokens[v] for v in range(r)]
-
-
 def _bundle_map(path: Path, r: int, order: list | None) -> tuple[np.ndarray, np.ndarray]:
     """(original_ids, rep_of_node) from map.tsv: the file id of each original
     node, as meta's original_node_ids ``order`` lists them (None: 0, 1, ...
@@ -586,25 +572,25 @@ def load_bundle(bundle_dir) -> CompressedProblem:
     grade = parse_extent(str(meta["grade"]))
     loss_kind = meta.get("loss_kind") or "xent"
 
-    tokens = _bundle_colors(bundle / "colors.tsv")
-    r = len(tokens)
+    r = meta["reduced_nodes"]
+    node_ids = np.array(meta["representative_original_ids"], dtype=np.int64)
+    bad_node_ids = (f"{meta_path}: representative_original_ids must list one node "
+                    f"per reduct node, each mapping to its own entry")
+    if len(node_ids) != r:      # before anything is sized by r
+        raise ValidationError(bad_node_ids)
+    tokens = read_colors(bundle / "colors.tsv", np.arange(r))
     src, dst, mult = read_edges(bundle / "graph.tsv")
     if len(src) and (src.max() >= r or dst.max() >= r):
-        raise ValidationError(f"{bundle / 'graph.tsv'}: edge endpoint outside colors.tsv range")
+        raise ValidationError(f"{bundle / 'graph.tsv'}: edge endpoint outside the "
+                              f"{r} reduct nodes of meta.json's reduced_nodes")
     color_ids, palette = intern_colors(tokens)
     graph = ColoredMultigraph.from_edge_arrays(r, src, dst, mult, color_ids, palette)
 
-    map_path = bundle / "map.tsv"
-    original_ids, rep_of_node = _bundle_map(map_path, r, meta.get("original_node_ids"))
-    unreached = np.flatnonzero(np.bincount(rep_of_node, minlength=r) == 0)
-    if len(unreached):
-        raise ValidationError(f"{map_path}: no original node maps to reduct node "
-                              f"{unreached[0]}")
-    node_ids = np.array(meta["representative_original_ids"], dtype=np.int64)
-    if (len(node_ids) != r or (node_ids >= len(rep_of_node)).any()
-            or not np.array_equal(rep_of_node[node_ids], np.arange(r))):
-        raise ValidationError(f"{meta_path}: representative_original_ids must list one "
-                              f"node per reduct node, each mapping to its own entry")
+    original_ids, rep_of_node = _bundle_map(bundle / "map.tsv", r, meta.get("original_node_ids"))
+    # Every reduct node is reached: node_ids[j] maps to j.
+    if (node_ids >= len(rep_of_node)).any() or not np.array_equal(rep_of_node[node_ids],
+                                                                  np.arange(r)):
+        raise ValidationError(bad_node_ids)
 
     train_path = bundle / "train.tsv"
     return CompressedProblem(

@@ -5,7 +5,7 @@ import pytest
 
 from gnncompress import build_graph
 from gnncompress.graph import ColoredMultigraph, intern_colors
-from gnncompress.refine import Partition, canonical_partition, refine_step
+from gnncompress.refine import Partition, canonical_partition, refine, refine_step
 
 # Worked example: 6 nodes a1,a2,a3 (color a) and b1,b2,b3 (color b),
 # 11 unit edges. Node ids: a1=0, a2=1, a3=2, b1=3, b2=4, b3=5.
@@ -194,3 +194,31 @@ def reference_push_forward(train: dict, rep_of_node) -> dict[int, list[tuple[obj
             bucket[key] = [target, 1]
     return {rep: [tuple(bucket[k]) for k in sorted(bucket)]
             for rep, bucket in sorted(grouped.items())}
+
+
+class InEdgeReads(np.ndarray):
+    """An in_src array that logs the positions each indexing of it reads."""
+
+    def __getitem__(self, key):
+        self.reads.append(np.arange(len(self))[key])
+        return np.asarray(self)[key]
+
+
+def signed_in_edges(g) -> int:
+    """The in-edges that one refine run on g, to stability, signs: a work
+    count, exact where a clock is not.
+
+    Signing an in-edge reads its source from g.in_src, and nothing else
+    in refine indexes that array: _signatures reads the in-edges of the
+    nodes it signs, _small_round those of each node it does not skip as
+    alone in its class. So the count is the entries read through an
+    InEdgeReads view of g.in_src.
+    """
+    spy = g.in_src.view(InEdgeReads)
+    spy.reads = []
+    g.in_src = spy
+    try:
+        refine(g)
+    finally:
+        g.in_src = np.asarray(spy)
+    return sum(map(len, spy.reads))

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -264,7 +265,7 @@ def test_cli_input_errors(fig1_files, capsys, tmp_path):
     with open(bundle / "graph.tsv", "a") as f:
         f.write("0\t3\t1\n")
     code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", g, "--colors", c)
-    assert code == 3 and "endpoint outside colors.tsv" in err
+    assert code == 3 and "graph.tsv: edge endpoint outside the 3 reduct nodes" in err
 
 
 def test_verify_grade_one_with_wide_gnns_warns(fig1_files, capsys, tmp_path, monkeypatch):
@@ -358,7 +359,7 @@ def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
     assert code == 3
     assert "overflow" in err
     assert not (tmp_path / "b" / "graph.tsv").exists()
-    # a reduct node that no original node maps to, with a new or a known color
+    # a colors.tsv line past meta.json's reduced_nodes, with a new or a known color
     one = tmp_path / "one.txt"
     one.write_text("0 0\n")
     for token in ("zzz", ""):
@@ -369,7 +370,7 @@ def test_invariant_violation_exit_3(fig1_files, capsys, tmp_path):
             f.write(f"1\t{token}\n")
         code, _, err = run(capsys, "verify", "--bundle", bundle, "--original", one)
         assert code == 3
-        assert "map.tsv" in err and "reduct node 1" in err
+        assert "colors.tsv:2: node 1 not in the graph" in err
 
 
 def test_nonfinite_targets_exit_2(capsys, tmp_path):
@@ -423,6 +424,60 @@ def test_representative_ids_must_map_to_themselves(fig1_files, capsys, tmp_path)
                            "--colors", c, "--train", t)
         assert code == 3
         assert "meta.json: representative_original_ids" in err
+
+
+def test_bundle_colors_without_a_line_take_the_default_color(fig1_files, capsys, tmp_path):
+    # fig1's b nodes are left uncolored. A colors.tsv that misses a reduct
+    # node gives it the default color, as a --colors file does, and verify
+    # decides the bundle: equal when the dropped node's color was the
+    # default, a round-0 reduct failure when it was not
+    g, _, t = fig1_files
+    c = tmp_path / "a-only.tsv"
+    c.write_text("0\ta\n1\ta\n2\ta\n")
+    bundle = tmp_path / "bundle"
+    assert run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+               "--train", t, "--loss", "xent", "--out", bundle)[0] == 0
+    verify = ("verify", "--bundle", bundle, "--original", g, "--colors", c, "--train", t)
+    colors = bundle / "colors.tsv"
+    lines = colors.read_text().splitlines()
+    assert {line.endswith("\t") for line in lines} == {True, False}
+    rep_of = [int(line.split("\t")[1]) for line in (bundle / "map.tsv").read_text().splitlines()]
+    before = load_bundle(bundle)
+    for j, line in enumerate(lines):
+        colors.write_text("".join(f"{other}\n" for other in lines if other != line))
+        code, out, _ = run(capsys, *verify)
+        if line.endswith("\t"):
+            back = load_bundle(bundle)
+            assert back.graph == before.graph and back.graph.palette == before.graph.palette
+            assert (code, out.splitlines()[-1]) == (0, "verification passed")
+        else:
+            assert (code, out) == (4, f"FAIL reduct: node {rep_of.index(j)} disagrees with "
+                                      f"its representative at round 0\n")
+
+
+def test_meta_reduced_nodes_is_checked_before_use(fig1_files, capsys, tmp_path):
+    # reduced_nodes sizes the reduct: a missing or non-integer value is a
+    # format error, and one that disagrees with representative_original_ids
+    # is refused before any array is sized by it
+    g, c, t = fig1_files
+    bundle = tmp_path / "bundle"
+    run(capsys, "compress", "--graph", g, "--colors", c, "--depth", "1",
+        "--train", t, "--loss", "xent", "--out", bundle)
+    verify = ("verify", "--bundle", bundle, "--original", g, "--colors", c, "--train", t)
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["reduced_nodes"] == len(meta["representative_original_ids"]) == 3
+    for value in ("3", 3.0, True, -1, None):
+        meta_path.write_text(json.dumps({**meta, "reduced_nodes": value}))
+        assert run(capsys, *verify) == (
+            2, "", f"error: {meta_path}: reduced_nodes must be a non-negative integer\n")
+    meta_path.write_text(json.dumps({k: v for k, v in meta.items() if k != "reduced_nodes"}))
+    assert run(capsys, *verify)[0] == 2
+    for value in (2, 4, 10**15):
+        meta_path.write_text(json.dumps({**meta, "reduced_nodes": value}))
+        code, out, err = run(capsys, *verify)
+        assert (code, out) == (3, "")
+        assert "meta.json: representative_original_ids must list one node" in err
 
 
 def test_verify_samples_gnns_as_deep_as_the_stable_round(fig1_files, capsys, tmp_path,
@@ -757,6 +812,9 @@ def test_bench_workloads_match_the_oracle(capsys, tmp_path, monkeypatch):
         assert tracer.counts["compress", "problem.weighted_pairs"] == len(pairs), name
 
 
+CASE_TARGETS = {"xent": ["a", "b", "c"], "sq": ["0.5,-1", "1.25,0", "-0.0,2", "0,2"]}
+
+
 def oracle_case(rng, tmp_path):
     """A small seeded input for the oracle corpus, its files written to
     tmp_path: 1 to 13 nodes under dense or sparse file ids, self-loops,
@@ -773,7 +831,7 @@ def oracle_case(rng, tmp_path):
     edges = [edges[i] for i in rng.permutation(len(edges))]
     colors = {v: "rgb"[int(rng.integers(0, 3))] for v in ids if rng.random() < 0.8}
     loss = "xent" if rng.random() < 0.5 else "sq"
-    tokens = ["a", "b", "c"] if loss == "xent" else ["0.5,-1", "1.25,0", "-0.0,2", "0,2"]
+    tokens = CASE_TARGETS[loss]
     train = {v: tokens[int(rng.integers(0, len(tokens)))] for v in ids if rng.random() < 0.4}
     wl = SimpleNamespace(undirected=bool(rng.random() < 0.3), loss=loss,
                          depth=["0", "1", "2", "3", "inf"][int(rng.integers(0, 5))],
@@ -842,6 +900,138 @@ def test_oracle_corpus(capsys, tmp_path, monkeypatch):
                                  *graph, "--gnns", "2")
             assert code == 0 and "verification passed" in out, (case, out, err)
     assert len(settings) > 50 and len(shapes) == 4
+
+
+def judged_target(token: str, loss: str) -> str:
+    """A training target as train.tsv stores it: sq entries as repr(float)."""
+    return token if loss == "xent" else ",".join(repr(float(x)) for x in token.split(","))
+
+
+def judge_bundle(bundle, inputs, wl, oracle_refine) -> bool:
+    """Whether a bundle is a correct compression of an oracle_case input,
+    decided from the text of its five files with no code of the package.
+
+    Every original node must share its class with its representative when
+    the disjoint union of the original and the reduct (reduct node j is
+    union node n + j) is refined at the bundle's own depth and grade by
+    oracle_refine, a reduct node without a colors.tsv line having the
+    default color "". train.tsv's weights must count each (representative,
+    target) pair of the original training set.
+    """
+    meta = json.loads((bundle / "meta.json").read_text())
+    depth, grade = (math.inf if meta[key] == "inf" else meta[key] for key in ("depth", "grade"))
+    r = meta["reduced_nodes"]
+
+    def rows(name):
+        return [line.split("\t") for line in (bundle / name).read_text().splitlines()]
+
+    raw_ids = sorted({v for e in inputs.edges for v in e})
+    n = len(raw_ids)
+    dense = {v: i for i, v in enumerate(raw_ids)}
+    rep = {int(v): n + int(j) for v, j in rows("map.tsv")}
+    colors = [inputs.colors.get(v, "") for v in raw_ids] + [""] * r
+    for j, token in rows("colors.tsv"):
+        colors[n + int(j)] = token
+    mult = Counter()
+    for s, d in inputs.edges:
+        mult[dense[s], dense[d]] += 1
+        if wl.undirected:
+            mult[dense[d], dense[s]] += 1
+    for s, d, m in rows("graph.tsv"):
+        mult[n + int(s), n + int(d)] += int(m)
+    in_edges = [[] for _ in range(n + r)]
+    for (s, d), m in mult.items():
+        in_edges[d].append((s, m))
+    cls = oracle_refine(n + r, in_edges, colors, depth, grade)
+    if any(cls[dense[v]] != cls[rep[v]] for v in raw_ids):
+        return False
+    stored = Counter()
+    for j, target, weight in rows("train.tsv"):
+        stored[n + int(j), judged_target(target, wl.loss)] += int(weight)
+    return stored == Counter((rep[v], judged_target(t, wl.loss)) for v, t in inputs.train.items())
+
+
+def tamper_bundle(bundle, rng, loss) -> str:
+    """One random edit of a bundle's text, of a kind that applies to the
+    bundle; returns the kind."""
+    def pick(seq):
+        return seq[int(rng.integers(0, len(seq)))]
+
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    r = meta["reduced_nodes"]
+    rows = {name: [line.split("\t") for line in (bundle / name).read_text().splitlines()]
+            for name in ("graph.tsv", "colors.tsv", "map.tsv", "train.tsv")}
+    kind = pick([kind for kind, applies in (
+        ("map.tsv representative", r > 1), ("graph.tsv multiplicity", rows["graph.tsv"]),
+        ("graph.tsv edge", True), ("colors.tsv token", True), ("colors.tsv dropped", True),
+        ("colors.tsv shuffled", r > 1), ("train.tsv weight", rows["train.tsv"]),
+        ("train.tsv target", rows["train.tsv"]), ("meta.json depth", True),
+        ("meta.json grade", True), ("meta.json rounds", True)) if applies])
+    name, what = kind.split(" ")
+    if name == "meta.json":
+        choices = {"depth": [0, 1, 2, 3, "inf"], "grade": [1, 2, "inf"], "rounds": [0, 1, 2, 3, 4]}
+        meta[what] = pick([x for x in choices[what] if x != meta[what]])
+        meta_path.write_text(json.dumps(meta))
+        return kind
+    table = rows[name]
+    i = int(rng.integers(0, len(table)))
+    row = table[i]
+    if what == "representative":
+        row[1] = str(pick([j for j in range(r) if j != int(row[1])]))
+    elif what in ("multiplicity", "weight"):
+        m = int(row[2])
+        row[2] = str(m + 1 if m == 1 or rng.random() < 0.5 else m - 1)
+    elif what == "edge":
+        table.append([str(int(x)) for x in rng.integers(0, r, 2)] + ["1"])
+    elif what == "token":
+        row[1] = pick([t for t in ("r", "g", "b", "", "zzz") if t != row[1]])
+    elif what == "dropped":
+        del table[i]
+    elif what == "shuffled":
+        table[:] = [table[k] for k in rng.permutation(len(table))]
+    else:       # target
+        row[1] = pick([t for t in (judged_target(x, loss) for x in CASE_TARGETS[loss])
+                       if t != row[1]])
+    (bundle / name).write_text("".join("\t".join(row) + "\n" for row in table))
+    return kind
+
+
+def test_verify_soundness_corpus(capsys, tmp_path, monkeypatch):
+    # verify never passes a bundle that is not a correct compression of its
+    # original, nor fails one that is, as judge_bundle decides without the
+    # package; exit 2 or 3 stays allowed for a malformed or inconsistent bundle.
+    # Two families of 300 seeded cases: bundles with one random edit, and
+    # under-split bundles, compressed at depth 1 or 2 and relabelled in
+    # meta.json to a larger depth or inf.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from oracle import _refine
+
+    rng = np.random.default_rng(3100)
+    bundle = tmp_path / "bundle"
+    verdicts = Counter()
+    for case in range(600):
+        family = ("tampered", "under-split")[case % 2]
+        inputs, wl, flags = oracle_case(rng, tmp_path)
+        depth = wl.depth if family == "tampered" else str(int(rng.integers(1, 3)))
+        loss = ["--loss", wl.loss] if inputs.train else []
+        assert run(capsys, "compress", *flags, *loss, "--depth", depth, "--grade", wl.grade,
+                   "--out", bundle)[0] == 0, case
+        if family == "tampered":
+            kind = tamper_bundle(bundle, rng, wl.loss)
+        else:
+            meta = json.loads((bundle / "meta.json").read_text())
+            kind = meta["depth"] = [int(depth) + 1, int(depth) + 2, "inf"][int(rng.integers(0, 3))]
+            (bundle / "meta.json").write_text(json.dumps(meta))
+        graph = flags[flags.index("--graph") + 1:]     # verify names it --original
+        code, out, err = run(capsys, "verify", "--bundle", bundle, "--original", *graph,
+                             "--gnns", "1")
+        sound = judge_bundle(bundle, inputs, wl, _refine)
+        assert code in (0, 2, 3, 4), (case, kind, err)
+        assert (code, sound) not in ((0, False), (4, True)), (case, family, kind, out, err)
+        verdicts[family, code] += 1
+    for family in ("tampered", "under-split"):
+        assert verdicts[family, 0] and verdicts[family, 4], verdicts
 
 
 def test_compress_star_of_stars(capsys, tmp_path):

@@ -451,6 +451,25 @@ def test_bundle_fast_paths_match_per_line_parser(tmp_path, monkeypatch, name, sp
         assert got == load(lines), lines[:3]
 
 
+def test_bundle_colors_in_any_row_order_take_the_whole_file_pass(tmp_path, monkeypatch):
+    # colors.tsv is read as a color file over reduced_nodes nodes: rows in
+    # reverse order load the same bundle, and never reach the per-line parser
+    import gnncompress.fileio as fileio
+    cp = make_compressed()
+    save_bundle(cp, tmp_path / "b")
+    path = tmp_path / "b" / "colors.tsv"
+    lines = path.read_text().splitlines()
+    assert len(lines) == cp.graph.node_count > 2
+    path.write_text("".join(line + "\n" for line in lines[::-1]))
+
+    def refuse(*args):
+        raise AssertionError("colors.tsv went through the per-line parser")
+
+    monkeypatch.setattr(fileio, "_tab_rows", refuse)
+    back = load_bundle(tmp_path / "b")
+    assert same_compressed(back, cp) and back.graph.palette == cp.graph.palette
+
+
 def test_clean_files_take_the_fast_paths(tmp_path, monkeypatch):
     # a silent return to the per-line parsers would lose the whole-file speed
     import gnncompress.fileio as fileio

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -692,3 +693,30 @@ def test_missing_inputs_are_value_errors():
     cp = dataclasses.replace(compress_problem(p), features=None)
     with pytest.raises(ValueError, match="no feature matrix"):
         evaluate_loss(cp, sample_gnn(p.hypothesis, 0))
+
+
+def test_evaluate_loss_memory_per_node_layer_and_edge():
+    # tracemalloc peak of one evaluate_loss above the memory held before it,
+    # the layer-0 aggregate already cached, in bytes per (n x widest layer +
+    # in-edges), on an original problem and on its compression. Measured:
+    # 23.0 on both; 32.9 when forward keeps every layer's output alive.
+    g = random_graph(20000, 100000, n_colors=4, max_mult=3, seed=1)
+    x, _ = one_hot_features(g)
+    rng = np.random.default_rng(1)
+    train = {int(v): f"y{rng.integers(0, 3)}" for v in rng.choice(20000, 2000, replace=False)}
+    config = GnnConfig((4, 8, 8, 3))
+    problem = LearningProblem(g, x, train, "xent", config)
+    cp = compress_problem(problem)
+    assert cp.graph.node_count < g.node_count
+    gnn = sample_gnn(config, seed=0)
+    for p in (problem, cp):
+        evaluate_loss(p, gnn)           # caches the layer-0 aggregate
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            evaluate_loss(p, gnn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = p.graph.node_count * max(config.dims) + len(p.graph.in_src)
+        assert (peak - held) / units < 24

@@ -13,9 +13,9 @@ from gnncompress.graph import ColoredMultigraph
 from gnncompress.reduction import incidence_all
 from gnncompress.refine import (_SMALL_ROUND, RefinementResult, canonical_partition,
                                 refine_step)
-from conftest import (A1, A2, A3, B1, B2, B3, bisimulation_partition,
+from conftest import (A1, A2, A3, B1, B2, B3, InEdgeReads, bisimulation_partition,
                       iterated_partitions, least_id_substitution, partition_blocks,
-                      random_graph, refines, same_partition)
+                      random_graph, refines, same_partition, signed_in_edges)
 
 refine_module = importlib.import_module("gnncompress.refine")
 graph_module = importlib.import_module("gnncompress.graph")
@@ -519,14 +519,6 @@ def test_long_path_signs_with_numpy_only_in_round_one(monkeypatch):
     assert len(calls) == 1 and calls[0] is None
 
 
-class InEdgeReads(np.ndarray):
-    """An in_src array that logs the positions each indexing of it reads."""
-
-    def __getitem__(self, key):
-        self.reads.append(np.arange(len(self))[key])
-        return np.asarray(self)[key]
-
-
 @pytest.mark.parametrize("cutoff", [_SMALL_ROUND, -1], ids=["small", "vectorized"])
 def test_singleton_classes_are_not_re_signed(cutoff, monkeypatch):
     # A directed path 0 -> ... -> n - 1 plus an edge from every path node to
@@ -545,3 +537,36 @@ def test_singleton_classes_are_not_re_signed(cutoff, monkeypatch):
     assert [len(read) for read in hub_reads] == [len(spy)]
     parts, stable = iterated_partitions(g)
     assert r.class_counts == [p.num_classes for p in parts] and r.stable_round == stable
+
+
+def path_with_hubs(n, hubs):
+    """A directed path 0 -> ... -> n - 1 plus an edge from every path node to
+    each of the hubs n, ..., n + hubs - 1, all of one color."""
+    src = np.concatenate([np.arange(n - 1), np.repeat(np.arange(n), hubs)])
+    dst = np.concatenate([np.arange(1, n), np.tile(np.arange(n, n + hubs), n)])
+    return one_color_graph(n + hubs, src, dst, np.ones(len(src)))
+
+
+def parallel_paths(n, paths=20):
+    """paths directed paths of n // paths nodes each, of one color."""
+    length = n // paths
+    src = np.flatnonzero(np.arange(paths * length) % length != length - 1)
+    return one_color_graph(paths * length, src, src + 1, np.ones(len(src)))
+
+
+def color_per_node(n):
+    """A seeded random graph of 4n edge slots, every node of its own color."""
+    src, dst = np.random.default_rng(n).integers(0, n, (2, 4 * n))
+    return ColoredMultigraph.from_edge_arrays(n, src, dst, np.ones(4 * n, dtype=np.int64),
+                                              np.arange(n), tuple(range(n)))
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: random_graph(n, 4 * n, n_colors=3, seed=n), directed_path,
+    lambda n: path_with_hubs(n, 1), parallel_paths, color_per_node,
+], ids=["random", "path", "path+hub", "20 paths", "color per node"])
+def test_refine_signs_linearly_many_in_edges(shape):
+    # work counts, not clocks: doubling the graph at most doubles (x 1.1)
+    # the in-edges that refinement to stability signs
+    counts = [signed_in_edges(shape(n)) for n in (1000, 2000)]
+    assert counts[0] > 1000 and counts[1] <= 2.2 * counts[0], counts
